@@ -77,13 +77,9 @@ def semigroup_residual(liouvillian: gks.GKSLiouvillian, t1: float, t2: float) ->
 
 
 def _choi_of_matrix(matrix: np.ndarray, n: int) -> np.ndarray:
-    c = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = 1.0
-            c += np.kron(e, unvec(matrix @ vec(e), n))
-    return c
+    # C[(i,k),(j,l)] = channel(E_ij)[k,l] = matrix[k + l n, i + j n]: an index
+    # permutation of the column-stacked superoperator.
+    return matrix.reshape(n, n, n, n).transpose(3, 1, 2, 0).reshape(n * n, n * n)
 
 
 def choi_matrix(prop: Propagator) -> np.ndarray:
@@ -106,10 +102,7 @@ def cptp_report(prop: Propagator) -> CptpReport:
     """
     n = prop.dim
     c = choi_matrix(prop)
-    tr2 = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            tr2[i, j] = np.trace(c[i * n:(i + 1) * n, j * n:(j + 1) * n])
+    tr2 = np.einsum("ikjk->ij", c.reshape(n, n, n, n))
     trace_residual = float(np.abs(tr2 - np.eye(n)).max())
     herm_residual = linalg.hermiticity_defect(c)
     w, _ = linalg.hermitian_eigen(0.5 * (c + dagger(c)), tol=1.0)

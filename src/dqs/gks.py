@@ -207,11 +207,6 @@ def liouvillian_apply(liouvillian: GKSLiouvillian, sigma) -> np.ndarray:
             + dissipator_apply(liouvillian.kossakowski, liouvillian.basis, s))
 
 
-def liouvillian_matrix(liouvillian: GKSLiouvillian) -> np.ndarray:
-    """The generator as an N^2 x N^2 matrix on column-stacked states."""
-    return liouvillian.superop
-
-
 def dissipation_from_parts(a, basis: OperatorBasis, hamiltonian) -> np.ndarray:
     """Dissipation operator D_H for explicit coefficients (PSD not required).
 

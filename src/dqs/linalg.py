@@ -2,13 +2,11 @@
 
 Everything in this package works on plain numpy arrays of complex128.  The
 matrices of interest are tiny (system dimension N <= 8, superoperators up to
-64 x 64), so the routines here favour robustness and transparency over
-asymptotic speed: Hermitian eigenproblems are solved with cyclic Jacobi
-rotations, the matrix exponential uses a [6/6] diagonal Pade approximant with
-scaling and squaring, and singular values come from the Gram matrix.  numpy
-supplies array arithmetic and the linear solve inside the Pade step; the
-decompositions themselves live here so their behaviour is pinned by the test
-suite rather than by a library version.
+64 x 64).  Decompositions come from numpy's LAPACK bindings: Hermitian
+eigenproblems from ``eigh``, singular values and null spaces from ``svd``.
+The matrix exponential is an in-house [6/6] diagonal Pade approximant with
+scaling and squaring.  The wrappers here add input validation and the
+package's tolerance conventions.
 """
 
 from __future__ import annotations
@@ -26,9 +24,6 @@ PSD_TOL = 1e-10
 KERNEL_TOL = 1e-9
 #: Allowed deviation of a density-matrix trace from one.
 TRACE_TOL = 1e-12
-
-_JACOBI_OFF_TARGET = 1e-14
-_MAX_JACOBI_SWEEPS = 64
 
 
 def as_matrix(a) -> np.ndarray:
@@ -79,69 +74,17 @@ def unvec(v, n: int) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape((n, n), order="F")
 
 
-def _offdiag_norm(b: np.ndarray) -> float:
-    d = b.copy()
-    np.fill_diagonal(d, 0.0)
-    return float(np.linalg.norm(d))
-
-
 def hermitian_eigen(a, tol: float = HERMITICITY_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix via cyclic Jacobi rotations.
+    """Eigendecomposition of a Hermitian matrix.
 
     Returns (w, v) with eigenvalues w ascending and unitary v whose columns
     are the matching eigenvectors, so a == v @ diag(w) @ v^dagger up to
-    round-off.  Sweeps run until the off-diagonal Frobenius mass falls below
-    1e-14 times the Frobenius norm of the input.
+    round-off.  The Hermitian part of the input is decomposed after the
+    input passes the hermiticity check at tolerance tol.
     """
     m = as_matrix(a)
     require_hermitian(m, tol)
-    n = m.shape[0]
-    v = np.eye(n, dtype=complex)
-    b = 0.5 * (m + dagger(m))
-    scale = frobenius(b)
-    if n < 2 or scale == 0.0:
-        return np.diag(b).real.copy(), v
-    target = _JACOBI_OFF_TARGET * scale
-    skip = target / (2.0 * n)
-    for _ in range(_MAX_JACOBI_SWEEPS):
-        if _offdiag_norm(b) <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                beta = b[p, q]
-                ab = abs(beta)
-                if ab <= skip:
-                    continue
-                phase = beta / ab
-                tau = (b[q, q].real - b[p, p].real) / (2.0 * ab)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(tau, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                # Unitary G differs from the identity only at (p, q):
-                #   G[p,p]=c, G[p,q]=s, G[q,p]=-s*conj(phase), G[q,q]=c*conj(phase)
-                # and b <- G^dagger b G zeroes the (p, q) pair.
-                row_p = b[p, :].copy()
-                row_q = b[q, :].copy()
-                b[p, :] = c * row_p - s * phase * row_q
-                b[q, :] = s * row_p + c * phase * row_q
-                col_p = b[:, p].copy()
-                col_q = b[:, q].copy()
-                b[:, p] = c * col_p - s * np.conj(phase) * col_q
-                b[:, q] = s * col_p + c * np.conj(phase) * col_q
-                b[p, q] = 0.0
-                b[q, p] = 0.0
-                b[p, p] = b[p, p].real
-                b[q, q] = b[q, q].real
-                vcol_p = v[:, p].copy()
-                vcol_q = v[:, q].copy()
-                v[:, p] = c * vcol_p - s * np.conj(phase) * vcol_q
-                v[:, q] = s * vcol_p + c * np.conj(phase) * vcol_q
-    else:
-        raise ArithmeticError("Jacobi iteration did not converge in "
-                              f"{_MAX_JACOBI_SWEEPS} sweeps")
-    w = np.diag(b).real.copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+    return np.linalg.eigh(0.5 * (m + dagger(m)))
 
 
 # [6/6] diagonal Pade coefficients for exp(x): numerator sum c_j x^j,
@@ -184,12 +127,11 @@ def expm(a, scale: float = 1.0) -> np.ndarray:
 
 
 def singular_values(a) -> np.ndarray:
-    """Singular values in descending order, from the Gram matrix a^dagger a."""
+    """Singular values in descending order."""
     m = as_matrix(a)
     if m.size == 0:
         return np.zeros(0)
-    w, _ = hermitian_eigen(dagger(m) @ m, tol=1e-8)
-    return np.sqrt(np.clip(w, 0.0, None))[::-1]
+    return np.linalg.svd(m, compute_uv=False)
 
 
 def operator_norm(a) -> float:
@@ -207,21 +149,18 @@ def trace_norm(a) -> float:
 def kernel_basis(m, tol: float = KERNEL_TOL) -> np.ndarray:
     """Orthonormal basis (as columns) of the numerical null space of m.
 
-    A direction v counts as null when ||m v|| <= tol * ||m|| * ||v|| with
-    ||m|| the largest singular value; the basis comes from the small-singular-
-    value eigenvectors of the Gram matrix.  A zero map returns a basis of the
-    whole domain.
+    The basis is the right singular vectors past the numerical rank, which
+    counts singular values above tol times the largest.  A zero map returns
+    a basis of the whole domain.
     """
     a = as_matrix(m)
     n = a.shape[1]
     if n == 0:
         return np.zeros((0, 0), dtype=complex)
-    w, v = hermitian_eigen(dagger(a) @ a, tol=1e-8)
-    s = np.sqrt(np.clip(w, 0.0, None))
-    smax = float(s.max())
-    if smax == 0.0:
-        return v
-    return v[:, s <= tol * smax]
+    _, s, vh = np.linalg.svd(a)
+    smax = float(s[0]) if s.size else 0.0
+    rank = int(np.count_nonzero(s > tol * smax))
+    return dagger(vh[rank:])
 
 
 def is_psd(a, tol: float = PSD_TOL) -> bool:
@@ -233,12 +172,6 @@ def is_psd(a, tol: float = PSD_TOL) -> bool:
     w, _ = hermitian_eigen(m)
     bound = tol * max(1.0, float(np.abs(w).max()))
     return bool(w[0] >= -bound)
-
-
-def min_eigenvalue(a, tol: float = HERMITICITY_TOL) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    w, _ = hermitian_eigen(a, tol)
-    return float(w[0])
 
 
 @dataclass(frozen=True, eq=False)

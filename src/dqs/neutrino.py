@@ -252,6 +252,8 @@ def fit_parameters(data: Iterable[SpectrumPoint],
     x = np.array([pt.l_over_e for pt in points], dtype=float)
     p = np.array([pt.p for pt in points], dtype=float)
     w = np.array([pt.weight for pt in points], dtype=float)
+    if not w.sum() > 0.0:
+        raise ValueError("spectrum has zero total weight")
 
     merged: Dict[str, Tuple[float, float]] = dict(DEFAULT_BOUNDS)
     for name, pair in (bounds or {}).items():

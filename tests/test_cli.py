@@ -307,6 +307,16 @@ def test_nu_fit_header_only_is_an_error(capsys, tmp_path):
     assert "no spectrum points" in err
 
 
+def test_nu_fit_zero_weights_is_an_error(capsys, tmp_path):
+    data = tmp_path / "unweighted.csv"
+    data.write_text("L_over_E_km_per_GeV,P_survival,weight\n"
+                    "100,0.9,0\n200,0.7,0\n300,0.8,0\n")
+    code, out, err = run_cli(capsys, "nu-fit", str(data))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "zero total weight" in err
+
+
 def test_nu_fit_flags_cycle_limit(capsys, tmp_path):
     truth = neutrino.OscillationParams(7.9e-5, 0.55, 3e-5)
     data = tmp_path / "spectrum.csv"

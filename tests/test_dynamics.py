@@ -3,7 +3,7 @@ import pytest
 
 from dqs import dynamics, gks, linalg
 from dqs.gks import KossakowskiMatrix
-from dqs.linalg import DensityMatrix
+from dqs.linalg import KERNEL_TOL, DensityMatrix
 
 from helpers import random_density, random_hermitian, random_liouvillian
 
@@ -95,6 +95,19 @@ def test_choi_of_identity_channel():
     assert report.choi_min_eigenvalue >= -1e-14
 
 
+def test_choi_matches_kron_definition(rng):
+    # C = sum_ij E_ij (x) channel(E_ij), built term by term as the reference
+    for n in (2, 3, 4):
+        prop = dynamics.propagator(random_liouvillian(rng, n), 0.7)
+        ref = np.zeros((n * n, n * n), dtype=complex)
+        for i in range(n):
+            for j in range(n):
+                e = np.zeros((n, n), dtype=complex)
+                e[i, j] = 1.0
+                ref += np.kron(e, linalg.unvec(prop.matrix @ linalg.vec(e), n))
+        assert np.array_equal(dynamics.choi_matrix(prop), ref)
+
+
 def test_cptp_along_flow(rng):
     for n in (2, 3):
         for _ in range(5):
@@ -175,6 +188,21 @@ def test_dephasing_stationary_family_is_diagonal():
     for rho in family.density_matrices:
         assert np.abs(gks.liouvillian_apply(liou, rho.matrix)).max() <= 1e-9
         assert abs(rho.matrix[0, 1]) <= 1e-10
+
+
+def test_random_generators_have_stationary_states(rng):
+    # every CPTP semigroup has a fixed point; the kernel must match an SVD
+    # nullity count of the generator matrix
+    for n in (2, 3):
+        for _ in range(25):
+            liou = random_liouvillian(rng, n)
+            family = dynamics.stationary_states(liou)
+            s = np.linalg.svd(liou.superop, compute_uv=False)
+            nullity = int(np.count_nonzero(s <= KERNEL_TOL * s[0]))
+            assert len(family.kernel) == nullity >= 1
+            assert family.density_matrices
+            for rho in family.density_matrices:
+                assert np.abs(gks.liouvillian_apply(liou, rho.matrix)).max() <= 1e-9
 
 
 def test_zero_generator_kernel_is_everything():

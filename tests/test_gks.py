@@ -124,7 +124,7 @@ def test_dispersive_qubit_liouvillian_action(rng):
 def test_superop_matches_direct_action(rng):
     for n in (2, 3):
         liou = random_liouvillian(rng, n)
-        m = gks.liouvillian_matrix(liou)
+        m = liou.superop
         for _ in range(20):
             s = random_complex(rng, (n, n))
             direct = gks.liouvillian_apply(liou, s)
@@ -255,6 +255,19 @@ def test_qubit_dispersion_kernel_dimension_and_ray():
     proj = gks.coords_to_hermitian(span @ (span.T @ coords), 3)
     assert np.abs(proj - ray).max() <= 1e-10
     assert linalg.is_psd(proj, 1e-8)
+
+
+def test_dispersion_kernel_dimension_is_basis_independent(rng):
+    # the kernel dimension of a nondegenerate qubit H is 5 whatever its
+    # eigenbasis; a rotated H must not lose kernel directions
+    basis = gks.gell_mann_basis(2)
+    for _ in range(5):
+        u = random_unitary(rng, 2)
+        h = u @ np.diag([2.5, -2.5]) @ u.conj().T
+        report = gks.dispersive_kossakowski_kernel(h, basis, samples=0)
+        assert report.dimension == 5
+        for m in report.kernel:
+            assert linalg.frobenius(gks.dissipation_from_parts(m, basis, h)) <= 1e-10
 
 
 def test_degenerate_hamiltonian_kernel_is_everything():

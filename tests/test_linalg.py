@@ -185,6 +185,17 @@ def test_kernel_vectors_are_annihilated(rng):
         assert np.linalg.norm(a @ k[:, i]) <= 1e-9 * norm
 
 
+def test_kernel_nullity_of_random_low_rank(rng):
+    # decomposing a^dagger a instead of a leaves the zero singular values
+    # near sqrt(eps) times the largest, above the default kernel tolerance
+    for _ in range(20):
+        a = random_complex(rng, (30, 20)) @ random_complex(rng, (20, 30))
+        k = linalg.kernel_basis(a)
+        assert k.shape == (30, 10)
+        assert np.linalg.norm(a @ k) <= 1e-9 * linalg.operator_norm(a)
+        assert np.allclose(k.conj().T @ k, np.eye(10), atol=1e-12)
+
+
 # ---------------------------------------------------------------- psd
 
 def test_is_psd_basic():

@@ -215,6 +215,12 @@ def test_fit_input_validation():
         neutrino.fit_parameters(data, grid_points=1)
 
 
+def test_fit_rejects_zero_total_weight():
+    data = [SpectrumPoint(0.0, 1.0, 0.0), SpectrumPoint(100.0, 0.9, 0.0)]
+    with pytest.raises(ValueError, match="zero total weight"):
+        neutrino.fit_parameters(data)
+
+
 def test_fit_all_parameters_pinned():
     truth = OscillationParams(7.9e-5, 0.5, 1e-5)
     data = synthetic_spectrum(truth, n=40)
