@@ -183,8 +183,8 @@ def _parse_inline_state(text: str) -> np.ndarray:
 
 
 def _time_grid(t_max: float, steps: int) -> List[float]:
-    if t_max < 0.0:
-        raise CliError(f"--t-max must be nonnegative, got {t_max!r}")
+    if not (math.isfinite(t_max) and t_max >= 0.0):
+        raise CliError(f"--t-max must be finite and nonnegative, got {t_max!r}")
     if steps < 1:
         raise CliError(f"--steps must be at least 1, got {steps!r}")
     if t_max == 0.0:
@@ -227,7 +227,10 @@ def cmd_evolve(args) -> int:
     header += ["trace_re", "entropy", "energy"]
     print(",".join(header))
     for t in times:
-        out = dynamics.propagate(liou, rho, t).matrix
+        try:
+            out = dynamics.propagate(liou, rho, t).matrix
+        except ValueError as exc:
+            raise CliError(f"propagation to t={_fmt(t)} failed: {exc}") from None
         cells = [_fmt(t)]
         for i in range(n):
             for j in range(n):

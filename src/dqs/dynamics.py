@@ -46,13 +46,6 @@ def propagator(liouvillian: gks.GKSLiouvillian, t: float) -> Propagator:
     return Propagator(liouvillian.dim, float(t), channel_matrix(liouvillian, t))
 
 
-def apply_propagator(prop: Propagator, sigma) -> np.ndarray:
-    s = linalg.as_matrix(sigma)
-    if s.shape != (prop.dim, prop.dim):
-        raise ValueError(f"state shape {s.shape} does not match dimension {prop.dim}")
-    return unvec(prop.matrix @ vec(s), prop.dim)
-
-
 def _state_matrix(rho) -> np.ndarray:
     if isinstance(rho, DensityMatrix):
         return rho.matrix
@@ -62,8 +55,7 @@ def _state_matrix(rho) -> np.ndarray:
 def propagate(liouvillian: gks.GKSLiouvillian, rho, t: float) -> DensityMatrix:
     """Evolve a state forward: rho(t) = exp(t L) rho."""
     m = _state_matrix(rho)
-    out = apply_propagator(propagator(liouvillian, t), m)
-    return DensityMatrix(out)
+    return DensityMatrix(unvec(propagator(liouvillian, t).matrix @ vec(m), liouvillian.dim))
 
 
 def semigroup_residual(liouvillian: gks.GKSLiouvillian, t1: float, t2: float) -> float:
@@ -80,6 +72,11 @@ def _choi_of_matrix(matrix: np.ndarray, n: int) -> np.ndarray:
     # C[(i,k),(j,l)] = channel(E_ij)[k,l] = matrix[k + l n, i + j n]: an index
     # permutation of the column-stacked superoperator.
     return matrix.reshape(n, n, n, n).transpose(3, 1, 2, 0).reshape(n * n, n * n)
+
+
+def _min_eigenvalue(choi: np.ndarray) -> float:
+    w, _ = linalg.hermitian_eigen(0.5 * (choi + dagger(choi)), tol=1.0)
+    return float(w[0])
 
 
 def choi_matrix(prop: Propagator) -> np.ndarray:
@@ -105,8 +102,7 @@ def cptp_report(prop: Propagator) -> CptpReport:
     tr2 = np.einsum("ikjk->ij", c.reshape(n, n, n, n))
     trace_residual = float(np.abs(tr2 - np.eye(n)).max())
     herm_residual = linalg.hermiticity_defect(c)
-    w, _ = linalg.hermitian_eigen(0.5 * (c + dagger(c)), tol=1.0)
-    return CptpReport(trace_residual, herm_residual, float(w[0]))
+    return CptpReport(trace_residual, herm_residual, _min_eigenvalue(c))
 
 
 def generator_recovery_residual(liouvillian: gks.GKSLiouvillian, eps: float) -> float:
@@ -248,9 +244,7 @@ def time_reversal_witness(liouvillian: gks.GKSLiouvillian, t_grid,
         t = float(t)
         if t < 0:
             raise ValueError("probe times must be nonnegative")
-        c = _choi_of_matrix(channel_matrix(liouvillian, -t), n)
-        w, _ = linalg.hermitian_eigen(0.5 * (c + dagger(c)), tol=1.0)
-        low = float(w[0])
+        low = _min_eigenvalue(_choi_of_matrix(channel_matrix(liouvillian, -t), n))
         if low < -tol and (worst is None or low < worst.choi_min_eigenvalue):
             worst = TimeReversalWitness(t, low)
     return worst

@@ -16,10 +16,15 @@ The central diagnostic is the dissipation operator
 
     D_H = sum_{i,j} a_ij (F_j^+ H F_i - (F_j^+ F_i H + H F_j^+ F_i) / 2),
 
-the Hermitian observable whose expectation value in the current state gives
-d<H>/dt.  A model is *dispersive* when D_H vanishes: its dissipator is
-active (the dynamics is not unitary, and generally not time-reversible) yet
-energy is conserved exactly.
+the adjoint (Heisenberg-picture) dissipator applied to H: the Hermitian
+observable whose expectation value in the current state gives d<H>/dt.  A
+model is *dispersive* when D_H vanishes: its dissipator is active (the
+dynamics is not unitary, and generally not time-reversible) yet energy is
+conserved exactly.
+
+The GKS sum is written once, as the matrix S(a) of the dissipator on
+column-stacked states.  The generator matrix, the dissipator's action, D_H
+(as S(a)^+ vec H) and the dispersion kernel are all computed from it.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .linalg import HERMITICITY_TOL, KERNEL_TOL, PSD_TOL, dagger
+from .linalg import HERMITICITY_TOL, KERNEL_TOL, PSD_TOL, dagger, unvec, vec
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,9 +146,22 @@ def _kossakowski_array(a, basis: OperatorBasis) -> np.ndarray:
     return arr
 
 
-def _column_mixed(a_arr: np.ndarray, f_stack: np.ndarray) -> np.ndarray:
-    # G_j = sum_i a_ij F_i, so that sum_ij a_ij F_i . F_j^+ = sum_j G_j . F_j^+
-    return np.einsum("ij,ikl->jkl", a_arr, f_stack)
+def _dissipator_superop(a: np.ndarray, basis: OperatorBasis) -> np.ndarray:
+    """Matrix S(a) of sigma -> sum_ij a_ij (F_i sigma F_j^+ - {F_j^+ F_i, sigma}/2).
+
+    S acts on column-stacked matrices and is linear in a, whose leading axes
+    are batch axes.
+    """
+    n = basis.dim
+    f = np.stack(basis.traceless)
+    g = np.einsum("...ij,ikm->...jkm", a, f)          # G_j = sum_i a_ij F_i
+    p = np.einsum("jlk,...jlm->...km", f.conj(), g)   # sum_ij a_ij F_j^+ F_i
+    eye = np.eye(n)
+    # vec(A X B) = (B^T kron A) vec(X); kron(A, B)[l n + k, q n + m] = A_lq B_km
+    s = (np.einsum("jlq,...jkm->...lkqm", f.conj(), g)
+         - 0.5 * (np.einsum("lq,...km->...lkqm", eye, p)
+                  + np.einsum("...ql,km->...lkqm", p, eye)))
+    return s.reshape(a.shape[:-2] + (n * n, n * n))
 
 
 def dissipator_apply(a, basis: OperatorBasis, sigma) -> np.ndarray:
@@ -152,13 +170,7 @@ def dissipator_apply(a, basis: OperatorBasis, sigma) -> np.ndarray:
     s = linalg.as_matrix(sigma)
     if s.shape != (basis.dim, basis.dim):
         raise ValueError(f"state has shape {s.shape}, expected square of dim {basis.dim}")
-    f = np.stack(basis.traceless)
-    g = _column_mixed(arr, f)
-    p = np.einsum("jlk,jlm->km", f.conj(), g)
-    out = np.zeros_like(s)
-    for j in range(f.shape[0]):
-        out += g[j] @ s @ dagger(f[j])
-    return out - 0.5 * (p @ s + s @ p)
+    return unvec(_dissipator_superop(arr, basis) @ vec(s), basis.dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,15 +194,9 @@ class GKSLiouvillian:
         h.flags.writeable = False
         object.__setattr__(self, "hamiltonian", h)
 
-        f = np.stack(self.basis.traceless)
-        a_arr = self.kossakowski.matrix
-        g = _column_mixed(a_arr, f)
-        p = np.einsum("jlk,jlm->km", f.conj(), g)
-        eye = np.eye(n, dtype=complex)
-        m = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-        for j in range(f.shape[0]):
-            m += np.kron(f[j].conj(), g[j])
-        m -= 0.5 * (np.kron(eye, p) + np.kron(p.T, eye))
+        eye = np.eye(n)
+        m = (-1j * (np.kron(eye, h) - np.kron(h.T, eye))
+             + _dissipator_superop(self.kossakowski.matrix, self.basis))
         m.flags.writeable = False
         object.__setattr__(self, "superop", m)
 
@@ -208,20 +214,15 @@ def liouvillian_apply(liouvillian: GKSLiouvillian, sigma) -> np.ndarray:
 
 
 def dissipation_from_parts(a, basis: OperatorBasis, hamiltonian) -> np.ndarray:
-    """Dissipation operator D_H for explicit coefficients (PSD not required).
+    """D_H = S(a)^+ vec(H) for explicit coefficients, PSD not required.
 
-    The sign-indefinite version is what the kernel solver needs; validated
-    generators should go through dissipation_operator instead.
+    The adjoint identity holds for Hermitian a only; validated generators
+    should go through dissipation_operator instead.
     """
     arr = _kossakowski_array(a, basis)
+    linalg.require_hermitian(arr, 1e-12)
     h = linalg.as_matrix(hamiltonian)
-    f = np.stack(basis.traceless)
-    g = _column_mixed(arr, f)
-    p = np.einsum("jlk,jlm->km", f.conj(), g)
-    out = np.zeros_like(h)
-    for j in range(f.shape[0]):
-        out += dagger(f[j]) @ h @ g[j]
-    return out - 0.5 * (p @ h + h @ p)
+    return unvec(dagger(_dissipator_superop(arr, basis)) @ vec(h), basis.dim)
 
 
 def dissipation_operator(liouvillian: GKSLiouvillian) -> np.ndarray:
@@ -251,31 +252,29 @@ def is_dispersive(liouvillian: GKSLiouvillian, tol: float = KERNEL_TOL) -> Dispe
 # (real, imag) of each upper-triangle entry in row-major order.
 
 def hermitian_coords(m) -> np.ndarray:
-    a = linalg.as_matrix(m)
-    linalg.require_square(a)
-    a = 0.5 * (a + dagger(a))
-    n = a.shape[0]
-    out = [a[i, i].real for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            out.append(a[i, j].real)
-            out.append(a[i, j].imag)
-    return np.array(out)
+    """Coordinates of the Hermitian part of m; leading axes are batch axes."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
+    rows, cols = np.triu_indices(a.shape[-1], 1)
+    upper = 0.5 * (a[..., rows, cols] + a[..., cols, rows].conj())
+    pairs = np.stack([upper.real, upper.imag], axis=-1).reshape(a.shape[:-2] + (-1,))
+    return np.concatenate([np.diagonal(a, axis1=-2, axis2=-1).real, pairs], axis=-1)
 
 
 def coords_to_hermitian(x, n: int) -> np.ndarray:
+    """Inverse of hermitian_coords; leading axes of x are batch axes."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (n * n,):
+    if x.shape[-1:] != (n * n,):
         raise ValueError(f"expected {n * n} coordinates, got shape {x.shape}")
-    a = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        a[i, i] = x[i]
-    pos = n
-    for i in range(n):
-        for j in range(i + 1, n):
-            a[i, j] = x[pos] + 1j * x[pos + 1]
-            a[j, i] = x[pos] - 1j * x[pos + 1]
-            pos += 2
+    rows, cols = np.triu_indices(n, 1)
+    upper = x[..., n::2] + 1j * x[..., n + 1::2]
+    a = np.zeros(x.shape[:-1] + (n, n), dtype=complex)
+    a[..., range(n), range(n)] = x[..., :n]
+    a[..., rows, cols] = upper
+    a[..., cols, rows] = upper.conj()
     return a
 
 
@@ -314,14 +313,16 @@ def dispersive_kossakowski_kernel(hamiltonian, basis: OperatorBasis,
                                   seed: int = 0) -> DispersionKernel:
     """All Hermitian coefficient matrices making the given H dispersive.
 
-    Builds the real-linear map a |-> D_H(a) column by column over the real
-    coordinates of Hermitian (N^2-1) x (N^2-1) matrices and extracts its
-    null space.  Valid dissipators in the kernel are its PSD elements; since
-    PSD-ness is not a linear condition, it is reported by inspection: each
-    kernel basis element (and its negation) is flagged, and `samples` random
-    unit-norm combinations (half signed Gaussian, half with nonnegative
-    coefficients) are drawn from a generator seeded by `seed` and flagged
-    likewise.
+    Builds the real-linear map a |-> D_H(a) over the real coordinates of
+    Hermitian (N^2-1) x (N^2-1) matrices, from one batched evaluation of the
+    dissipator on all coordinate directions, and extracts its null space:
+    singular values at or below tol * max(1, ||H||_F), the bound
+    is_dispersive applies to D_H, count as zero.  Valid dissipators in the
+    kernel are its PSD elements; since PSD-ness is not a linear condition,
+    it is reported by inspection: each kernel basis element (and its
+    negation) is flagged, and `samples` random unit-norm combinations (half
+    signed Gaussian, half with nonnegative coefficients) are drawn from a
+    generator seeded by `seed` and flagged likewise.
     """
     h = linalg.as_matrix(hamiltonian)
     n = basis.dim
@@ -329,17 +330,15 @@ def dispersive_kossakowski_kernel(hamiltonian, basis: OperatorBasis,
         raise ValueError(f"Hamiltonian shape {h.shape} does not match basis dimension {n}")
     linalg.require_hermitian(h, HERMITICITY_TOL)
     k = n * n - 1
-    cols = []
-    for idx in range(k * k):
-        x = np.zeros(k * k)
-        x[idx] = 1.0
-        dh = dissipation_from_parts(coords_to_hermitian(x, k), basis, h)
-        cols.append(hermitian_coords(dh))
-    phi = np.array(cols).T
-    null = linalg.kernel_basis(phi, tol)
-    if null.size and np.abs(null.imag).max() > 1e-12:
-        raise ArithmeticError("kernel of a real map came out complex")
-    mats = tuple(coords_to_hermitian(null[:, c].real, k) for c in range(null.shape[1]))
+    # column c is D_H of the c-th coordinate direction, by the adjoint identity
+    superops = _dissipator_superop(coords_to_hermitian(np.eye(k * k), k), basis)
+    dh = np.einsum("cts,t->cs", superops.conj(), vec(h))
+    phi = hermitian_coords(np.swapaxes(dh.reshape(-1, n, n), 1, 2)).T
+    # not relative to the largest singular value: for H proportional to I
+    # that is itself round-off
+    _, s, vt = np.linalg.svd(phi)
+    rank = int(np.count_nonzero(s > tol * max(1.0, linalg.frobenius(h))))
+    mats = tuple(coords_to_hermitian(vt[rank:], k))
     element_psd = tuple(linalg.is_psd(m, psd_tol) for m in mats)
     negation_psd = tuple(linalg.is_psd(-m, psd_tol) for m in mats)
 

@@ -109,6 +109,8 @@ def expm(a, scale: float = 1.0) -> np.ndarray:
         return m.copy()
     b = scale * m
     norm = float(np.abs(b).sum(axis=0).max())
+    if not math.isfinite(norm):
+        raise ValueError("scaled matrix is too large to exponentiate")
     squarings = 0
     if norm > 0.5:
         squarings = max(0, int(math.ceil(math.log2(norm / 0.5))))

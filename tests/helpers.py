@@ -45,3 +45,43 @@ def random_liouvillian(rng, n, h_scale=0.5, a_scale=0.5):
     a = random_psd(rng, n * n - 1, trace=a_scale)
     basis = gks.gell_mann_basis(n)
     return gks.GKSLiouvillian(h, gks.KossakowskiMatrix(n, a), basis)
+
+
+# Textbook GKS double sums written term by term, as a reference that shares no
+# code with the library's vectorised dissipator.
+
+def reference_dissipator(a, basis, sigma):
+    """sum_ij a_ij (F_i sigma F_j^+ - (F_j^+ F_i sigma + sigma F_j^+ F_i) / 2)."""
+    f = basis.traceless
+    out = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for i in range(len(f)):
+        for j in range(len(f)):
+            fj_dag = f[j].conj().T
+            out += a[i, j] * (f[i] @ sigma @ fj_dag
+                              - 0.5 * (fj_dag @ f[i] @ sigma + sigma @ fj_dag @ f[i]))
+    return out
+
+
+def reference_dissipation_operator(a, basis, h):
+    """D_H = sum_ij a_ij (F_j^+ H F_i - (F_j^+ F_i H + H F_j^+ F_i) / 2)."""
+    f = basis.traceless
+    out = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for i in range(len(f)):
+        for j in range(len(f)):
+            fj_dag = f[j].conj().T
+            out += a[i, j] * (fj_dag @ h @ f[i]
+                              - 0.5 * (fj_dag @ f[i] @ h + h @ fj_dag @ f[i]))
+    return out
+
+
+def reference_superop(h, a, basis):
+    """Generator matrix on column-stacked states, one unit matrix per column."""
+    n = basis.dim
+    cols = []
+    for q in range(n):
+        for p in range(n):
+            e = np.zeros((n, n), dtype=complex)
+            e[p, q] = 1.0
+            out = -1j * (h @ e - e @ h) + reference_dissipator(a, basis, e)
+            cols.append(out.reshape(-1, order="F"))
+    return np.array(cols).T

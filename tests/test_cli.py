@@ -180,6 +180,26 @@ def test_evolve_inline_state_needs_qubit(capsys, tmp_path):
     assert "dimension-2" in err
 
 
+@pytest.mark.parametrize("t_max", ["nan", "inf", "1e308"])
+def test_evolve_rejects_unpropagatable_horizons(capsys, t_max):
+    for model in (DISPERSIVE, DAMPED_X):
+        for steps in ("1", "200"):
+            code, _, err = run_cli(capsys, "evolve", model, "--state", "0.7,0.2+0.3j",
+                                   "--t-max", t_max, "--steps", steps)
+            assert code == 2
+            assert err.startswith("error:")
+
+
+def test_evolve_long_horizon_does_not_traceback(capsys):
+    # only the absence of an uncaught exception is pinned here; whether the
+    # trajectory should survive the trace drift at t = 1e4 is an accuracy
+    # question for the propagator
+    code, _, err = run_cli(capsys, "evolve", DAMPED_X, "--state", "0.7,0.2+0.3j",
+                           "--t-max", "1e4")
+    assert code in (0, 2)
+    assert code == 0 or err.startswith("error:")
+
+
 # ------------------------------------------------------------------ probabilities
 
 def test_probabilities_rows_complement(capsys):

@@ -4,7 +4,9 @@ import pytest
 from dqs import gks, linalg
 from dqs.gks import GKSLiouvillian, KossakowskiMatrix, OperatorBasis
 
-from helpers import random_complex, random_density, random_hermitian, random_liouvillian, random_unitary
+from helpers import (random_complex, random_density, random_hermitian, random_liouvillian,
+                     random_unitary, reference_dissipation_operator, reference_dissipator,
+                     reference_superop)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -130,6 +132,32 @@ def test_superop_matches_direct_action(rng):
             direct = gks.liouvillian_apply(liou, s)
             via_matrix = linalg.unvec(m @ linalg.vec(s), n)
             assert np.abs(direct - via_matrix).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_generator_matches_textbook_double_sum(rng, n):
+    liou = random_liouvillian(rng, n)
+    h, a, basis = liou.hamiltonian, liou.kossakowski.matrix, liou.basis
+    assert np.abs(np.triu(h, 1)).max() > 0.01
+    assert np.abs(liou.superop - reference_superop(h, a, basis)).max() <= 1e-12
+    assert np.abs(gks.dissipation_operator(liou)
+                  - reference_dissipation_operator(a, basis, h)).max() <= 1e-12
+    for _ in range(5):
+        s = random_complex(rng, (n, n))
+        assert np.abs(gks.dissipator_apply(a, basis, s)
+                      - reference_dissipator(a, basis, s)).max() <= 1e-12
+        # duality: D_H is the adjoint dissipator at H, tr(rho D_H) = tr(H D(rho))
+        rho = random_density(rng, n).matrix
+        lhs = np.trace(rho @ gks.dissipation_operator(liou))
+        rhs = np.trace(h @ gks.dissipator_apply(a, basis, rho))
+        assert abs(lhs - rhs) <= 1e-12
+
+
+def test_dissipation_from_parts_rejects_non_hermitian_coefficients():
+    a = np.zeros((3, 3))
+    a[0, 1] = 1.0
+    with pytest.raises(ValueError, match="Hermitian"):
+        gks.dissipation_from_parts(a, gks.gell_mann_basis(2), np.diag([1.0, -1.0]))
 
 
 def test_superop_zero_model():
@@ -270,10 +298,29 @@ def test_dispersion_kernel_dimension_is_basis_independent(rng):
             assert linalg.frobenius(gks.dissipation_from_parts(m, basis, h)) <= 1e-10
 
 
-def test_degenerate_hamiltonian_kernel_is_everything():
+@pytest.mark.parametrize("n", [2, 3])
+def test_kernel_map_columns_are_dissipation_operators(rng, n):
+    basis = gks.gell_mann_basis(n)
+    h = random_hermitian(rng, n)
+    k = n * n - 1
+    phi = gks.dispersive_kossakowski_kernel(h, basis, samples=0).map_matrix
+    assert phi.shape == (n * n, k * k)
+    for c, e in enumerate(np.eye(k * k)):
+        dh = gks.dissipation_from_parts(gks.coords_to_hermitian(e, k), basis, h)
+        assert np.abs(phi[:, c] - gks.hermitian_coords(dh)).max() <= 1e-12
+
+
+def test_degenerate_hamiltonian_kernel_is_everything(rng):
     basis = gks.gell_mann_basis(2)
     report = gks.dispersive_kossakowski_kernel(2.2 * np.eye(2), basis, samples=0)
     assert report.dimension == 9
+    # a rotated multiple of I carries ~1e-16 off-diagonals, so the map is pure
+    # round-off; every model with this H is dispersive, so the kernel is all
+    for n in (2, 3):
+        u = random_unitary(rng, n)
+        h = u @ (2.2 * np.eye(n)) @ u.conj().T
+        report = gks.dispersive_kossakowski_kernel(h, gks.gell_mann_basis(n), samples=0)
+        assert report.dimension == (n * n - 1) ** 2
 
 
 def test_kernel_solver_rejects_non_hermitian_h():
@@ -287,6 +334,12 @@ def test_coordinate_round_trip(rng):
     x = gks.hermitian_coords(a)
     assert x.shape == (16,)
     assert np.abs(gks.coords_to_hermitian(x, 4) - a).max() <= 1e-14
+
+
+def test_coordinate_order():
+    a = np.array([[1, 2 + 3j, 4 + 5j], [2 - 3j, 6, 7 + 8j], [4 - 5j, 7 - 8j, 9]])
+    assert gks.hermitian_coords(a).tolist() == [1, 6, 9, 2, 3, 4, 5, 7, 8]
+    assert np.array_equal(gks.coords_to_hermitian([1, 6, 9, 2, 3, 4, 5, 7, 8], 3), a)
 
 
 # ---------------------------------------------------------------- lindblad form
