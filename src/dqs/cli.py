@@ -85,6 +85,8 @@ def pairs_to_matrix(data, rows: int, cols: int, what: str) -> np.ndarray:
     if arr.shape != (rows, cols, 2):
         raise CliError(f"{what}: expected {rows}x{cols} entries of [re, im] pairs, "
                        f"got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise CliError(f"{what}: entries must be finite")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -228,15 +230,16 @@ def cmd_evolve(args) -> int:
     print(",".join(header))
     for t in times:
         try:
-            out = dynamics.propagate(liou, rho, t).matrix
+            rho_t = dynamics.propagate(liou, rho, t)
         except ValueError as exc:
             raise CliError(f"propagation to t={_fmt(t)} failed: {exc}") from None
+        out = rho_t.matrix
         cells = [_fmt(t)]
         for i in range(n):
             for j in range(n):
                 cells += [_fmt(out[i, j].real), _fmt(out[i, j].imag)]
         cells.append(_fmt(np.trace(out).real))
-        cells.append(_fmt(dynamics.von_neumann_entropy(out)))
+        cells.append(_fmt(dynamics.von_neumann_entropy(rho_t)))
         cells.append(_fmt(np.trace(out @ h).real))
         print(",".join(cells))
     return 0
@@ -368,15 +371,18 @@ def cmd_nu_fit(args) -> int:
     return 0 if fit.converged else 3
 
 
+def _print_operators(label: str, mats) -> None:
+    """One CSV row per matrix entry: 1-based operator index, row, column."""
+    print(f"{label},row,col,re,im")
+    for k, m in enumerate(mats, start=1):
+        for (i, j), z in np.ndenumerate(m):
+            print(f"{k},{i + 1},{j + 1},{_fmt(z.real)},{_fmt(z.imag)}")
+
+
 def cmd_basis(args) -> int:
     if args.dimension < 2:
         raise CliError(f"--dimension must be at least 2, got {args.dimension!r}")
-    basis = gks.gell_mann_basis(args.dimension)
-    print("element,row,col,re,im")
-    for k, f in enumerate(basis.elements, start=1):
-        for i in range(args.dimension):
-            for j in range(args.dimension):
-                print(f"{k},{i + 1},{j + 1},{_fmt(f[i, j].real)},{_fmt(f[i, j].imag)}")
+    _print_operators("element", gks.gell_mann_basis(args.dimension).elements)
     return 0
 
 
@@ -386,12 +392,7 @@ def cmd_lindblad(args) -> int:
         ops = gks.lindblad_operators(liou.kossakowski, liou.basis)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    n = liou.dim
-    print("operator,row,col,re,im")
-    for k, v in enumerate(ops, start=1):
-        for i in range(n):
-            for j in range(n):
-                print(f"{k},{i + 1},{j + 1},{_fmt(v[i, j].real)},{_fmt(v[i, j].imag)}")
+    _print_operators("operator", ops)
     return 0
 
 

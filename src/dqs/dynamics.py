@@ -46,15 +46,14 @@ def propagator(liouvillian: gks.GKSLiouvillian, t: float) -> Propagator:
     return Propagator(liouvillian.dim, float(t), channel_matrix(liouvillian, t))
 
 
-def _state_matrix(rho) -> np.ndarray:
-    if isinstance(rho, DensityMatrix):
-        return rho.matrix
-    return DensityMatrix(rho).matrix
+def _density(rho) -> DensityMatrix:
+    """rho itself if already validated, else rho checked as a DensityMatrix."""
+    return rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
 
 
 def propagate(liouvillian: gks.GKSLiouvillian, rho, t: float) -> DensityMatrix:
     """Evolve a state forward: rho(t) = exp(t L) rho."""
-    m = _state_matrix(rho)
+    m = _density(rho).matrix
     return DensityMatrix(unvec(propagator(liouvillian, t).matrix @ vec(m), liouvillian.dim))
 
 
@@ -75,7 +74,7 @@ def _choi_of_matrix(matrix: np.ndarray, n: int) -> np.ndarray:
 
 
 def _min_eigenvalue(choi: np.ndarray) -> float:
-    w, _ = linalg.hermitian_eigen(0.5 * (choi + dagger(choi)), tol=1.0)
+    w, _ = linalg.hermitian_eigen(choi, tol=1.0)
     return float(w[0])
 
 
@@ -192,10 +191,8 @@ def stationary_states(liouvillian: gks.GKSLiouvillian, tol: float = KERNEL_TOL,
 
 def von_neumann_entropy(rho, cutoff: float = ENTROPY_CUTOFF) -> float:
     """-sum p ln p over the spectrum, dropping weights at or below cutoff."""
-    m = _state_matrix(rho)
-    w, _ = linalg.hermitian_eigen(m)
     total = 0.0
-    for p in w:
+    for p in _density(rho).spectrum:
         if p > cutoff:
             total -= p * math.log(p)
     return total
@@ -208,7 +205,7 @@ def energy_flow_residual(liouvillian: gks.GKSLiouvillian, rho,
     The derivative is a central difference of tr(H rho(t)) at t = 0; the
     default step is 1e-3 scaled down for stiff generators.
     """
-    m = _state_matrix(rho)
+    m = _density(rho).matrix
     if dt is None:
         norm = linalg.frobenius(liouvillian.superop)
         dt = 1e-3 * min(1.0, 1.0 / norm) if norm > 0 else 1e-3

@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .linalg import HERMITICITY_TOL, KERNEL_TOL, PSD_TOL, dagger, unvec, vec
+from .linalg import HERMITICITY_TOL, KERNEL_TOL, dagger, unvec, vec
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,9 +129,8 @@ class KossakowskiMatrix:
         if m.shape != (k, k):
             raise ValueError(f"Kossakowski matrix must be {k} x {k} for dimension "
                              f"{self.dim}, got {m.shape}")
-        linalg.require_hermitian(m, 1e-12)
-        if not linalg.is_psd(m, PSD_TOL):
-            w, _ = linalg.hermitian_eigen(m)
+        w, _ = linalg.hermitian_eigen(m, 1e-12)
+        if w.size and w[0] < -linalg.psd_bound(w):
             raise ValueError(f"Kossakowski matrix is not PSD: min eigenvalue {w[0]:.3e}")
         m = m.copy()
         m.flags.writeable = False
@@ -366,16 +365,12 @@ def lindblad_operators(a, basis: OperatorBasis) -> list:
     prefactor remains in front of the sum.
     """
     arr = _kossakowski_array(a, basis)
-    linalg.require_hermitian(arr, 1e-12)
-    if arr.shape[0] == 0:
-        return []
-    w, u = linalg.hermitian_eigen(arr)
-    wmax = float(np.abs(w).max()) if w.size else 0.0
-    if w.size and w[0] < -PSD_TOL * max(1.0, wmax):
+    w, u = linalg.hermitian_eigen(arr, 1e-12)
+    threshold = linalg.psd_bound(w)
+    if w[0] < -threshold:
         raise ValueError(f"coefficient matrix is not PSD: min eigenvalue {w[0]:.3e}")
     f = np.stack(basis.traceless)
     ops = []
-    threshold = PSD_TOL * max(1.0, wmax)
     for k in range(w.size - 1, -1, -1):
         if w[k] <= threshold:
             break

@@ -12,7 +12,7 @@ package's tolerance conventions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -107,10 +107,11 @@ def expm(a, scale: float = 1.0) -> np.ndarray:
     n = m.shape[0]
     if n == 0:
         return m.copy()
-    b = scale * m
-    norm = float(np.abs(b).sum(axis=0).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = scale * m
+        norm = float(np.abs(b).sum(axis=0).max())
     if not math.isfinite(norm):
-        raise ValueError("scaled matrix is too large to exponentiate")
+        raise ValueError("matrix exponential overflowed")
     squarings = 0
     if norm > 0.5:
         squarings = max(0, int(math.ceil(math.log2(norm / 0.5))))
@@ -123,8 +124,11 @@ def expm(a, scale: float = 1.0) -> np.ndarray:
     even = c[0] * eye + c[2] * b2 + c[4] * b4 + c[6] * b6
     odd = b @ (c[1] * eye + c[3] * b2 + c[5] * b4)
     r = np.linalg.solve(even - odd, even + odd)
-    for _ in range(squarings):
-        r = r @ r
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(squarings):
+            r = r @ r
+    if not np.isfinite(r).all():
+        raise ValueError("matrix exponential overflowed")
     return r
 
 
@@ -165,38 +169,41 @@ def kernel_basis(m, tol: float = KERNEL_TOL) -> np.ndarray:
     return dagger(vh[rank:])
 
 
+def psd_bound(w: np.ndarray, tol: float = PSD_TOL) -> float:
+    """How far below zero eigenvalues w may sit and still count as nonnegative."""
+    return tol * max(1.0, float(np.abs(w).max(initial=0.0)))
+
+
 def is_psd(a, tol: float = PSD_TOL) -> bool:
     """Whether a Hermitian matrix is positive semidefinite within tolerance."""
-    m = as_matrix(a)
-    require_hermitian(m)
-    if m.shape[0] == 0:
-        return True
-    w, _ = hermitian_eigen(m)
-    bound = tol * max(1.0, float(np.abs(w).max()))
-    return bool(w[0] >= -bound)
+    w, _ = hermitian_eigen(a)
+    return bool(w.size == 0 or w[0] >= -psd_bound(w, tol))
 
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A quantum state: Hermitian, unit trace, positive semidefinite.
 
-    Validation happens at construction; the stored array is read-only.
+    Validation happens at construction, from one eigendecomposition whose
+    ascending eigenvalues are kept as ``spectrum``; both arrays are read-only.
     """
 
     matrix: np.ndarray
+    spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         m = as_matrix(self.matrix)
-        require_hermitian(m, HERMITICITY_TOL)
+        w, _ = hermitian_eigen(m)
         tr = complex(m.trace())
         if abs(tr - 1.0) > TRACE_TOL * max(1.0, abs(tr)):
             raise ValueError(f"density matrix trace deviates from 1 by {abs(tr - 1.0):.3e}")
-        w, _ = hermitian_eigen(m)
         if w[0] < -PSD_TOL:
             raise ValueError(f"density matrix is not PSD: min eigenvalue {w[0]:.3e}")
         m = m.copy()
         m.flags.writeable = False
+        w.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "spectrum", w)
 
     @property
     def dim(self) -> int:

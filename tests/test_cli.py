@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from dqs import cli, gks, neutrino
+from dqs import cli, gks, linalg, neutrino
 from dqs.models import bundled
 
 DISPERSIVE = str(bundled("dispersive_qubit.model"))
@@ -97,6 +97,20 @@ def test_check_rejects_wrong_shapes(capsys, tmp_path):
     assert "hamiltonian" in err
 
 
+@pytest.mark.parametrize("key", ["hamiltonian", "kossakowski"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_check_rejects_non_finite_entries(capsys, tmp_path, key, value):
+    with open(DISPERSIVE, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc[key][0][0][0] = value              # json writes NaN / Infinity
+    path = tmp_path / "bad.model"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "check", str(path))
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_dqs_tol_environment_override(capsys, monkeypatch):
     monkeypatch.setenv("DQS_TOL", "10.0")
     code, out, _ = run_cli(capsys, "check", DAMPED_X)
@@ -180,6 +194,7 @@ def test_evolve_inline_state_needs_qubit(capsys, tmp_path):
     assert "dimension-2" in err
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("t_max", ["nan", "inf", "1e308"])
 def test_evolve_rejects_unpropagatable_horizons(capsys, t_max):
     for model in (DISPERSIVE, DAMPED_X):
@@ -188,6 +203,32 @@ def test_evolve_rejects_unpropagatable_horizons(capsys, t_max):
                                    "--t-max", t_max, "--steps", steps)
             assert code == 2
             assert err.startswith("error:")
+
+
+def test_evolve_decomposes_each_state_once(capsys, monkeypatch):
+    # each output row validates the propagated state with one eigh and one
+    # hermiticity check; the entropy column reuses that spectrum
+    counts = {"eigh": 0, "require_hermitian": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(np.linalg, "eigh")
+    counting(linalg, "require_hermitian")
+    seen = []
+    for steps in ("10", "20"):
+        counts.update(eigh=0, require_hermitian=0)
+        code, _, _ = run_cli(capsys, "evolve", DAMPED_X, "--state", "0.7,0.2+0.3j",
+                             "--steps", steps)
+        assert code == 0
+        seen.append(dict(counts))
+    assert seen[1]["eigh"] - seen[0]["eigh"] == 10
+    assert seen[1]["require_hermitian"] - seen[0]["require_hermitian"] == 10
 
 
 def test_evolve_long_horizon_does_not_traceback(capsys):

@@ -240,6 +240,14 @@ def test_entropy_monotone_under_dephasing():
     assert abs(late - np.log(2.0)) <= 1e-6
 
 
+def test_entropy_of_state_and_bare_matrix_agree_exactly(rng):
+    # the stored spectrum gives the same bits as decomposing the bare array
+    liou = random_liouvillian(rng, 3)
+    for t in (0.0, 0.3, 2.0):
+        rho = dynamics.propagate(liou, random_density(rng, 3), t)
+        assert dynamics.von_neumann_entropy(rho) == dynamics.von_neumann_entropy(rho.matrix)
+
+
 def test_energy_eigenstates_keep_purity():
     liou = dispersive_qubit(2.0, 4.0)
     for a in (0.0, 1.0):

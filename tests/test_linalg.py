@@ -232,6 +232,14 @@ def test_density_matrix_accepts_states(rng):
     assert not rho.matrix.flags.writeable
 
 
+def test_density_matrix_keeps_its_spectrum(rng):
+    m = random_psd(rng, 3, trace=1.0)
+    rho = DensityMatrix(m)
+    assert np.array_equal(rho.spectrum, linalg.hermitian_eigen(m)[0])
+    with pytest.raises(ValueError, match="read-only"):
+        rho.spectrum[0] = 0.0
+
+
 def test_density_matrix_rejects_bad_trace():
     with pytest.raises(ValueError, match="trace"):
         DensityMatrix(np.eye(2))
