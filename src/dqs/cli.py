@@ -24,6 +24,7 @@ the default tolerance of tolerance-taking commands.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -293,16 +294,24 @@ def cmd_nu(args) -> int:
             raise CliError(f"--loe-range: {exc}") from None
         if not 0.0 <= lo <= hi:
             raise CliError(f"--loe-range wants 0 <= lo <= hi, got {args.loe_range!r}")
+        if not math.isfinite(hi):
+            raise CliError(f"--loe-range ends must be finite, got {args.loe_range!r}")
         if points < 1 or (points == 1 and lo != hi):
             raise CliError("--loe-range needs at least 2 points for lo < hi")
         xs = np.linspace(lo, hi, points)
+        try:
+            probs = [neutrino.survival_at_l_over_e(params, float(x)) for x in xs]
+        except ValueError as exc:
+            raise CliError(str(exc)) from None
         print("L_over_E_km_per_GeV,P_survival,P_transition")
-        for x in xs:
-            p = neutrino.survival_at_l_over_e(params, float(x))
+        for x, p in zip(xs, probs):
             print(f"{_fmt(x)},{_fmt(p)},{_fmt(1.0 - p)}")
         return 0
     if args.baseline is None or args.energy is None:
         raise CliError("single-point mode needs both --L and --E")
+    for flag, value in (("--L", args.baseline), ("--E", args.energy)):
+        if not math.isfinite(value):
+            raise CliError(f"{flag} must be finite, got {value!r}")
     try:
         p = neutrino.survival_probability(params, args.baseline, args.energy)
     except ValueError as exc:
@@ -398,6 +407,7 @@ def cmd_lindblad(args) -> int:
 
 # ------------------------------------------------------------------ wiring
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dqs",

@@ -100,9 +100,11 @@ def expm(a, scale: float = 1.0) -> np.ndarray:
     diagonal Pade approximant is evaluated there, and the result is squared
     back up.
     """
-    m = as_matrix(a)
-    require_square(m)
-    if not np.isfinite(scale):
+    # The entries are scanned only on an error path: the scaled 1-norm below
+    # is non-finite whenever an entry is, so a valid matrix is read once.
+    m = np.asarray(a, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not np.isfinite(scale):
+        require_square(as_matrix(m))
         raise ValueError("scale must be finite")
     n = m.shape[0]
     if n == 0:
@@ -111,11 +113,14 @@ def expm(a, scale: float = 1.0) -> np.ndarray:
         b = scale * m
         norm = float(np.abs(b).sum(axis=0).max())
     if not math.isfinite(norm):
+        as_matrix(m)  # raises first when an entry is non-finite
         raise ValueError("matrix exponential overflowed")
     squarings = 0
     if norm > 0.5:
-        squarings = max(0, int(math.ceil(math.log2(norm / 0.5))))
-        b = b / (2.0 ** squarings)
+        # norm / 0.5 overflows past 2**1024; 1025 halvings bring any finite
+        # norm below 0.5
+        squarings = max(0, int(math.ceil(min(math.log2(norm / 0.5), 1025.0))))
+        b = b * 0.5 ** squarings
     eye = np.eye(n, dtype=complex)
     b2 = b @ b
     b4 = b2 @ b2

@@ -22,7 +22,6 @@ should rescale its rate accordingly or go through ``survival_probability``.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -102,6 +101,8 @@ def oscillation_phase(dm2: float, baseline_km: float, energy_gev: float) -> floa
 def survival_probability(params: OscillationParams, baseline_km: float,
                          energy_gev: float) -> float:
     phase = oscillation_phase(params.dm2, baseline_km, energy_gev)
+    if not math.isfinite(phase):
+        raise ValueError("oscillation phase overflows")
     damped = 0.5 - math.exp(-params.lambda_km * baseline_km) * (0.5 - math.sin(phase) ** 2)
     return 1.0 - damped * params.sin2_2theta
 
@@ -119,7 +120,13 @@ def survival_at_l_over_e(params: OscillationParams, l_over_e):
     x = np.asarray(l_over_e, dtype=float)
     if np.any(x < 0.0):
         raise ValueError("L/E must be nonnegative")
-    values = _model(x, params.dm2, params.theta, params.lambda_km)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = PHASE_CONSTANT * params.dm2 * x
+    if not np.isfinite(phase).all():
+        raise ValueError("oscillation phase overflows")
+    # an overflowing damping exponent is full damping, exp(-inf) = 0
+    with np.errstate(over="ignore"):
+        values = _model(x, params.dm2, params.theta, params.lambda_km)
     return float(values) if values.ndim == 0 else values
 
 
@@ -222,6 +229,56 @@ def _check_range(name: str, value: float) -> None:
         raise ValueError(f"{name} must be {phrase}, got {value!r}")
 
 
+def _candidate_rows(x, p, w, values: Mapping[str, float],
+                    grids: Mapping[str, np.ndarray], outer: Sequence[str],
+                    inner: str) -> List[Tuple[int, ...]]:
+    """Outer grid indices, in lexicographic order, whose row may hold the minimum.
+
+    The model separates.  With q = 1 - p, S = 1/2 - sin^2(phase),
+    E = exp(-lambda_km x) and T = sin^2(2 theta), the residual is q - D T with
+    D = 1/2 - E S, so at grid point (dm2_a, theta_b, lambda_c)
+
+        SSE = sum w q^2 - 2 T_b A_ac + T_b^2 B_ac,
+        A = sum w q D = sum(w q)/2 - S (w q E)^T,
+        B = sum w D^2 = sum(w)/4 - S (w E)^T + S^2 (w E^2)^T,
+
+    two matrix products over the (dm2, lambda_km) grid; a pinned parameter
+    has an axis of length 1.  Since D and T lie in [0, 1], this expansion and
+    the direct sum of squared residuals each stay within
+    8 (n + 16) (eps sum w (1 + |q|)^2 + tiny) of the exact SSE, where tiny,
+    the smallest normal float, covers products that underflow; so a row whose
+    estimated minimum exceeds the smallest one by twice that margin cannot
+    hold the grid minimum, and skipping it leaves the grid result unchanged.
+    Rows with a non-finite estimate (an overflowing phase or weight sum) are
+    kept.
+    """
+    if not outer:
+        return [()]
+    levels = {n: grids[n] if n in grids else np.array([values[n]]) for n in PARAMETER_NAMES}
+    q = 1.0 - p
+    with np.errstate(all="ignore"):
+        s = 0.5 - np.sin(PHASE_CONSTANT * levels["dm2"][:, None] * x) ** 2
+        e = np.exp(-levels["lambda_km"][:, None] * x)
+        t = (np.sin(2.0 * levels["theta"]) ** 2)[:, None]
+        we = w * e
+        a = 0.5 * np.dot(w, q) - s @ (q * we).T
+        b = 0.25 * w.sum() - s @ we.T + (s * s) @ (we * e).T
+        wqq = np.dot(w * q, q)
+        # one dm2 slice at a time, so memory stays O(grid_points^2); the
+        # inner axis is lambda_km when it is free, theta otherwise
+        reduce_over = 1 if inner == "lambda_km" else 0
+        row_min = np.array([(wqq - 2.0 * t * a_k + t * t * b_k).min(axis=reduce_over)
+                            for a_k, b_k in zip(a, b)])
+        margin = 16.0 * (len(x) + 16) * (np.finfo(float).eps
+                                         * np.dot(w, (1.0 + np.abs(q)) ** 2)
+                                         + np.finfo(float).tiny)
+        row_min = row_min.reshape([len(grids[n]) for n in outer])
+        finite = np.isfinite(row_min)
+        floor = row_min[finite].min(initial=math.inf)
+        keep = ~finite | (row_min <= floor + 2.0 * margin)
+    return [tuple(index) for index in np.argwhere(keep)]
+
+
 def fit_parameters(data: Iterable[SpectrumPoint],
                    bounds: Optional[Mapping[str, Tuple[float, float]]] = None,
                    fixed: Optional[Mapping[str, float]] = None,
@@ -229,8 +286,10 @@ def fit_parameters(data: Iterable[SpectrumPoint],
                    max_cycles: int = 60) -> FitResult:
     """Weighted least-squares fit of (dm2, theta, lambda_km) to a spectrum.
 
-    A full grid over the free parameters seeds a coordinate-wise
-    golden-section polish, which cycles until every coordinate moves by less
+    The minimum of a full grid over the free parameters seeds a
+    coordinate-wise golden-section polish; the grid rows that a rigorous SSE
+    estimate rules out are never evaluated (``_candidate_rows``).  The polish
+    cycles until every coordinate moves by less
     than 1e-6 of its bound width or ``max_cycles`` is exhausted.  Degenerate
     bounds (lo == hi) pin a parameter just like an entry in ``fixed``.  The
     procedure is deterministic: the same data and settings always return the
@@ -285,15 +344,16 @@ def fit_parameters(data: Iterable[SpectrumPoint],
         r = pred - p
         return float(np.dot(w * r, r))
 
-    # coarse grid, vectorised over the last free axis
+    # coarse grid, vectorised over the last free axis; only the outer
+    # combinations whose row can hold the minimum are evaluated
     if free:
         grids = {name: np.linspace(*merged[name], grid_points) for name in free}
         inner = free[-1]
         outer = free[:-1]
         best_sse = math.inf
-        for combo in itertools.product(*(grids[n] for n in outer)):
+        for index in _candidate_rows(x, p, w, values, grids, outer, inner):
             trial = dict(values)
-            trial.update(zip(outer, combo))
+            trial.update((n, grids[n][i]) for n, i in zip(outer, index))
             args = {n: trial.get(n) for n in PARAMETER_NAMES}
             args[inner] = grids[inner][:, None]
             pred = _model(x, args["dm2"], args["theta"], args["lambda_km"])

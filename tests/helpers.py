@@ -85,3 +85,36 @@ def reference_superop(h, a, basis):
             out = -1j * (h @ e - e @ h) + reference_dissipator(a, basis, e)
             cols.append(out.reshape(-1, order="F"))
     return np.array(cols).T
+
+
+def reference_grid(x, p, w, merged, values, free, grid_points):
+    """The brute-force coarse grid of ``neutrino.fit_parameters``.
+
+    Every outer combination of the free parameters, in lexicographic order,
+    is evaluated on the full grid of the last free one.  Returns the best
+    grid point as a parameter dict and its SSE.
+    """
+    import itertools
+    import math
+
+    from dqs.neutrino import PARAMETER_NAMES, _model
+
+    values = dict(values)
+    grids = {name: np.linspace(*merged[name], grid_points) for name in free}
+    inner = free[-1]
+    outer = free[:-1]
+    best_sse = math.inf
+    for combo in itertools.product(*(grids[n] for n in outer)):
+        trial = dict(values)
+        trial.update(zip(outer, combo))
+        args = {n: trial.get(n) for n in PARAMETER_NAMES}
+        args[inner] = grids[inner][:, None]
+        pred = _model(x, args["dm2"], args["theta"], args["lambda_km"])
+        r = pred - p
+        sse_vec = (w * r * r).sum(axis=1)
+        k = int(np.argmin(sse_vec))
+        if sse_vec[k] < best_sse:
+            best_sse = float(sse_vec[k])
+            values = dict(trial)
+            values[inner] = float(grids[inner][k])
+    return values, best_sse

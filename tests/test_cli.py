@@ -205,6 +205,22 @@ def test_evolve_rejects_unpropagatable_horizons(capsys, t_max):
             assert err.startswith("error:")
 
 
+@pytest.mark.filterwarnings("error")
+def test_evolve_horizon_past_half_the_float_range(capsys):
+    # a scaled norm between 2**1023 and the largest float needs 1025 halvings;
+    # 2.0 ** 1025 itself overflows
+    code, out, _ = run_cli(capsys, "evolve", DISPERSIVE, "--state", "0.7,0.2+0.3j",
+                           "--t-max", "1e307", "--steps", "1")
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert rows[-1][1] == pytest.approx(0.7, abs=1e-12)
+    assert rows[-1][3:7] == [0.0, 0.0, 0.0, 0.0]
+    code, _, err = run_cli(capsys, "evolve", DAMPED_X, "--state", "0.7,0.2+0.3j",
+                           "--t-max", "1e307", "--steps", "1")
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_evolve_decomposes_each_state_once(capsys, monkeypatch):
     # each output row validates the propagated state with one eigh and one
     # hermiticity check; the entropy column reuses that spectrum
@@ -316,6 +332,34 @@ def test_nu_argument_validation(capsys):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ("--dm2", "1e300", "--loe-range", "0:1e10:3"),          # phase overflows
+    ("--dm2", "1.7e308", "--loe-range", "0:0:1"),           # C * dm2 overflows
+    ("--dm2", "7.9e-5", "--loe-range", "0:inf:3"),
+    ("--dm2", "7.9e-5", "--loe-range", "inf:inf:1"),
+    ("--dm2", "1e-3", "--L", "inf", "--E", "1"),
+    ("--dm2", "1e-3", "--L", "nan", "--E", "1"),
+    ("--dm2", "1e-3", "--L", "1", "--E", "inf"),
+    ("--dm2", "1e300", "--L", "1e10", "--E", "1"),
+], ids=lambda argv: " ".join(argv))
+def test_nu_rejects_overflowing_phases(capsys, argv):
+    code, out, err = run_cli(capsys, "nu", "--theta", "0.5", *argv)
+    assert code == 2
+    assert err.startswith("error:")
+    assert "nan" not in out
+
+
+@pytest.mark.filterwarnings("error")
+def test_nu_overflowing_damping_is_full_damping(capsys):
+    code, out, _ = run_cli(capsys, "nu", "--dm2", "1e-300", "--theta", "0.5",
+                           "--lambda-km", "1e300", "--loe-range", "0:1e300:3")
+    assert code == 0
+    _, rows = parse_csv(out)
+    incoherent = 1.0 - 0.5 * math.sin(1.0) ** 2
+    assert [row[1] for row in rows[1:]] == pytest.approx([incoherent] * 2, abs=1e-15)
 
 
 # ------------------------------------------------------------------ nu-fit
@@ -444,6 +488,20 @@ def test_model_save_load_round_trip(tmp_path, rng):
     direct = gks.GKSLiouvillian(h, gks.KossakowskiMatrix(n, a),
                                 gks.gell_mann_basis(n))
     assert np.abs(liou.superop - direct.superop).max() <= 1e-14
+
+
+def test_parser_is_reused_without_state(capsys, tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    data = tmp_path / "spectrum.csv"
+    write_spectrum(data, neutrino.OscillationParams(8.1e-5, 0.55, 2e-5), n=40)
+    assert cli.main(["nu-fit", str(data), "--fix", "lambda_km=0"]) == 0
+    capsys.readouterr()
+    code = cli.main(["nu-fit", str(data), "--grid-points", "9"])
+    second = capsys.readouterr().out
+    fresh = subprocess.run([sys.executable, "-m", "dqs", "nu-fit", str(data),
+                            "--grid-points", "9"], capture_output=True, text=True)
+    assert (code, second) == (fresh.returncode, fresh.stdout)
+    assert parse_kv(second)["lambda_km"] != "0"
 
 
 def test_console_script_output_is_reproducible():

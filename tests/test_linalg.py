@@ -117,6 +117,42 @@ def test_expm_normal_matrix_spectral_form(rng):
     assert np.linalg.norm(linalg.expm(h, scale=-1.3) - ref) <= 1e-11 * np.linalg.norm(ref)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", [np.nan, np.inf, complex(1.0, np.inf)])
+@pytest.mark.parametrize("scale", [1.0, 0.0])
+def test_expm_rejects_non_finite_entries(entry, scale):
+    a = np.eye(3, dtype=complex)
+    a[1, 2] = entry
+    with pytest.raises(ValueError, match="matrix has non-finite entries"):
+        linalg.expm(a, scale=scale)
+
+
+@pytest.mark.filterwarnings("error")
+def test_expm_reports_overflow_of_finite_matrices():
+    big = np.full((2, 2), 1e308, dtype=complex)
+    with pytest.raises(ValueError, match="matrix exponential overflowed"):
+        linalg.expm(big)
+    with pytest.raises(ValueError, match="matrix exponential overflowed"):
+        linalg.expm(np.eye(2), scale=1e308)
+    with pytest.raises(ValueError, match="matrix exponential overflowed"):
+        linalg.expm(800.0 * np.eye(2))
+
+
+def test_expm_argument_errors_keep_their_order():
+    with pytest.raises(ValueError, match="2-d"):
+        linalg.expm(np.zeros(3))
+    with pytest.raises(ValueError, match="non-finite"):
+        linalg.expm(np.full((2, 3), np.nan))
+    with pytest.raises(ValueError, match="square"):
+        linalg.expm(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="non-finite"):
+        linalg.expm(np.full((2, 2), np.nan), scale=np.inf)
+    with pytest.raises(ValueError, match="scale must be finite"):
+        linalg.expm(np.eye(2), scale=np.nan)
+    with pytest.raises(ValueError, match="scale must be finite"):
+        linalg.expm(np.zeros((0, 0)), scale=np.inf)
+
+
 @settings(max_examples=25)
 @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.integers(0, 2**31 - 1))
 def test_expm_semigroup_property(s, t, seed):

@@ -5,6 +5,7 @@ import pytest
 
 from dqs import neutrino, qubit
 from dqs.neutrino import OscillationParams, SpectrumPoint
+from helpers import reference_grid
 
 THETA_04 = math.atan(math.sqrt(0.40))  # tan^2 theta = 0.40
 
@@ -231,3 +232,116 @@ def test_fit_all_parameters_pinned():
     assert fit.cycles == 0
     assert fit.params == truth
     assert fit.sse <= 1e-24
+
+
+# ------------------------------------------------------------------ bounded grid
+
+def _grid_setup(points, bounds=None, fixed=None):
+    """The arrays and parameter split that ``fit_parameters`` grids over."""
+    merged = dict(neutrino.DEFAULT_BOUNDS)
+    merged.update(bounds or {})
+    values, free = {}, []
+    for name in neutrino.PARAMETER_NAMES:
+        if fixed and name in fixed:
+            values[name] = float(fixed[name])
+        elif merged[name][0] == merged[name][1]:
+            values[name] = merged[name][0]
+        else:
+            free.append(name)
+    x = np.array([pt.l_over_e for pt in points])
+    p = np.array([pt.p for pt in points])
+    w = np.array([pt.weight for pt in points])
+    return x, p, w, merged, values, free
+
+
+def _random_spectrum(seed):
+    g = np.random.default_rng(seed)
+    n = int(g.integers(2, 300))
+    x = np.sort(g.uniform(0.0, 3.6e4, n)) if seed % 2 else np.linspace(0.0, 3.6e4, n)
+    truth = OscillationParams(g.uniform(1e-5, 2e-4), g.uniform(0.0, math.pi / 2.0),
+                              g.choice([0.0, g.uniform(0.0, 1e-3)]))
+    p = neutrino.survival_at_l_over_e(truth, x)
+    w = np.ones(n)
+    if seed % 3:
+        sigma = g.uniform(0.005, 0.05, n)
+        p = np.clip(p + sigma * g.standard_normal(n), 0.0, 1.0)
+        w = 1.0 / sigma ** 2
+    return [SpectrumPoint(float(a), float(b), float(c)) for a, b, c in zip(x, p, w)]
+
+
+def _tiny_weight_spectrum(seed):
+    # weights so small that the model products underflow
+    g = np.random.default_rng(seed)
+    n = int(g.integers(1, 30))
+    x = np.sort(g.uniform(0.0, 3.6e4, n))
+    p = g.uniform(0.0, 1.0, n)
+    w = g.choice([5e-324, 1e-323, 3e-320, 1e-310, 0.0], n)
+    w[0] = max(w[0], 5e-324)
+    return [SpectrumPoint(float(a), float(b), float(c)) for a, b, c in zip(x, p, w)]
+
+
+_GRID_OPTIONS = [
+    {},
+    {"fixed": {"lambda_km": 0.0}},
+    {"bounds": {"theta": (0.0, math.pi / 4.0)}},
+    {"fixed": {"theta": 0.6}},
+    {"fixed": {"dm2": 7.9e-5}},
+    {"bounds": {"lambda_km": (0.0, 0.0)}, "grid_points": 7},
+    {"grid_points": 2},
+    {"fixed": {"dm2": 7.9e-5, "theta": 0.6}},
+]
+_X50 = np.linspace(0.0, 3.6e4, 50)
+_MIRROR = neutrino.survival_at_l_over_e(
+    OscillationParams(8e-5, math.pi / 4.0 - 0.3), _X50)
+
+GRID_CASES = (
+    [pytest.param(_random_spectrum(seed), _GRID_OPTIONS[seed % len(_GRID_OPTIONS)],
+                  id=f"random{seed}") for seed in range(32)]
+    + [pytest.param([SpectrumPoint(float(x), level) for x in _X50], options,
+                    id=f"flat{level}-{len(options)}")
+       for level in (1.0, 0.5, 0.0)
+       for options in ({}, {"fixed": {"lambda_km": 0.0}})]
+    + [pytest.param([SpectrumPoint(float(x), float(p)) for x, p in zip(_X50, _MIRROR)],
+                    {}, id="mirror-theta"),
+       pytest.param([SpectrumPoint(float(x), 0.7, float(k == 7))
+                     for k, x in enumerate(_X50)], {}, id="one-weight"),
+       pytest.param([SpectrumPoint(0.0, 0.3 + 0.01 * k) for k in range(20)], {},
+                    id="all-x-zero"),
+       pytest.param([SpectrumPoint(float(x), float(p)) for x, p in zip(_X50, _MIRROR)],
+                    {"bounds": {"dm2": (1e-5, 1.7e308)}}, id="overflowing-dm2")]
+    + [pytest.param(_tiny_weight_spectrum(seed), {}, id=f"tiny-weights{seed}")
+       for seed in (35, 39)]
+    + [pytest.param([SpectrumPoint(float(x), float(p), 1e308)
+                     for x, p in zip(_X50, _MIRROR)], {}, id="huge-weights")]
+)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("points, options", GRID_CASES)
+def test_grid_matches_brute_force_exactly(points, options):
+    fit = neutrino.fit_parameters(points, **options)
+    setup = _grid_setup(points, options.get("bounds"), options.get("fixed"))
+    want, want_sse = reference_grid(*setup, options.get("grid_points", 41))
+    assert fit.grid_params == OscillationParams(**want)
+    assert fit.grid_sse == want_sse
+
+
+def test_grid_evaluates_few_rows(monkeypatch):
+    # a clean three-parameter spectrum: the brute-force grid makes 41^2 model
+    # calls before the polish even starts
+    truth = OscillationParams(7.5e-5, 0.6, 3e-5)
+    x = np.linspace(0.0, 3.6e4, 200)
+    points = [SpectrumPoint(float(a), float(b))
+              for a, b in zip(x, neutrino.survival_at_l_over_e(truth, x))]
+    calls = []
+    model = neutrino._model
+
+    def counting(*args):
+        calls.append(args)
+        return model(*args)
+
+    monkeypatch.setattr(neutrino, "_model", counting)
+    fit = neutrino.fit_parameters(points, bounds=FIRST_OCTANT)
+    assert fit.converged
+    assert len(calls) < 41 ** 2
