@@ -2,8 +2,9 @@
 """Plant damped two-flavor oscillation parameters, synthesize a spectrum, fit it back.
 
 Exercises the full loop the package exists for: forward model -> CSV ->
-weighted least-squares fit.  Theta is searched in the first octant because
-survival spectra cannot tell theta from pi/2 - theta.
+weighted least-squares fit.  The fit searches dm2 and lambda_km and solves
+theta in closed form at each point; it is bounded to the first octant
+because survival spectra cannot tell theta from pi/2 - theta.
 """
 
 import argparse

@@ -192,7 +192,10 @@ def _time_grid(t_max: float, steps: int) -> List[float]:
         raise CliError(f"--steps must be at least 1, got {steps!r}")
     if t_max == 0.0:
         return [0.0]
-    return [k * t_max / steps for k in range(steps + 1)]
+    # the grid is k * t_max / steps; only where k * t_max overflows (t_max
+    # near the float maximum) is it computed as t_max * (k / steps)
+    return [k * t_max / steps if math.isfinite(k * t_max) else t_max * (k / steps)
+            for k in range(steps + 1)]
 
 
 def cmd_evolve(args) -> int:

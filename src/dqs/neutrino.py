@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -130,10 +130,14 @@ def survival_at_l_over_e(params: OscillationParams, l_over_e):
     return float(values) if values.ndim == 0 else values
 
 
-def _model(x, dm2, theta, lambda_km):
+def _damped(x, dm2, lambda_km):
+    """D = 1/2 - exp(-lambda_km x) (1/2 - sin^2 phase), so that P = 1 - D sin^2(2 theta)."""
     phase = PHASE_CONSTANT * dm2 * x
-    damped = 0.5 - np.exp(-lambda_km * x) * (0.5 - np.sin(phase) ** 2)
-    return 1.0 - damped * np.sin(2.0 * theta) ** 2
+    return 0.5 - np.exp(-lambda_km * x) * (0.5 - np.sin(phase) ** 2)
+
+
+def _model(x, dm2, theta, lambda_km):
+    return 1.0 - _damped(x, dm2, lambda_km) * np.sin(2.0 * theta) ** 2
 
 
 # ------------------------------------------------------------------ spectrum IO
@@ -180,7 +184,8 @@ class FitResult:
 
     ``grid_params``/``grid_sse`` record the best coarse-grid point before the
     golden-section polish, which is occasionally useful for diagnosing a fit
-    that latched onto an aliased minimum.
+    that latched onto an aliased minimum.  Only dm2 and lambda_km are grid
+    nodes; ``grid_params.theta`` is the angle solved in closed form there.
     """
 
     params: OscillationParams
@@ -229,54 +234,12 @@ def _check_range(name: str, value: float) -> None:
         raise ValueError(f"{name} must be {phrase}, got {value!r}")
 
 
-def _candidate_rows(x, p, w, values: Mapping[str, float],
-                    grids: Mapping[str, np.ndarray], outer: Sequence[str],
-                    inner: str) -> List[Tuple[int, ...]]:
-    """Outer grid indices, in lexicographic order, whose row may hold the minimum.
-
-    The model separates.  With q = 1 - p, S = 1/2 - sin^2(phase),
-    E = exp(-lambda_km x) and T = sin^2(2 theta), the residual is q - D T with
-    D = 1/2 - E S, so at grid point (dm2_a, theta_b, lambda_c)
-
-        SSE = sum w q^2 - 2 T_b A_ac + T_b^2 B_ac,
-        A = sum w q D = sum(w q)/2 - S (w q E)^T,
-        B = sum w D^2 = sum(w)/4 - S (w E)^T + S^2 (w E^2)^T,
-
-    two matrix products over the (dm2, lambda_km) grid; a pinned parameter
-    has an axis of length 1.  Since D and T lie in [0, 1], this expansion and
-    the direct sum of squared residuals each stay within
-    8 (n + 16) (eps sum w (1 + |q|)^2 + tiny) of the exact SSE, where tiny,
-    the smallest normal float, covers products that underflow; so a row whose
-    estimated minimum exceeds the smallest one by twice that margin cannot
-    hold the grid minimum, and skipping it leaves the grid result unchanged.
-    Rows with a non-finite estimate (an overflowing phase or weight sum) are
-    kept.
-    """
-    if not outer:
-        return [()]
-    levels = {n: grids[n] if n in grids else np.array([values[n]]) for n in PARAMETER_NAMES}
-    q = 1.0 - p
-    with np.errstate(all="ignore"):
-        s = 0.5 - np.sin(PHASE_CONSTANT * levels["dm2"][:, None] * x) ** 2
-        e = np.exp(-levels["lambda_km"][:, None] * x)
-        t = (np.sin(2.0 * levels["theta"]) ** 2)[:, None]
-        we = w * e
-        a = 0.5 * np.dot(w, q) - s @ (q * we).T
-        b = 0.25 * w.sum() - s @ we.T + (s * s) @ (we * e).T
-        wqq = np.dot(w * q, q)
-        # one dm2 slice at a time, so memory stays O(grid_points^2); the
-        # inner axis is lambda_km when it is free, theta otherwise
-        reduce_over = 1 if inner == "lambda_km" else 0
-        row_min = np.array([(wqq - 2.0 * t * a_k + t * t * b_k).min(axis=reduce_over)
-                            for a_k, b_k in zip(a, b)])
-        margin = 16.0 * (len(x) + 16) * (np.finfo(float).eps
-                                         * np.dot(w, (1.0 + np.abs(q)) ** 2)
-                                         + np.finfo(float).tiny)
-        row_min = row_min.reshape([len(grids[n]) for n in outer])
-        finite = np.isfinite(row_min)
-        floor = row_min[finite].min(initial=math.inf)
-        keep = ~finite | (row_min <= floor + 2.0 * margin)
-    return [tuple(index) for index in np.argwhere(keep)]
+def _theta_for(t: float, lo: float, hi: float) -> float:
+    """An angle in [lo, hi] with sin^2(2 theta) = t, the first octant on a tie."""
+    first = 0.5 * math.asin(math.sqrt(t))
+    second = math.pi / 2.0 - first
+    gaps = [max(lo - theta, 0.0, theta - hi) for theta in (first, second)]
+    return min(max(second if gaps[1] < gaps[0] else first, lo), hi)
 
 
 def fit_parameters(data: Iterable[SpectrumPoint],
@@ -286,19 +249,30 @@ def fit_parameters(data: Iterable[SpectrumPoint],
                    max_cycles: int = 60) -> FitResult:
     """Weighted least-squares fit of (dm2, theta, lambda_km) to a spectrum.
 
-    The minimum of a full grid over the free parameters seeds a
-    coordinate-wise golden-section polish; the grid rows that a rigorous SSE
-    estimate rules out are never evaluated (``_candidate_rows``).  The polish
-    cycles until every coordinate moves by less
-    than 1e-6 of its bound width or ``max_cycles`` is exhausted.  Degenerate
-    bounds (lo == hi) pin a parameter just like an entry in ``fixed``.  The
-    procedure is deterministic: the same data and settings always return the
-    same result.
+    Theta is profiled out.  With q = 1 - p and D = 1/2 - exp(-lambda_km x)
+    (1/2 - sin^2 phase) the residual is q - D T, linear in T = sin^2(2 theta),
+    so at fixed (dm2, lambda_km) the SSE is a convex quadratic in T with
+    minimum T* = A/B, A = sum w q D and B = sum w D^2 (variable projection,
+    Golub & Pereyra 1973).  T* is clipped to the image of the theta bounds
+    and mapped back to an angle inside them; where both theta and
+    pi/2 - theta are allowed, the first octant is taken.  A pinned theta is
+    kept exactly.
+
+    Only dm2 and lambda_km are searched.  The SSE at T* is estimated on a
+    full grid over the free ones by two matrix products; the best finite
+    node seeds a coordinate-wise golden-section polish over a bracket of one
+    grid spacing either side.  A slice minimum that lowers the SSE is taken;
+    one that lies farther away but does not lower it halves that bracket.
+    The polish cycles until every slice minimum lies within 1e-6 of its
+    bound width of the current value, or ``max_cycles`` is exhausted.
+    Degenerate bounds (lo == hi) pin a parameter just like an entry in
+    ``fixed``.  The procedure is deterministic: the same data and settings
+    always return the same result.
 
     Survival spectra cannot distinguish theta from pi/2 - theta (sin^2 of
     twice the angle is symmetric about pi/4), so with the default theta
-    bounds the fit may land in either octant.  Restrict theta to (0, pi/4)
-    when the angle itself, rather than sin^2(2 theta), is wanted.
+    bounds the fit reports the first octant.  Restrict theta to
+    (pi/4, pi/2) for the second.
     """
     points = list(data)
     if not points:
@@ -311,7 +285,7 @@ def fit_parameters(data: Iterable[SpectrumPoint],
     x = np.array([pt.l_over_e for pt in points], dtype=float)
     p = np.array([pt.p for pt in points], dtype=float)
     w = np.array([pt.weight for pt in points], dtype=float)
-    if not w.sum() > 0.0:
+    if not w.max() > 0.0:
         raise ValueError("spectrum has zero total weight")
 
     merged: Dict[str, Tuple[float, float]] = dict(DEFAULT_BOUNDS)
@@ -330,43 +304,62 @@ def fit_parameters(data: Iterable[SpectrumPoint],
         _check_range(name, float(value))
 
     values: Dict[str, float] = {}
-    free: List[str] = []
     for name in PARAMETER_NAMES:
         if fixed is not None and name in fixed:
             values[name] = float(fixed[name])
         elif merged[name][0] == merged[name][1]:
             values[name] = merged[name][0]
-        else:
-            free.append(name)
+    free = [name for name in ("dm2", "lambda_km") if name not in values]
 
-    def sse_at(vals: Mapping[str, float]) -> float:
-        pred = _model(x, vals["dm2"], vals["theta"], vals["lambda_km"])
-        r = pred - p
-        return float(np.dot(w * r, r))
-
-    # coarse grid, vectorised over the last free axis; only the outer
-    # combinations whose row can hold the minimum are evaluated
-    if free:
-        grids = {name: np.linspace(*merged[name], grid_points) for name in free}
-        inner = free[-1]
-        outer = free[:-1]
-        best_sse = math.inf
-        for index in _candidate_rows(x, p, w, values, grids, outer, inner):
-            trial = dict(values)
-            trial.update((n, grids[n][i]) for n, i in zip(outer, index))
-            args = {n: trial.get(n) for n in PARAMETER_NAMES}
-            args[inner] = grids[inner][:, None]
-            pred = _model(x, args["dm2"], args["theta"], args["lambda_km"])
-            r = pred - p
-            sse_vec = (w * r * r).sum(axis=1)
-            k = int(np.argmin(sse_vec))
-            if sse_vec[k] < best_sse:
-                best_sse = float(sse_vec[k])
-                values = dict(trial)
-                values[inner] = float(grids[inner][k])
-        cur_sse = best_sse
+    pinned_theta = values.get("theta")
+    theta_lo, theta_hi = merged["theta"]
+    if pinned_theta is not None:
+        t_lo = t_hi = math.sin(2.0 * pinned_theta) ** 2
     else:
-        cur_sse = sse_at(values)
+        ends = (math.sin(2.0 * theta_lo) ** 2, math.sin(2.0 * theta_hi) ** 2)
+        t_lo = min(ends)
+        t_hi = 1.0 if theta_lo <= math.pi / 4.0 <= theta_hi else max(ends)
+
+    # A/B is computed with the weights scaled to a maximum of 1, so that
+    # neither huge nor subnormal weights overflow or underflow
+    q = 1.0 - p
+    ws = w / w.max()
+
+    def profile(at: Mapping[str, float]) -> Tuple[float, float]:
+        """(SSE, theta) at the best theta for the point's dm2 and lambda_km."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = _damped(x, at["dm2"], at["lambda_km"])
+            if pinned_theta is not None:
+                theta = pinned_theta
+            else:
+                b = np.dot(ws * d, d)
+                t = t_lo if b == 0.0 else min(max(np.dot(ws * q, d) / b, t_lo), t_hi)
+                theta = _theta_for(t, theta_lo, theta_hi)
+            r = 1.0 - d * np.sin(2.0 * theta) ** 2 - p
+            return float(np.dot(w * r, r)), theta
+
+    # SSE(T) = sum w q^2 - 2 T A + T^2 B at every (dm2, lambda_km) node, with
+    # S = 1/2 - sin^2 phase and E = exp(-lambda_km x) so that D = 1/2 - E S:
+    #     A = sum(w q)/2 - S (w q E)^T,
+    #     B = sum(w)/4 - S (w E)^T + S^2 (w E^2)^T.
+    # A pinned parameter has an axis of length 1.
+    levels = {name: np.linspace(*merged[name], grid_points) if name in free
+              else np.array([values[name]]) for name in ("dm2", "lambda_km")}
+    with np.errstate(all="ignore"):
+        s = 0.5 - np.sin(PHASE_CONSTANT * levels["dm2"][:, None] * x) ** 2
+        e = np.exp(-levels["lambda_km"][:, None] * x)
+        we = ws * e
+        a = 0.5 * np.dot(ws, q) - s @ (q * we).T
+        b = 0.25 * ws.sum() - s @ we.T + (s * s) @ (we * e).T
+        t = np.where(b == 0.0, t_lo, np.clip(a / b, t_lo, t_hi))
+        estimate = np.dot(ws * q, q) - 2.0 * t * a + t * t * b
+    finite = np.isfinite(estimate)
+    if not finite.any():
+        raise ValueError("no grid point has a finite SSE")
+    i, j = np.unravel_index(np.argmin(np.where(finite, estimate, np.inf)), estimate.shape)
+    values["dm2"] = float(levels["dm2"][i])
+    values["lambda_km"] = float(levels["lambda_km"][j])
+    cur_sse, values["theta"] = profile(values)
 
     grid_params = OscillationParams(**values)
     grid_sse = cur_sse
@@ -383,20 +376,18 @@ def fit_parameters(data: Iterable[SpectrumPoint],
         for name in free:
             lo = max(merged[name][0], values[name] - spacing[name])
             hi = min(merged[name][1], values[name] + spacing[name])
-
-            def slice_sse(v: float, _name: str = name) -> float:
-                trial = dict(values)
-                trial[_name] = v
-                return sse_at(trial)
-
-            candidate = _golden_min(slice_sse, lo, hi, tol[name])
-            candidate_sse = slice_sse(candidate)
-            if candidate_sse <= cur_sse:
-                move = abs(candidate - values[name])
+            candidate = _golden_min(lambda v: profile({**values, name: v})[0],
+                                    lo, hi, tol[name])
+            candidate_sse, candidate_theta = profile({**values, name: candidate})
+            move = abs(candidate - values[name])
+            if candidate_sse < cur_sse:
                 values[name] = candidate
+                values["theta"] = candidate_theta
                 cur_sse = candidate_sse
-            else:
-                move = 0.0
+            elif move >= threshold[name]:
+                # the bracket reached a worse valley; the current point need
+                # not be a minimum of this slice, so look closer to it
+                spacing[name] *= 0.5
             if move >= threshold[name]:
                 settled = False
         if settled:

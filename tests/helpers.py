@@ -109,9 +109,12 @@ def reference_grid(x, p, w, merged, values, free, grid_points):
         trial.update(zip(outer, combo))
         args = {n: trial.get(n) for n in PARAMETER_NAMES}
         args[inner] = grids[inner][:, None]
-        pred = _model(x, args["dm2"], args["theta"], args["lambda_km"])
-        r = pred - p
-        sse_vec = (w * r * r).sum(axis=1)
+        # overflowing phases and weights give NaN or inf rows; their numpy
+        # warnings come from this reference, not from the fit under test
+        with np.errstate(over="ignore", invalid="ignore"):
+            pred = _model(x, args["dm2"], args["theta"], args["lambda_km"])
+            r = pred - p
+            sse_vec = (w * r * r).sum(axis=1)
         k = int(np.argmin(sse_vec))
         if sse_vec[k] < best_sse:
             best_sse = float(sse_vec[k])

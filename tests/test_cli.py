@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,7 +73,7 @@ def test_check_reports_residuals_for_invalid_model(capsys, tmp_path):
 
 def test_check_rejects_truncated_file(capsys, tmp_path):
     path = tmp_path / "broken.model"
-    path.write_text(open(DISPERSIVE).read()[:100])
+    path.write_text(Path(DISPERSIVE).read_text()[:100])
     code, out, err = run_cli(capsys, "check", str(path))
     assert code == 2
     assert "JSON" in err
@@ -219,6 +220,19 @@ def test_evolve_horizon_past_half_the_float_range(capsys):
                            "--t-max", "1e307", "--steps", "1")
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.filterwarnings("error")
+def test_evolve_time_grid_near_the_float_maximum(capsys):
+    # k * t_max overflows for k >= 18 here, although every grid time is finite
+    argv = ["evolve", DISPERSIVE, "--state", "0.7,0.2+0.3j", "--t-max", "1e307"]
+    code, out, _ = run_cli(capsys, *argv, "--steps", "200")
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == 201
+    code, single, _ = run_cli(capsys, *argv, "--steps", "1")
+    assert code == 0
+    assert rows[-1] == single.splitlines()[-1]
 
 
 def test_evolve_decomposes_each_state_once(capsys, monkeypatch):
@@ -420,6 +434,27 @@ def test_nu_fit_zero_weights_is_an_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "zero total weight" in err
+
+
+def test_nu_fit_without_a_finite_grid_point_is_an_error(capsys, tmp_path):
+    data = tmp_path / "spectrum.csv"
+    write_spectrum(data, neutrino.OscillationParams(7.9e-5, 0.55, 0.0), n=10)
+    code, out, err = run_cli(capsys, "nu-fit", str(data),
+                             "--bounds", "dm2=1.7e308:1.7e308")
+    assert code == 2
+    assert out == ""
+    assert err == "error: no grid point has a finite SSE\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_nu_fit_overflowing_dm2_bound_warns_nothing(capsys, tmp_path):
+    data = tmp_path / "spectrum.csv"
+    write_spectrum(data, neutrino.OscillationParams(7.9e-5, 0.55, 0.0), n=10)
+    code, out, err = run_cli(capsys, "nu-fit", str(data),
+                             "--bounds", "dm2=1e-5:1.7e308")
+    assert code == 0
+    assert err == ""
+    assert parse_kv(out)["converged"] == "true"
 
 
 def test_nu_fit_flags_cycle_limit(capsys, tmp_path):

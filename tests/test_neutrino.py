@@ -316,15 +316,25 @@ GRID_CASES = (
 )
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("points, options", GRID_CASES)
 def test_grid_matches_brute_force_exactly(points, options):
+    # grid_sse is exactly the brute-force SSE at the reported grid point, and
+    # since theta is solved at every (dm2, lambda_km) node rather than taken
+    # from a grid, that point is no worse than the brute-force theta grid, up
+    # to rounding
     fit = neutrino.fit_parameters(points, **options)
-    setup = _grid_setup(points, options.get("bounds"), options.get("fixed"))
-    want, want_sse = reference_grid(*setup, options.get("grid_points", 41))
-    assert fit.grid_params == OscillationParams(**want)
-    assert fit.grid_sse == want_sse
+    x, p, w, merged, values, free = _grid_setup(
+        points, options.get("bounds"), options.get("fixed"))
+    at = fit.grid_params
+    with np.errstate(over="ignore"):
+        r = neutrino._model(x, at.dm2, at.theta, at.lambda_km) - p
+        assert fit.grid_sse == float(np.dot(w * r, r))
+    _, want_sse = reference_grid(x, p, w, merged, values, free,
+                                 options.get("grid_points", 41))
+    total_weight = sum(pt.weight for pt in points)
+    assert fit.grid_sse <= want_sse * (1.0 + 1e-9) + 1e-12 * total_weight
+    assert fit.sse <= fit.grid_sse
+    assert fit.converged
 
 
 def test_grid_evaluates_few_rows(monkeypatch):
@@ -335,13 +345,53 @@ def test_grid_evaluates_few_rows(monkeypatch):
     points = [SpectrumPoint(float(a), float(b))
               for a, b in zip(x, neutrino.survival_at_l_over_e(truth, x))]
     calls = []
-    model = neutrino._model
+    damped = neutrino._damped
 
     def counting(*args):
         calls.append(args)
-        return model(*args)
+        return damped(*args)
 
-    monkeypatch.setattr(neutrino, "_model", counting)
+    monkeypatch.setattr(neutrino, "_damped", counting)
     fit = neutrino.fit_parameters(points, bounds=FIRST_OCTANT)
     assert fit.converged
     assert len(calls) < 41 ** 2
+
+
+def test_polish_does_not_stop_short_of_a_slice_minimum():
+    # with two grid points the first bracket spans the whole dm2 range and
+    # golden section lands in a worse valley; the polish must narrow the
+    # bracket rather than settle where the SSE still falls along dm2
+    points = _random_spectrum(22)
+    coarse = neutrino.fit_parameters(points, grid_points=2)
+    fine = neutrino.fit_parameters(points)
+    assert coarse.converged
+    assert coarse.sse <= fine.sse * (1.0 + 1e-9)
+
+
+def test_fit_lands_in_the_second_octant_when_bounded_there():
+    truth = OscillationParams(7.9e-5, 1.1, 2e-5)
+    fit = neutrino.fit_parameters(synthetic_spectrum(truth),
+                                  bounds={"theta": (0.8, 1.5)})
+    assert fit.converged
+    assert 0.8 <= fit.params.theta <= 1.5
+    assert 0.8 <= fit.grid_params.theta <= 1.5
+    assert fit.sse <= 1e-18
+
+
+def test_theta_only_fit_beats_a_fine_theta_scan():
+    g = np.random.default_rng(11)
+    truth = OscillationParams(7.9e-5, 0.5, 2e-5)
+    x = np.linspace(0.0, 3.6e4, 80)
+    sigma = g.uniform(0.01, 0.03, x.size)
+    p = np.clip(neutrino.survival_at_l_over_e(truth, x)
+                + sigma * g.standard_normal(x.size), 0.0, 1.0)
+    w = 1.0 / sigma ** 2
+    points = [SpectrumPoint(float(a), float(b), float(c)) for a, b, c in zip(x, p, w)]
+    fit = neutrino.fit_parameters(points, fixed={"dm2": truth.dm2,
+                                                 "lambda_km": truth.lambda_km})
+    assert fit.converged
+    assert fit.cycles == 0
+    assert fit.params.dm2 == truth.dm2 and fit.params.lambda_km == truth.lambda_km
+    scan = np.linspace(0.0, math.pi / 2.0, 10001)
+    r = neutrino._model(x, truth.dm2, scan[:, None], truth.lambda_km) - p
+    assert fit.sse <= float(((w * r * r).sum(axis=1)).min())
