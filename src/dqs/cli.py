@@ -29,7 +29,7 @@ import json
 import math
 import os
 import sys
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -185,7 +185,8 @@ def _parse_inline_state(text: str) -> np.ndarray:
     return np.array([[a, b], [np.conj(b), 1.0 - a]])
 
 
-def _time_grid(t_max: float, steps: int) -> List[float]:
+def _time_grid(t_max: float, steps: int) -> Iterable[float]:
+    """Validate the grid arguments now; yield the times lazily, row by row."""
     if not (math.isfinite(t_max) and t_max >= 0.0):
         raise CliError(f"--t-max must be finite and nonnegative, got {t_max!r}")
     if steps < 1:
@@ -194,8 +195,8 @@ def _time_grid(t_max: float, steps: int) -> List[float]:
         return [0.0]
     # the grid is k * t_max / steps; only where k * t_max overflows (t_max
     # near the float maximum) is it computed as t_max * (k / steps)
-    return [k * t_max / steps if math.isfinite(k * t_max) else t_max * (k / steps)
-            for k in range(steps + 1)]
+    return (k * t_max / steps if math.isfinite(k * t_max) else t_max * (k / steps)
+            for k in range(steps + 1))
 
 
 def cmd_evolve(args) -> int:

@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import gks, linalg
-from .linalg import KERNEL_TOL, DensityMatrix, dagger, unvec, vec
+from .linalg import KERNEL_TOL, DensityMatrix, unvec, vec
 
 #: Spectral weights at or below this are dropped from entropy sums.
 ENTROPY_CUTOFF = 1e-14
@@ -166,27 +166,21 @@ def stationary_states(liouvillian: gks.GKSLiouvillian, tol: float = KERNEL_TOL,
     """
     n = liouvillian.dim
     null = linalg.kernel_basis(liouvillian.superop, tol)
-    mats = tuple(unvec(null[:, k], n) for k in range(null.shape[1]))
-    hermitian_parts = []
-    for m in mats:
-        hermitian_parts.append(0.5 * (m + dagger(m)))
-        hermitian_parts.append((m - dagger(m)) / 2j)
-    hermitian_parts = [h for h in hermitian_parts if linalg.frobenius(h) > 1e-12]
+    mats = null.T.reshape(-1, n, n).swapaxes(1, 2)  # unvec of each column
+    adj = mats.conj().swapaxes(1, 2)
+    parts = np.stack([0.5 * (mats + adj), (mats - adj) / 2j], axis=1).reshape(-1, n, n)
+    parts = parts[np.linalg.norm(parts, axis=(1, 2)) > 1e-12]
+    coeffs = np.random.default_rng(seed).standard_normal((max(samples, 0), len(parts)))
+    cands = np.tensordot(coeffs, parts, axes=1)
+    tr = np.trace(cands, axis1=1, axis2=2).real
+    keep = np.abs(tr) >= 1e-8
     found = []
-    if hermitian_parts and samples > 0:
-        rng = np.random.default_rng(seed)
-        for _ in range(samples):
-            coeffs = rng.standard_normal(len(hermitian_parts))
-            cand = sum(c * h for c, h in zip(coeffs, hermitian_parts))
-            tr = cand.trace().real
-            if abs(tr) < 1e-8:
-                continue
-            cand = cand / tr
-            try:
-                found.append(DensityMatrix(cand))
-            except ValueError:
-                continue
-    return StationaryFamily(mats, tuple(found))
+    for cand in cands[keep] / tr[keep, None, None]:
+        try:
+            found.append(DensityMatrix(cand))
+        except ValueError:
+            continue
+    return StationaryFamily(tuple(mats), tuple(found))
 
 
 def von_neumann_entropy(rho, cutoff: float = ENTROPY_CUTOFF) -> float:

@@ -70,7 +70,8 @@ class OperatorBasis:
                 raise ValueError(f"basis element {k} is not traceless")
         if np.abs(mats[-1] - np.eye(n) / math.sqrt(n)).max() > 1e-12:
             raise ValueError("last basis element must be I/sqrt(N)")
-        gram = np.array([[np.trace(dagger(x) @ y) for y in mats] for x in mats])
+        f = np.stack(mats).reshape(n * n, n * n)
+        gram = f.conj() @ f.T  # gram[x, y] = tr(F_x^+ F_y)
         if np.abs(gram - np.eye(n * n)).max() > 1e-12:
             raise ValueError("basis is not orthonormal under the trace inner product")
         object.__setattr__(self, "elements", tuple(mats))
@@ -337,24 +338,21 @@ def dispersive_kossakowski_kernel(hamiltonian, basis: OperatorBasis,
     # that is itself round-off
     _, s, vt = np.linalg.svd(phi)
     rank = int(np.count_nonzero(s > tol * max(1.0, linalg.frobenius(h))))
-    mats = tuple(coords_to_hermitian(vt[rank:], k))
-    element_psd = tuple(linalg.is_psd(m, psd_tol) for m in mats)
-    negation_psd = tuple(linalg.is_psd(-m, psd_tol) for m in mats)
-
-    drawn = []
-    dim = len(mats)
-    if dim and samples > 0:
-        rng = np.random.default_rng(seed)
-        coeffs = rng.standard_normal((samples, dim))
-        coeffs[samples // 2:] = np.abs(coeffs[samples // 2:])
-        for c in coeffs:
-            norm = np.linalg.norm(c)
-            if norm == 0.0:
-                continue
-            c = c / norm
-            m = sum(ci * mi for ci, mi in zip(c, mats))
-            drawn.append(KernelSample(c, m, linalg.is_psd(m, psd_tol)))
-    return DispersionKernel(mats, element_psd, negation_psd, tuple(drawn), phi)
+    coords = vt[rank:]
+    dim = len(coords)
+    coeffs = np.random.default_rng(seed).standard_normal((max(samples, 0), dim))
+    coeffs[samples // 2:] = np.abs(coeffs[samples // 2:])
+    norms = np.linalg.norm(coeffs, axis=1)
+    coeffs = coeffs[norms > 0] / norms[norms > 0, None]
+    # the kernel elements, then the samples; -m is PSD iff m's top eigenvalue
+    # is at most the bound, so one spectrum flags both signs
+    mats = coords_to_hermitian(np.concatenate([coords, coeffs @ coords]), k)
+    w = np.linalg.eigvalsh(mats)
+    bound = linalg.psd_bound(w, psd_tol)
+    psd = (w[:, 0] >= -bound).tolist()
+    drawn = tuple(map(KernelSample, coeffs, mats[dim:], psd[dim:]))
+    return DispersionKernel(tuple(mats[:dim]), tuple(psd[:dim]),
+                            tuple((w[:dim, -1] <= bound[:dim]).tolist()), drawn, phi)
 
 
 def lindblad_operators(a, basis: OperatorBasis) -> list:

@@ -20,7 +20,9 @@ import numpy as np
 HERMITICITY_TOL = 1e-10
 #: Eigenvalues above -PSD_TOL (scaled) count as nonnegative.
 PSD_TOL = 1e-10
-#: Singular values below KERNEL_TOL times the largest count as zero.
+#: Relative tolerance for zero: kernel_basis drops singular values up to
+#: KERNEL_TOL times the largest; the dispersion checks (is_dispersive and the
+#: dispersion kernel's rank cut) use KERNEL_TOL * max(1, ||H||_F) instead.
 KERNEL_TOL = 1e-9
 #: Allowed deviation of a density-matrix trace from one.
 TRACE_TOL = 1e-12
@@ -174,9 +176,13 @@ def kernel_basis(m, tol: float = KERNEL_TOL) -> np.ndarray:
     return dagger(vh[rank:])
 
 
-def psd_bound(w: np.ndarray, tol: float = PSD_TOL) -> float:
-    """How far below zero eigenvalues w may sit and still count as nonnegative."""
-    return tol * max(1.0, float(np.abs(w).max(initial=0.0)))
+def psd_bound(w: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
+    """How far below zero eigenvalues w may sit and still count as nonnegative.
+
+    The bound is tol * max(1, max |w|) taken along the last axis, so a stack
+    of spectra gets one bound per matrix and a single spectrum a scalar.
+    """
+    return tol * np.maximum(1.0, np.abs(w).max(axis=-1, initial=0.0))
 
 
 def is_psd(a, tol: float = PSD_TOL) -> bool:

@@ -121,3 +121,34 @@ def reference_grid(x, p, w, merged, values, free, grid_points):
             values = dict(trial)
             values[inner] = float(grids[inner][k])
     return values, best_sse
+
+
+def reference_stationary_states(liouvillian, tol, samples, seed):
+    """``dynamics.stationary_states``'s candidates drawn and summed one at a time.
+
+    Returns the matrices that pass the density-matrix checks, in draw order.
+    """
+    from dqs import linalg
+
+    n = liouvillian.dim
+    null = linalg.kernel_basis(liouvillian.superop, tol)
+    parts = []
+    for k in range(null.shape[1]):
+        m = null[:, k].reshape((n, n), order="F")
+        parts.append(0.5 * (m + m.conj().T))
+        parts.append((m - m.conj().T) / 2j)
+    parts = [h for h in parts if np.linalg.norm(h) > 1e-12]
+    found = []
+    if parts and samples > 0:
+        rng = np.random.default_rng(seed)
+        for _ in range(samples):
+            coeffs = rng.standard_normal(len(parts))
+            cand = sum(c * h for c, h in zip(coeffs, parts))
+            tr = cand.trace().real
+            if abs(tr) < 1e-8:
+                continue
+            try:
+                found.append(linalg.DensityMatrix(cand / tr).matrix)
+            except ValueError:
+                continue
+    return found

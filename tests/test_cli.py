@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -569,4 +570,31 @@ def test_early_pipe_close_is_quiet():
     _, err = proc.communicate(timeout=60)
     assert header.startswith(b"t,")
     assert proc.returncode == 141
+    assert err == b""
+
+
+@pytest.mark.parametrize("command", [
+    ["probabilities"],
+    ["evolve", DISPERSIVE, "--state", "0.7,0.2+0.3j"],
+])
+def test_huge_time_grid_streams_rows(command):
+    # the rows of a 10^12-step grid must start before any grid is built: under
+    # a 1 GiB address-space limit the child prints until the pipe closes
+    resource = pytest.importorskip("resource")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dqs", *command, "--steps", str(10 ** 12)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        preexec_fn=limit_memory)
+    lines = [proc.stdout.readline() for _ in range(3)]
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert lines[0].startswith(b"t,")
+    assert lines[1].startswith(b"0,") and lines[2].endswith(b"\n")
+    assert proc.returncode == 141, err
     assert err == b""

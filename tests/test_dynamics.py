@@ -5,7 +5,8 @@ from dqs import dynamics, gks, linalg
 from dqs.gks import KossakowskiMatrix
 from dqs.linalg import KERNEL_TOL, DensityMatrix
 
-from helpers import random_density, random_hermitian, random_liouvillian
+from helpers import (random_density, random_hermitian, random_liouvillian,
+                     reference_stationary_states)
 
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -203,6 +204,20 @@ def test_random_generators_have_stationary_states(rng):
             assert family.density_matrices
             for rho in family.density_matrices:
                 assert np.abs(gks.liouvillian_apply(liou, rho.matrix)).max() <= 1e-9
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stationary_states_match_per_sample_reference(rng, n):
+    liouvillians = [random_liouvillian(rng, n) for _ in range(4)]
+    if n == 2:
+        liouvillians.append(dispersive_qubit(0.7, 2.0))
+    for liou in liouvillians:
+        for seed in (0, 1):
+            family = dynamics.stationary_states(liou, samples=48, seed=seed)
+            expected = reference_stationary_states(liou, KERNEL_TOL, 48, seed)
+            assert len(family.density_matrices) == len(expected) > 0
+            for rho, ref in zip(family.density_matrices, expected):
+                assert np.abs(rho.matrix - ref).max() <= 1e-14
 
 
 def test_zero_generator_kernel_is_everything():

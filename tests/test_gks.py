@@ -323,6 +323,60 @@ def test_degenerate_hamiltonian_kernel_is_everything(rng):
         assert report.dimension == (n * n - 1) ** 2
 
 
+def kernel_hamiltonians(rng):
+    """Random H at N = 2, 3, 4, a rotated nondegenerate qubit H and the
+    degenerate and diagonal special cases: 19 Hamiltonians."""
+    hs = [random_hermitian(rng, n) for n in (2, 3, 4) for _ in range(5)]
+    u = random_unitary(rng, 2)
+    hs.append(u @ np.diag([1.3, -0.4]) @ u.conj().T)
+    hs += [2.2 * np.eye(2), 2.2 * np.eye(3), np.diag([2.5, -2.5])]
+    return hs
+
+
+def test_kernel_flags_match_is_psd(rng):
+    tol = 1e-8
+    for h in kernel_hamiltonians(rng):
+        report = gks.dispersive_kossakowski_kernel(h, gks.gell_mann_basis(h.shape[0]),
+                                                   psd_tol=tol)
+        kernel = np.array(report.kernel)
+        assert report.element_psd == tuple(linalg.is_psd(m, tol) for m in kernel)
+        assert report.negation_psd == tuple(linalg.is_psd(-m, tol) for m in kernel)
+        assert len(report.samples) == 200
+        for k, sample in enumerate(report.samples):
+            c = sample.coefficients
+            assert type(sample.psd) is bool
+            assert sample.psd == linalg.is_psd(sample.matrix, tol)
+            assert np.abs(sample.matrix - np.tensordot(c, kernel, axes=1)).max() <= 1e-12
+            assert abs(np.linalg.norm(c) - 1.0) <= 1e-15
+            assert k < 100 or (c >= 0).all()
+
+
+def test_kernel_query_decomposes_one_stack(rng, monkeypatch):
+    # the kernel elements, their negations and all samples share one eigvalsh
+    # call; no per-matrix PSD check runs
+    counts = {"is_psd": 0, "eigh": 0, "eigvalsh": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((linalg, "is_psd"), (np.linalg, "eigh"), (np.linalg, "eigvalsh")):
+        counting(module, name)
+    h = random_hermitian(rng, 3)
+    seen = []
+    for samples in (20, 200):
+        counts.update(is_psd=0, eigh=0, eigvalsh=0)
+        report = gks.dispersive_kossakowski_kernel(h, gks.gell_mann_basis(3), samples=samples)
+        assert len(report.samples) == samples
+        seen.append(dict(counts))
+    assert seen[0]["is_psd"] == seen[1]["is_psd"] == 0
+    assert seen[0] == seen[1]
+
+
 def test_kernel_solver_rejects_non_hermitian_h():
     with pytest.raises(ValueError, match="Hermitian"):
         gks.dispersive_kossakowski_kernel(np.array([[0, 1], [0, 0.0]]),

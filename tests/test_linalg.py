@@ -255,6 +255,16 @@ def test_is_psd_qubit_determinant_rule(a, r, phi):
         assert not linalg.is_psd(m)
 
 
+def test_psd_bound_reduces_over_the_last_axis(rng):
+    w = rng.standard_normal((3, 2, 5)) * np.array([0.1, 10.0])[:, None]
+    bound = linalg.psd_bound(w, 1e-8)
+    assert bound.shape == (3, 2)
+    for idx in np.ndindex(3, 2):
+        assert bound[idx] == linalg.psd_bound(w[idx], 1e-8)
+        assert bound[idx] == 1e-8 * max(1.0, float(np.abs(w[idx]).max()))
+    assert linalg.psd_bound(np.zeros(0)) == linalg.PSD_TOL
+
+
 def test_is_psd_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
         linalg.is_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
