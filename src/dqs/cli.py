@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -36,14 +37,19 @@ import numpy as np
 from . import dynamics, gks, linalg, neutrino, qubit
 
 DEFAULT_TOL = linalg.KERNEL_TOL
+#: Rows of an ``evolve`` trajectory validated, decomposed and printed together.
+EVOLVE_CHUNK = 256
 
 
 class CliError(Exception):
     """Bad input; reported on stderr with exit code 2."""
 
 
+_FLOAT = "%.17g"
+
+
 def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+    return _FLOAT % float(x)
 
 
 def _fmt_bool(flag: bool) -> str:
@@ -199,6 +205,36 @@ def _time_grid(t_max: float, steps: int) -> Iterable[float]:
             for k in range(steps + 1))
 
 
+def _propagate_chunks(liou: gks.GKSLiouvillian, rho: linalg.DensityMatrix,
+                      times: Iterable[float]):
+    """Yield (times, states, spectra) for successive chunks of the time grid.
+
+    Each state exp(t L) rho takes one ``expm``; a chunk's states are then
+    validated and decomposed as one stack.  The first row whose propagation
+    or validation fails ends the stream with a CliError, after the rows
+    before it have been yielded.
+    """
+    superop, v0, n = liou.superop, linalg.vec(rho.matrix), liou.dim
+    times = iter(times)
+    while chunk := list(itertools.islice(times, EVOLVE_CHUNK)):
+        vecs, error = [], None
+        for t in chunk:
+            try:
+                vecs.append(linalg.expm(superop, scale=t) @ v0)
+            except ValueError as exc:
+                error = exc
+                break
+        stack = np.reshape(vecs, (len(vecs), n, n)).transpose(0, 2, 1)  # unvec
+        spectra, invalid = linalg.density_spectra(stack)
+        k = len(spectra)
+        if k:
+            yield chunk[:k], np.ascontiguousarray(stack[:k]), spectra
+        if invalid is not None:
+            error = invalid
+        if error is not None:
+            raise CliError(f"propagation to t={_fmt(chunk[k])} failed: {error}")
+
+
 def cmd_evolve(args) -> int:
     liou = build_liouvillian(load_model(args.model))
     n = liou.dim
@@ -233,20 +269,14 @@ def cmd_evolve(args) -> int:
             header += [f"rho_{i}_{j}_re", f"rho_{i}_{j}_im"]
     header += ["trace_re", "entropy", "energy"]
     print(",".join(header))
-    for t in times:
-        try:
-            rho_t = dynamics.propagate(liou, rho, t)
-        except ValueError as exc:
-            raise CliError(f"propagation to t={_fmt(t)} failed: {exc}") from None
-        out = rho_t.matrix
-        cells = [_fmt(t)]
-        for i in range(n):
-            for j in range(n):
-                cells += [_fmt(out[i, j].real), _fmt(out[i, j].imag)]
-        cells.append(_fmt(np.trace(out).real))
-        cells.append(_fmt(dynamics.von_neumann_entropy(rho_t)))
-        cells.append(_fmt(np.trace(out @ h).real))
-        print(",".join(cells))
+    row_format = ",".join([_FLOAT] * len(header))
+    for ts, states, spectra in _propagate_chunks(liou, rho, times):
+        table = np.column_stack((
+            ts, states.view(float).reshape(len(ts), -1),  # re, im of each entry
+            np.trace(states, axis1=1, axis2=2).real,
+            [dynamics.spectrum_entropy(w) for w in spectra.tolist()],
+            np.trace(states @ h, axis1=1, axis2=2).real))
+        print("\n".join(row_format % row for row in map(tuple, table.tolist())))
     return 0
 
 
@@ -254,6 +284,7 @@ def cmd_probabilities(args) -> int:
     try:
         params = qubit.DispersiveQubitParams(-0.5 * args.delta, 0.5 * args.delta,
                                              args.lam)
+        qubit.check_angle(args.theta)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     times = _time_grid(args.t_max, args.steps)

@@ -183,13 +183,18 @@ def stationary_states(liouvillian: gks.GKSLiouvillian, tol: float = KERNEL_TOL,
     return StationaryFamily(tuple(mats), tuple(found))
 
 
-def von_neumann_entropy(rho, cutoff: float = ENTROPY_CUTOFF) -> float:
-    """-sum p ln p over the spectrum, dropping weights at or below cutoff."""
+def spectrum_entropy(spectrum, cutoff: float = ENTROPY_CUTOFF) -> float:
+    """-sum p ln p over the eigenvalues p of a state, dropping those at or below cutoff."""
     total = 0.0
-    for p in _density(rho).spectrum:
+    for p in spectrum:
         if p > cutoff:
             total -= p * math.log(p)
     return total
+
+
+def von_neumann_entropy(rho, cutoff: float = ENTROPY_CUTOFF) -> float:
+    """-sum p ln p over the spectrum, dropping weights at or below cutoff."""
+    return spectrum_entropy(_density(rho).spectrum, cutoff)
 
 
 def energy_flow_residual(liouvillian: gks.GKSLiouvillian, rho,

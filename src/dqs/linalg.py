@@ -47,20 +47,35 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 
 
+def _defects(ms: np.ndarray) -> np.ndarray:
+    """Largest entrywise deviation from the adjoint, per matrix of a stack."""
+    return np.abs(ms - ms.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+
+
+def _hermitian_within(ms: np.ndarray, tol: float):
+    """Per matrix of a stack: whether its defect is within tol * max(1, max |entry|).
+
+    Returns that verdict with the defects and scales it was judged by.
+    """
+    defect = _defects(ms)
+    scale = np.maximum(1.0, np.abs(ms).max(axis=(-2, -1), initial=0.0))
+    return ~(defect > tol * scale), defect, scale
+
+
+def _not_hermitian(defect: float, tol: float, scale: float) -> str:
+    return f"matrix is not Hermitian: defect {defect:.3e} exceeds {tol:.1e} * {scale:.3e}"
+
+
 def hermiticity_defect(m: np.ndarray) -> float:
     """Largest entrywise deviation of m from its own adjoint."""
-    if m.size == 0:
-        return 0.0
-    return float(np.abs(m - dagger(m)).max())
+    return float(_defects(m))
 
 
 def require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
     require_square(m)
-    defect = hermiticity_defect(m)
-    scale = max(1.0, float(np.abs(m).max()) if m.size else 0.0)
-    if defect > tol * scale:
-        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} exceeds "
-                         f"{tol:.1e} * {scale:.3e}")
+    ok, defect, scale = _hermitian_within(m, tol)
+    if not ok:
+        raise ValueError(_not_hermitian(defect, tol, scale))
 
 
 def frobenius(m: np.ndarray) -> float:
@@ -191,12 +206,54 @@ def is_psd(a, tol: float = PSD_TOL) -> bool:
     return bool(w.size == 0 or w[0] >= -psd_bound(w, tol))
 
 
+def _leading(ok: np.ndarray) -> int:
+    """Length of the all-true prefix of a boolean vector."""
+    return len(ok) if ok.all() else int(ok.argmin())
+
+
+def density_spectra(ms) -> tuple[np.ndarray, str | None]:
+    """Validate a stack of density matrices, shape (k, n, n), in order.
+
+    A density matrix has finite entries, is square and Hermitian within
+    HERMITICITY_TOL (relative, floor 1), has trace 1 within TRACE_TOL and
+    no eigenvalue below -PSD_TOL.  Returns (w, error): w holds the ascending
+    eigenvalues of the longest valid prefix of the stack, from one ``eigh``
+    of its Hermitian parts, and error is None when that prefix is the whole
+    stack, else why ``ms[len(w)]`` fails.
+    """
+    ms = np.asarray(ms, dtype=complex)
+    k = _leading(np.isfinite(ms).all(axis=(1, 2)))
+    if k and ms.shape[1] != ms.shape[2]:
+        return np.zeros((0, 0)), f"expected a square matrix, got shape {ms.shape[1:]}"
+    m = ms[:k]
+    hermitian, defect, scale = _hermitian_within(m, HERMITICITY_TOL)
+    tr = np.trace(m, axis1=1, axis2=2)
+    drift = np.abs(tr - 1.0)
+    unit = ~(drift > TRACE_TOL * np.maximum(1.0, np.abs(tr)))
+    checked = _leading(hermitian & unit)
+    m = m[:checked]
+    w = np.linalg.eigh(0.5 * (m + m.conj().swapaxes(1, 2)))[0]
+    valid = _leading(~(w[:, 0] < -PSD_TOL)) if w.shape[1] else checked
+    if valid < checked:
+        error = f"density matrix is not PSD: min eigenvalue {w[valid, 0]:.3e}"
+    elif checked < k and not hermitian[checked]:
+        error = _not_hermitian(defect[checked], HERMITICITY_TOL, scale[checked])
+    elif checked < k:
+        error = f"density matrix trace deviates from 1 by {drift[checked]:.3e}"
+    elif k < len(ms):
+        error = "matrix has non-finite entries"
+    else:
+        error = None
+    return w[:valid], error
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A quantum state: Hermitian, unit trace, positive semidefinite.
 
-    Validation happens at construction, from one eigendecomposition whose
-    ascending eigenvalues are kept as ``spectrum``; both arrays are read-only.
+    Validation happens at construction, by ``density_spectra`` on a stack of
+    one; the ascending eigenvalues it computes are kept as ``spectrum``.
+    Both arrays are read-only.
     """
 
     matrix: np.ndarray
@@ -204,13 +261,11 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = as_matrix(self.matrix)
-        w, _ = hermitian_eigen(m)
-        tr = complex(m.trace())
-        if abs(tr - 1.0) > TRACE_TOL * max(1.0, abs(tr)):
-            raise ValueError(f"density matrix trace deviates from 1 by {abs(tr - 1.0):.3e}")
-        if w[0] < -PSD_TOL:
-            raise ValueError(f"density matrix is not PSD: min eigenvalue {w[0]:.3e}")
+        w, error = density_spectra(m[None])
+        if error is not None:
+            raise ValueError(error)
         m = m.copy()
+        w = w[0]
         m.flags.writeable = False
         w.flags.writeable = False
         object.__setattr__(self, "matrix", m)

@@ -172,7 +172,7 @@ def read_spectrum_csv(path) -> List[SpectrumPoint]:
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
     if ncols is None:
-        raise ValueError(f"{path}: no header line found")
+        raise ValueError("no header line found")
     return points
 
 

@@ -76,8 +76,7 @@ class AngleObservable:
     def __post_init__(self):
         if self.x1 < self.x2:
             raise ValueError("eigenvalues must satisfy x1 >= x2")
-        if not (0.0 <= self.theta <= math.pi / 2.0):
-            raise ValueError("mixing angle must lie in [0, pi/2]")
+        check_angle(self.theta)
 
 
 def evolve_closed_form(params: DispersiveQubitParams, state: QubitBloch,
@@ -101,14 +100,15 @@ def observable_matrix(obs: AngleObservable) -> np.ndarray:
     ], dtype=complex)
 
 
-def _check_angle(theta: float) -> None:
+def check_angle(theta: float) -> None:
+    """Reject a mixing angle outside [0, pi/2], NaN included."""
     if not (0.0 <= theta <= math.pi / 2.0):
         raise ValueError("mixing angle must lie in [0, pi/2]")
 
 
 def transition_probability(params: DispersiveQubitParams, theta: float, t: float) -> float:
     """Probability that a system prepared in |x1> is found in |x2> at time t."""
-    _check_angle(theta)
+    check_angle(theta)
     if not (t >= 0.0):
         raise ValueError(f"time must be nonnegative, got {t!r}")
     damping = math.exp(-params.lam * t)

@@ -152,3 +152,38 @@ def reference_stationary_states(liouvillian, tol, samples, seed):
             except ValueError:
                 continue
     return found
+
+
+def reference_evolve(liouvillian, rho, times):
+    """``dqs evolve``'s output built one row at a time, as (exit code, stdout, stderr).
+
+    Each row takes its own ``dynamics.propagate`` (one expm and one
+    DensityMatrix), its own ``von_neumann_entropy`` and one ``cli._fmt`` per
+    cell; a failing row ends the output with the CLI's error line.
+    """
+    from dqs import cli, dynamics
+
+    n = liouvillian.dim
+    h = liouvillian.hamiltonian
+    header = ["t"]
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            header += [f"rho_{i}_{j}_re", f"rho_{i}_{j}_im"]
+    header += ["trace_re", "entropy", "energy"]
+    lines = [",".join(header)]
+    for t in times:
+        try:
+            rho_t = dynamics.propagate(liouvillian, rho, t)
+        except ValueError as exc:
+            error = f"error: propagation to t={cli._fmt(t)} failed: {exc}\n"
+            return 2, "\n".join(lines) + "\n", error
+        out = rho_t.matrix
+        cells = [cli._fmt(t)]
+        for i in range(n):
+            for j in range(n):
+                cells += [cli._fmt(out[i, j].real), cli._fmt(out[i, j].imag)]
+        cells.append(cli._fmt(np.trace(out).real))
+        cells.append(cli._fmt(dynamics.von_neumann_entropy(rho_t)))
+        cells.append(cli._fmt(np.trace(out @ h).real))
+        lines.append(",".join(cells))
+    return 0, "\n".join(lines) + "\n", ""

@@ -11,6 +11,8 @@ import pytest
 from dqs import cli, gks, linalg, neutrino
 from dqs.models import bundled
 
+from helpers import random_hermitian, random_psd, reference_evolve
+
 DISPERSIVE = str(bundled("dispersive_qubit.model"))
 DAMPED_X = str(bundled("damped_x.model"))
 
@@ -237,29 +239,90 @@ def test_evolve_time_grid_near_the_float_maximum(capsys):
 
 
 def test_evolve_decomposes_each_state_once(capsys, monkeypatch):
-    # each output row validates the propagated state with one eigh and one
-    # hermiticity check; the entropy column reuses that spectrum
-    counts = {"eigh": 0, "require_hermitian": 0}
+    # each output row is validated once and decomposed once, inside one
+    # stacked check and one stacked eigh per chunk; the entropy column reuses
+    # that spectrum
+    counts = {"eigh_calls": 0, "eigh_matrices": 0, "validated": 0}
+    eigh, density_spectra = np.linalg.eigh, linalg.density_spectra
 
-    def counting(module, name):
-        original = getattr(module, name)
+    def counting_eigh(a, *args, **kwargs):
+        counts["eigh_calls"] += 1
+        counts["eigh_matrices"] += math.prod(np.shape(a)[:-2])
+        return eigh(a, *args, **kwargs)
 
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return original(*args, **kwargs)
-        monkeypatch.setattr(module, name, wrapper)
+    def counting_spectra(ms):
+        counts["validated"] += len(ms)
+        return density_spectra(ms)
 
-    counting(np.linalg, "eigh")
-    counting(linalg, "require_hermitian")
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(linalg, "density_spectra", counting_spectra)
     seen = []
     for steps in ("10", "20"):
-        counts.update(eigh=0, require_hermitian=0)
+        counts.update(eigh_calls=0, eigh_matrices=0, validated=0)
         code, _, _ = run_cli(capsys, "evolve", DAMPED_X, "--state", "0.7,0.2+0.3j",
                              "--steps", steps)
         assert code == 0
         seen.append(dict(counts))
-    assert seen[1]["eigh"] - seen[0]["eigh"] == 10
-    assert seen[1]["require_hermitian"] - seen[0]["require_hermitian"] == 10
+    assert seen[1]["eigh_matrices"] - seen[0]["eigh_matrices"] == 10
+    assert seen[1]["validated"] - seen[0]["validated"] == 10
+    assert seen[1]["eigh_calls"] == seen[0]["eigh_calls"]
+
+
+@pytest.fixture(scope="module")
+def generic_models(tmp_path_factory):
+    """Seeded generic N=3 and N=4 models, each with a state file."""
+    rng = np.random.default_rng(8)
+    root = tmp_path_factory.mktemp("generic")
+    out = {}
+    for n in (3, 4):
+        model, state = root / f"n{n}.model", root / f"n{n}.json"
+        cli.save_model(model, n, random_hermitian(rng, n, scale=0.5),
+                       random_psd(rng, n * n - 1, trace=0.5))
+        state.write_text(json.dumps(cli.matrix_to_pairs(random_psd(rng, n))))
+        out[f"n{n}"] = (str(model), "--state-file", str(state))
+    return out
+
+
+def assert_evolve_matches_reference(capsys, model, state_args, t_max, steps):
+    liou = cli.build_liouvillian(cli.load_model(model))
+    if state_args[0] == "--state":
+        matrix = cli._parse_inline_state(state_args[1])
+    else:
+        matrix = cli.pairs_to_matrix(json.loads(Path(state_args[1]).read_text()),
+                                     liou.dim, liou.dim, "state")
+    expected = reference_evolve(liou, linalg.DensityMatrix(matrix),
+                                cli._time_grid(float(t_max), int(steps)))
+    got = run_cli(capsys, "evolve", model, *state_args, "--t-max", t_max, "--steps", steps)
+    assert got == expected
+    return got
+
+
+CHUNK = cli.EVOLVE_CHUNK
+
+
+@pytest.mark.parametrize("steps", [1, CHUNK - 1, CHUNK, CHUNK + 1, 600])
+@pytest.mark.parametrize("name", ["dispersive_qubit", "damped_x", "n3", "n4"])
+def test_evolve_chunks_match_row_by_row_reference(capsys, generic_models, name, steps):
+    if name in generic_models:
+        model, *state_args = generic_models[name]
+    else:
+        model, state_args = str(bundled(f"{name}.model")), ["--state", "0.7,0.2+0.3j"]
+    code, out, _ = assert_evolve_matches_reference(capsys, model, state_args, "10",
+                                                   str(steps))
+    assert code == 0 and len(out.splitlines()) == steps + 2
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, t_max, steps, failing", [
+    ("damped_x", "1e4", "200", True),           # trace drift a few rows in
+    ("damped_x", "850", "600", True),           # the same drift past the first chunk
+    ("dispersive_qubit", "1e307", "200", False),  # k * t_max overflows, the grid does not
+    ("damped_x", "1e307", "200", True),         # expm overflows on the second row
+])
+def test_evolve_chunks_match_reference_on_hard_grids(capsys, name, t_max, steps, failing):
+    code, out, err = assert_evolve_matches_reference(
+        capsys, str(bundled(f"{name}.model")), ["--state", "0.7,0.2+0.3j"], t_max, steps)
+    assert (code, bool(err)) == ((2, True) if failing else (0, False))
 
 
 def test_evolve_long_horizon_does_not_traceback(capsys):
@@ -300,9 +363,11 @@ def test_probabilities_undamped_period(capsys):
 
 
 def test_probabilities_rejects_bad_angle(capsys):
-    code, _, err = run_cli(capsys, "probabilities", "--theta", "3.0")
-    assert code == 2
-    assert "angle" in err
+    # the angle is checked before the header is printed
+    for theta in ("3.0", "2", "nan", "-0.1"):
+        code, out, err = run_cli(capsys, "probabilities", "--theta", theta)
+        assert (code, out) == (2, "")
+        assert err == "error: mixing angle must lie in [0, pi/2]\n"
 
 
 # ------------------------------------------------------------------ nu
@@ -425,6 +490,14 @@ def test_nu_fit_header_only_is_an_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "nu-fit", str(data))
     assert code == 2
     assert "no spectrum points" in err
+
+
+def test_nu_fit_without_header_names_the_file_once(capsys, tmp_path):
+    data = tmp_path / "blank.csv"
+    data.write_text("# only a comment\n")
+    code, out, err = run_cli(capsys, "nu-fit", str(data))
+    assert (code, out) == (2, "")
+    assert err == f"error: {data}: no header line found\n"
 
 
 def test_nu_fit_zero_weights_is_an_error(capsys, tmp_path):

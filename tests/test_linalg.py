@@ -303,6 +303,47 @@ def test_density_matrix_rejects_non_hermitian():
         DensityMatrix(m)
 
 
+# Each bad state with the message it is rejected with; where a state breaks
+# two rules, the rule checked first names it.
+BAD_STATES = [
+    ([[np.nan, 0.0], [0.0, 1.0]], "matrix has non-finite entries"),
+    ([[0.5, 0.3], [0.1, 0.5]],
+     "matrix is not Hermitian: defect 2.000e-01 exceeds 1.0e-10 * 1.000e+00"),
+    ([[1.0, 0.3], [0.1, 1.0]],
+     "matrix is not Hermitian: defect 2.000e-01 exceeds 1.0e-10 * 1.000e+00"),
+    ([[1.0, 0.0], [0.0, 1.0]], "density matrix trace deviates from 1 by 1.000e+00"),
+    ([[1.5, 0.0], [0.0, -0.2]], "density matrix trace deviates from 1 by 3.000e-01"),
+    ([[1.2, 0.0], [0.0, -0.2]], "density matrix is not PSD: min eigenvalue -2.000e-01"),
+]
+
+
+@pytest.mark.parametrize("bad, message", BAD_STATES)
+def test_density_spectra_stops_at_the_first_invalid_state(rng, bad, message):
+    good = [random_psd(rng, 2, trace=1.0) for _ in range(3)]
+    w, error = linalg.density_spectra(np.stack(good + [np.array(bad)] + good))
+    assert error == message
+    # the stacked eigh gives each matrix the bits of its own decomposition
+    assert np.array_equal(w, [linalg.hermitian_eigen(g)[0] for g in good])
+    with pytest.raises(ValueError) as exc:
+        DensityMatrix(bad)
+    assert str(exc.value) == message
+
+
+def test_density_spectra_accepts_whole_and_empty_stacks(rng):
+    states = np.stack([random_psd(rng, 3, trace=1.0) for _ in range(5)])
+    w, error = linalg.density_spectra(states)
+    assert error is None and w.shape == (5, 3)
+    w, error = linalg.density_spectra(states[:0])
+    assert error is None and w.shape == (0, 3)
+
+
+def test_density_matrix_shape_errors_keep_their_messages():
+    with pytest.raises(ValueError, match=r"expected a 2-d matrix, got shape \(2,\)"):
+        DensityMatrix([0.5, 0.5])
+    with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(1, 2\)"):
+        DensityMatrix([[0.5, 0.5]])
+
+
 # ---------------------------------------------------------------- vec plumbing
 
 def test_vec_column_stacking_identity(rng):
