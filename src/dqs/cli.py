@@ -97,19 +97,24 @@ def pairs_to_matrix(data, rows: int, cols: int, what: str) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
+def _read_json(path, what: str):
+    """Parse the JSON document of a ``what`` file (model or state)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise CliError(f"cannot read {what} file: {exc}") from None
+    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+        raise CliError(f"{path}: not valid JSON ({exc})") from None
+
+
 def load_model(path) -> Model:
     """Read and shape-check a model file without validating the physics.
 
     Hermiticity and positivity are left to the caller so that ``check`` can
     report residuals for broken files instead of failing outright.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise CliError(f"cannot read model file: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{path}: not valid JSON ({exc})") from None
+    doc = _read_json(path, "model")
     if not isinstance(doc, dict):
         raise CliError(f"{path}: model file must hold a JSON object")
     for key in ("dimension", "hamiltonian", "kossakowski"):
@@ -246,14 +251,7 @@ def cmd_evolve(args) -> int:
                            "use --state-file")
         matrix = _parse_inline_state(args.state)
     elif args.state_file is not None:
-        try:
-            with open(args.state_file, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise CliError(f"cannot read state file: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise CliError(f"{args.state_file}: not valid JSON ({exc})") from None
-        matrix = pairs_to_matrix(doc, n, n, "state")
+        matrix = pairs_to_matrix(_read_json(args.state_file, "state"), n, n, "state")
     else:
         raise CliError("an initial state is required: --state or --state-file")
     try:
@@ -298,6 +296,17 @@ def cmd_probabilities(args) -> int:
     return 0
 
 
+def _linspace(lo: float, hi: float, points: int) -> Iterable[float]:
+    """The values of np.linspace(lo, hi, points), yielded one at a time."""
+    div, delta = max(points - 1, 1), hi - lo
+    step = delta / div
+    for k in range(div):
+        # like numpy, scale k / div by delta when the step underflows to zero
+        yield (k * step if step else k / div * delta) + lo
+    if points > 1:
+        yield hi
+
+
 def _theta_from_args(args) -> float:
     if (args.theta is None) == (args.tan2theta is None):
         raise CliError("give exactly one of --theta or --tan2theta")
@@ -333,14 +342,15 @@ def cmd_nu(args) -> int:
             raise CliError(f"--loe-range ends must be finite, got {args.loe_range!r}")
         if points < 1 or (points == 1 and lo != hi):
             raise CliError("--loe-range needs at least 2 points for lo < hi")
-        xs = np.linspace(lo, hi, points)
         try:
-            probs = [neutrino.survival_at_l_over_e(params, float(x)) for x in xs]
+            # the phase grows with L/E, so hi decides overflow for every row
+            neutrino.survival_at_l_over_e(params, hi)
+            print("L_over_E_km_per_GeV,P_survival,P_transition")
+            for x in _linspace(lo, hi, points):
+                p = neutrino.survival_at_l_over_e(params, x)
+                print(f"{_fmt(x)},{_fmt(p)},{_fmt(1.0 - p)}")
         except ValueError as exc:
             raise CliError(str(exc)) from None
-        print("L_over_E_km_per_GeV,P_survival,P_transition")
-        for x, p in zip(xs, probs):
-            print(f"{_fmt(x)},{_fmt(p)},{_fmt(1.0 - p)}")
         return 0
     if args.baseline is None or args.energy is None:
         raise CliError("single-point mode needs both --L and --E")

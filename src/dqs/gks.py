@@ -23,8 +23,9 @@ dynamics is not unitary, and generally not time-reversible) yet energy is
 conserved exactly.
 
 The GKS sum is written once, as the matrix S(a) of the dissipator on
-column-stacked states.  The generator matrix, the dissipator's action, D_H
-(as S(a)^+ vec H) and the dispersion kernel are all computed from it.
+column-stacked states; the generator matrix, the dissipator's action and D_H
+(as S(a)^+ vec H) come from it.  The dispersion kernel contracts H first and
+gathers each coordinate direction's D_H from the terms F_j^+ H F_i.
 """
 
 from __future__ import annotations
@@ -149,19 +150,18 @@ def _kossakowski_array(a, basis: OperatorBasis) -> np.ndarray:
 def _dissipator_superop(a: np.ndarray, basis: OperatorBasis) -> np.ndarray:
     """Matrix S(a) of sigma -> sum_ij a_ij (F_i sigma F_j^+ - {F_j^+ F_i, sigma}/2).
 
-    S acts on column-stacked matrices and is linear in a, whose leading axes
-    are batch axes.
+    S acts on column-stacked matrices and is linear in the (N^2-1)^2 matrix a.
     """
     n = basis.dim
     f = np.stack(basis.traceless)
-    g = np.einsum("...ij,ikm->...jkm", a, f)          # G_j = sum_i a_ij F_i
-    p = np.einsum("jlk,...jlm->...km", f.conj(), g)   # sum_ij a_ij F_j^+ F_i
+    g = np.einsum("ij,ikm->jkm", a, f)          # G_j = sum_i a_ij F_i
+    p = np.einsum("jlk,jlm->km", f.conj(), g)   # sum_ij a_ij F_j^+ F_i
     eye = np.eye(n)
     # vec(A X B) = (B^T kron A) vec(X); kron(A, B)[l n + k, q n + m] = A_lq B_km
-    s = (np.einsum("jlq,...jkm->...lkqm", f.conj(), g)
-         - 0.5 * (np.einsum("lq,...km->...lkqm", eye, p)
-                  + np.einsum("...ql,km->...lkqm", p, eye)))
-    return s.reshape(a.shape[:-2] + (n * n, n * n))
+    s = (np.einsum("jlq,jkm->lkqm", f.conj(), g)
+         - 0.5 * (np.einsum("lq,km->lkqm", eye, p)
+                  + np.einsum("ql,km->lkqm", p, eye)))
+    return s.reshape(n * n, n * n)
 
 
 def dissipator_apply(a, basis: OperatorBasis, sigma) -> np.ndarray:
@@ -206,7 +206,7 @@ class GKSLiouvillian:
 
 
 def liouvillian_apply(liouvillian: GKSLiouvillian, sigma) -> np.ndarray:
-    """L(sigma), evaluated directly from the standard form."""
+    """L(sigma): the commutator term plus the dissipator's action through S(a)."""
     s = linalg.as_matrix(sigma)
     h = liouvillian.hamiltonian
     return (-1j * (h @ s - s @ h)
@@ -314,8 +314,8 @@ def dispersive_kossakowski_kernel(hamiltonian, basis: OperatorBasis,
     """All Hermitian coefficient matrices making the given H dispersive.
 
     Builds the real-linear map a |-> D_H(a) over the real coordinates of
-    Hermitian (N^2-1) x (N^2-1) matrices, from one batched evaluation of the
-    dissipator on all coordinate directions, and extracts its null space:
+    Hermitian (N^2-1) x (N^2-1) matrices, gathering D_H of each coordinate
+    direction from H-contracted GKS terms, and extracts its null space:
     singular values at or below tol * max(1, ||H||_F), the bound
     is_dispersive applies to D_H, count as zero.  Valid dissipators in the
     kernel are its PSD elements; since PSD-ness is not a linear condition,
@@ -330,10 +330,15 @@ def dispersive_kossakowski_kernel(hamiltonian, basis: OperatorBasis,
         raise ValueError(f"Hamiltonian shape {h.shape} does not match basis dimension {n}")
     linalg.require_hermitian(h, HERMITICITY_TOL)
     k = n * n - 1
-    # column c is D_H of the c-th coordinate direction, by the adjoint identity
-    superops = _dissipator_superop(coords_to_hermitian(np.eye(k * k), k), basis)
-    dh = np.einsum("cts,t->cs", superops.conj(), vec(h))
-    phi = hermitian_coords(np.swapaxes(dh.reshape(-1, n, n), 1, 2)).T
+    # D_H(a) = sum_ij a_ij M[i, j] with M[i, j] = F_j^+ H F_i - {F_j^+ F_i, H}/2
+    f = np.stack(basis.traceless)[:, None]     # [i, 0] = F_i
+    fd = f.conj().transpose(1, 0, 3, 2)        # [0, j] = F_j^+
+    prods = fd @ f
+    m = fd @ h @ f - 0.5 * (prods @ h + h @ prods)
+    # column c is D_H of direction c: M_ii, or M_rs + M_sr and i(M_rs - M_sr)
+    i, j = np.triu_indices(k, 1)
+    pairs = np.stack([m[i, j] + m[j, i], 1j * (m[i, j] - m[j, i])], axis=1)
+    phi = hermitian_coords(np.concatenate([m[range(k), range(k)], pairs.reshape(-1, n, n)])).T
     # not relative to the largest singular value: for H proportional to I
     # that is itself round-off
     _, s, vt = np.linalg.svd(phi)

@@ -6,7 +6,18 @@ Kossakowski trace around one half) so finite-difference checks stay within
 their stated tolerances.
 """
 
+import os
+from pathlib import Path
+
 import numpy as np
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def src_env(**overrides):
+    """os.environ for a child interpreter that imports dqs from this checkout."""
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=pythonpath, **overrides)
 
 
 def random_complex(rng, shape):

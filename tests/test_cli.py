@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +10,7 @@ import pytest
 from dqs import cli, gks, linalg, neutrino
 from dqs.models import bundled
 
-from helpers import random_hermitian, random_psd, reference_evolve
+from helpers import random_hermitian, random_psd, reference_evolve, src_env
 
 DISPERSIVE = str(bundled("dispersive_qubit.model"))
 DAMPED_X = str(bundled("damped_x.model"))
@@ -80,6 +79,16 @@ def test_check_rejects_truncated_file(capsys, tmp_path):
     code, out, err = run_cli(capsys, "check", str(path))
     assert code == 2
     assert "JSON" in err
+
+
+def test_non_utf8_model_or_state_file_is_an_error(capsys, tmp_path):
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe{\x00}\x00")
+    for argv in (["check", str(bad)], ["lindblad", str(bad)],
+                 ["evolve", DISPERSIVE, "--state-file", str(bad)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: {bad}: not valid JSON ('utf-8' codec can't decode")
 
 
 def test_check_rejects_missing_file(capsys, tmp_path):
@@ -386,6 +395,16 @@ def test_nu_sweep_matches_formula(capsys):
         assert p_s + p_t == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("lo, hi, points", [
+    (0.0, 36000.0, 201), (1.5, 2.5, 7), (3.0, 3.0, 1), (3.0, 3.0, 4), (0.0, 0.0, 1),
+    (0.0, 5e-324, 4), (0.0, 1e-323, 7), (1e-300, 1e300, 11), (7.0, 7.000000000000001, 5),
+])
+def test_nu_sweep_streams_the_linspace_values(lo, hi, points):
+    # the streamed L/E grid is np.linspace(lo, hi, points) value for value,
+    # the zero-step (subnormal) branch and the exact last point included
+    assert list(cli._linspace(lo, hi, points)) == np.linspace(lo, hi, points).tolist()
+
+
 def test_nu_single_point(capsys):
     code, out, _ = run_cli(capsys, "nu", "--dm2", "7.9e-5", "--theta", "0.6",
                            "--lambda-km", "5e-5", "--L", "180", "--E", "0.004")
@@ -608,7 +627,8 @@ def test_parser_is_reused_without_state(capsys, tmp_path):
     code = cli.main(["nu-fit", str(data), "--grid-points", "9"])
     second = capsys.readouterr().out
     fresh = subprocess.run([sys.executable, "-m", "dqs", "nu-fit", str(data),
-                            "--grid-points", "9"], capture_output=True, text=True)
+                            "--grid-points", "9"], capture_output=True, text=True,
+                           env=src_env())
     assert (code, second) == (fresh.returncode, fresh.stdout)
     assert parse_kv(second)["lambda_km"] != "0"
 
@@ -616,8 +636,8 @@ def test_parser_is_reused_without_state(capsys, tmp_path):
 def test_console_script_output_is_reproducible():
     argv = [sys.executable, "-m", "dqs", "evolve", DISPERSIVE,
             "--state", "0.5,0.3+0.2j", "--t-max", "3", "--steps", "30"]
-    first = subprocess.run(argv, capture_output=True, check=True)
-    second = subprocess.run(argv, capture_output=True, check=True)
+    first = subprocess.run(argv, capture_output=True, check=True, env=src_env())
+    second = subprocess.run(argv, capture_output=True, check=True, env=src_env())
     assert first.stdout == second.stdout
     assert first.stdout.decode("utf-8").endswith("\n")
     assert b"\r" not in first.stdout
@@ -625,10 +645,10 @@ def test_console_script_output_is_reproducible():
 
 def test_console_script_exit_codes():
     ok = subprocess.run([sys.executable, "-m", "dqs", "check", DISPERSIVE],
-                        capture_output=True)
+                        capture_output=True, env=src_env())
     assert ok.returncode == 0
     bad = subprocess.run([sys.executable, "-m", "dqs", "check", "/no/such/file"],
-                         capture_output=True)
+                         capture_output=True, env=src_env())
     assert bad.returncode == 2
 
 
@@ -637,7 +657,7 @@ def test_early_pipe_close_is_quiet():
     proc = subprocess.Popen(
         [sys.executable, "-m", "dqs", "probabilities", "--t-max", "100",
          "--steps", "200000"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env())
     header = proc.stdout.readline()
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
@@ -647,27 +667,27 @@ def test_early_pipe_close_is_quiet():
 
 
 @pytest.mark.parametrize("command", [
-    ["probabilities"],
-    ["evolve", DISPERSIVE, "--state", "0.7,0.2+0.3j"],
+    ["probabilities", "--steps", str(10 ** 12)],
+    ["evolve", DISPERSIVE, "--state", "0.7,0.2+0.3j", "--steps", str(10 ** 12)],
+    ["nu", "--dm2", "7.9e-5", "--theta", "0.5", "--loe-range", f"0:36000:{10 ** 12}"],
 ])
 def test_huge_time_grid_streams_rows(command):
-    # the rows of a 10^12-step grid must start before any grid is built: under
-    # a 1 GiB address-space limit the child prints until the pipe closes
+    # the rows of a 10^12-point grid must start before any grid is built:
+    # under a 1 GiB address-space limit the child prints until the pipe closes
     resource = pytest.importorskip("resource")
 
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
+    env = src_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     proc = subprocess.Popen(
-        [sys.executable, "-m", "dqs", *command, "--steps", str(10 ** 12)],
+        [sys.executable, "-m", "dqs", *command],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
         preexec_fn=limit_memory)
     lines = [proc.stdout.readline() for _ in range(3)]
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
-    assert lines[0].startswith(b"t,")
+    assert lines[0].startswith(b"L_over_E_km_per_GeV," if command[0] == "nu" else b"t,")
     assert lines[1].startswith(b"0,") and lines[2].endswith(b"\n")
     assert proc.returncode == 141, err
     assert err == b""

@@ -296,18 +296,53 @@ def test_dispersion_kernel_dimension_is_basis_independent(rng):
         assert report.dimension == 5
         for m in report.kernel:
             assert linalg.frobenius(gks.dissipation_from_parts(m, basis, h)) <= 1e-10
+    # at N = 3, 4 a random H, its rotations and diag(eig H) share one dimension
+    for n in (3, 4):
+        basis = gks.gell_mann_basis(n)
+        h = random_hermitian(rng, n)
+        hs = [h, np.diag(np.linalg.eigvalsh(h))]
+        hs += [u @ h @ u.conj().T for u in (random_unitary(rng, n) for _ in range(2))]
+        dims = set()
+        for hh in hs:
+            report = gks.dispersive_kossakowski_kernel(hh, basis, samples=0)
+            dims.add(report.dimension)
+            for m in report.kernel:
+                assert linalg.frobenius(gks.dissipation_from_parts(m, basis, hh)) <= 1e-10
+        assert len(dims) == 1 and dims.pop() > 0
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_kernel_map_columns_are_dissipation_operators(rng, n):
+    # column c is the coordinate vector of D_H(e_c), by the S(a) core; an H
+    # with a 1e-11 anti-Hermitian part (which require_hermitian accepts) must
+    # give the map of its Hermitian part, as D_H's Hermitian coordinates do
     basis = gks.gell_mann_basis(n)
     h = random_hermitian(rng, n)
+    x = random_complex(rng, (n, n))
     k = n * n - 1
-    phi = gks.dispersive_kossakowski_kernel(h, basis, samples=0).map_matrix
-    assert phi.shape == (n * n, k * k)
-    for c, e in enumerate(np.eye(k * k)):
-        dh = gks.dissipation_from_parts(gks.coords_to_hermitian(e, k), basis, h)
-        assert np.abs(phi[:, c] - gks.hermitian_coords(dh)).max() <= 1e-12
+    for hh in (h, h + 0.5e-11 * (x - x.conj().T)):
+        phi = gks.dispersive_kossakowski_kernel(hh, basis, samples=0).map_matrix
+        assert phi.shape == (n * n, k * k)
+        for c, e in enumerate(np.eye(k * k)):
+            dh = gks.dissipation_from_parts(gks.coords_to_hermitian(e, k), basis, hh)
+            assert np.abs(phi[:, c] - gks.hermitian_coords(dh)).max() <= 1e-12
+
+
+def test_kernel_query_builds_no_dissipator_superoperator(rng, monkeypatch):
+    # the map is gathered from H-contracted GKS terms, so no N^2 x N^2 S(a)
+    # is built for any coordinate direction
+    calls = []
+    original = gks._dissipator_superop
+
+    def counting(a, basis):
+        calls.append(a.shape)
+        return original(a, basis)
+    monkeypatch.setattr(gks, "_dissipator_superop", counting)
+    for n in (2, 3, 4):
+        gks.dispersive_kossakowski_kernel(random_hermitian(rng, n), gks.gell_mann_basis(n))
+    assert calls == []
+    gks.dissipation_from_parts(np.eye(3), gks.gell_mann_basis(2), SZ)
+    assert calls == [(3, 3)]
 
 
 def test_degenerate_hamiltonian_kernel_is_everything(rng):

@@ -1,19 +1,18 @@
 """The example scripts the README documents run and produce what they claim."""
 
 import math
-import os
 import subprocess
 import sys
 from pathlib import Path
+
+from helpers import src_env
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_script(name, cwd, *args):
-    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], cwd=cwd,
-                          env=dict(os.environ, PYTHONPATH=pythonpath),
-                          capture_output=True, text=True, timeout=120)
+                          env=src_env(), capture_output=True, text=True, timeout=120)
 
 
 def test_probability_curves_writes_both_curves(tmp_path):
