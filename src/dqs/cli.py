@@ -16,9 +16,14 @@ written in coordinates of the orthonormal basis that ``basis`` names.
 
 Exit codes: 0 success (for ``check``: valid and dispersive), 1 valid but not
 dispersive, 2 invalid input, 3 fit hit the cycle limit, 141 output pipe
-closed early.  Floats print with 17 significant digits so identical inputs
-give byte-identical output.  The ``DQS_TOL`` environment variable overrides
-the default tolerance of tolerance-taking commands.
+closed early.  Any invalid input, numbers too large to compute with included,
+gives one ``error:`` line on stderr and exit code 2: the library's
+``ValueError``, the CLI's own ``CliError`` and a ``MemoryError`` all reach
+``main``, the only place that reports them (``check`` alone reports a model
+it cannot build on stdout, as ``valid=false`` and ``error=...``).  Floats print with 17
+significant digits so identical inputs give byte-identical output.  The
+``DQS_TOL`` environment variable overrides the default tolerance of
+tolerance-taking commands.
 """
 
 from __future__ import annotations
@@ -41,8 +46,8 @@ DEFAULT_TOL = linalg.KERNEL_TOL
 EVOLVE_CHUNK = 256
 
 
-class CliError(Exception):
-    """Bad input; reported on stderr with exit code 2."""
+class CliError(ValueError):
+    """Bad input found by the CLI itself; ``main`` reports it like any ValueError."""
 
 
 _FLOAT = "%.17g"
@@ -147,13 +152,10 @@ def save_model(path, dimension: int, hamiltonian, kossakowski) -> None:
 
 
 def build_liouvillian(model: Model) -> gks.GKSLiouvillian:
-    """Strict construction; raises CliError when the model is not physical."""
+    """Strict construction; raises ValueError when the model is not physical."""
     basis = gks.gell_mann_basis(model.dimension)
-    try:
-        koss = gks.KossakowskiMatrix(model.dimension, model.kossakowski)
-        return gks.GKSLiouvillian(model.hamiltonian, koss, basis)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    koss = gks.KossakowskiMatrix(model.dimension, model.kossakowski)
+    return gks.GKSLiouvillian(model.hamiltonian, koss, basis)
 
 
 # ------------------------------------------------------------------ subcommands
@@ -162,8 +164,7 @@ def cmd_check(args) -> int:
     tol = _resolve_tol(args.tol)
     model = load_model(args.model)
     h, a = model.hamiltonian, model.kossakowski
-    a_sym = 0.5 * (a + a.conj().T)
-    w, _ = linalg.hermitian_eigen(a_sym)
+    w, _ = linalg.hermitian_eigen(linalg.hermitian_part(a))
     print(f"dimension={model.dimension}")
     print("basis=gell-mann")
     print(f"hamiltonian_hermiticity_defect={_fmt(linalg.hermiticity_defect(h))}")
@@ -172,7 +173,7 @@ def cmd_check(args) -> int:
     print(f"kossakowski_min_eigenvalue={_fmt(w[0])}")
     try:
         liou = build_liouvillian(model)
-    except CliError as exc:
+    except ValueError as exc:
         print("valid=false")
         print(f"error={exc}")
         return 2
@@ -279,20 +280,15 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_probabilities(args) -> int:
-    try:
-        params = qubit.DispersiveQubitParams(-0.5 * args.delta, 0.5 * args.delta,
-                                             args.lam)
-        qubit.check_angle(args.theta)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    params = qubit.DispersiveQubitParams(-0.5 * args.delta, 0.5 * args.delta, args.lam)
+    qubit.check_angle(args.theta)
     times = _time_grid(args.t_max, args.steps)
+    # the phase grows with t, so t_max decides overflow for every row
+    qubit.transition_probability(params, args.theta, args.t_max)
     print("t,P_transition,P_surviving")
-    try:
-        for t in times:
-            pt = qubit.transition_probability(params, args.theta, t)
-            print(f"{_fmt(t)},{_fmt(pt)},{_fmt(1.0 - pt)}")
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    for t in times:
+        pt = qubit.transition_probability(params, args.theta, t)
+        print(f"{_fmt(t)},{_fmt(pt)},{_fmt(1.0 - pt)}")
     return 0
 
 
@@ -318,11 +314,7 @@ def _theta_from_args(args) -> float:
 
 
 def cmd_nu(args) -> int:
-    try:
-        params = neutrino.OscillationParams(args.dm2, _theta_from_args(args),
-                                            args.lambda_km)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    params = neutrino.OscillationParams(args.dm2, _theta_from_args(args), args.lambda_km)
     modes = sum([args.loe_range is not None,
                  args.baseline is not None or args.energy is not None])
     if modes != 1:
@@ -342,55 +334,39 @@ def cmd_nu(args) -> int:
             raise CliError(f"--loe-range ends must be finite, got {args.loe_range!r}")
         if points < 1 or (points == 1 and lo != hi):
             raise CliError("--loe-range needs at least 2 points for lo < hi")
-        try:
-            # the phase grows with L/E, so hi decides overflow for every row
-            neutrino.survival_at_l_over_e(params, hi)
-            print("L_over_E_km_per_GeV,P_survival,P_transition")
-            for x in _linspace(lo, hi, points):
-                p = neutrino.survival_at_l_over_e(params, x)
-                print(f"{_fmt(x)},{_fmt(p)},{_fmt(1.0 - p)}")
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+        # the phase grows with L/E, so hi decides overflow for every row
+        neutrino.survival_at_l_over_e(params, hi)
+        print("L_over_E_km_per_GeV,P_survival,P_transition")
+        for x in _linspace(lo, hi, points):
+            p = neutrino.survival_at_l_over_e(params, x)
+            print(f"{_fmt(x)},{_fmt(p)},{_fmt(1.0 - p)}")
         return 0
     if args.baseline is None or args.energy is None:
         raise CliError("single-point mode needs both --L and --E")
     for flag, value in (("--L", args.baseline), ("--E", args.energy)):
         if not math.isfinite(value):
             raise CliError(f"{flag} must be finite, got {value!r}")
-    try:
-        p = neutrino.survival_probability(params, args.baseline, args.energy)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    p = neutrino.survival_probability(params, args.baseline, args.energy)
     print("L_km,E_GeV,P_survival,P_transition")
     print(f"{_fmt(args.baseline)},{_fmt(args.energy)},{_fmt(p)},{_fmt(1.0 - p)}")
     return 0
 
 
-def _parse_bounds(items: Sequence[str]) -> Dict[str, tuple]:
-    bounds = {}
-    for item in items:
+def _parse_named(flag: str, items: Optional[Sequence[str]], pair: bool) -> Dict[str, object]:
+    """Parse repeated ``name=value`` flags, or ``name=lo:hi`` ones when ``pair``."""
+    parsed = {}
+    for item in items or ():
         name, sep, rest = item.partition("=")
-        pieces = rest.split(":")
-        if not sep or len(pieces) != 2:
-            raise CliError(f"--bounds wants name=lo:hi, got {item!r}")
+        fields = rest.split(":") if pair else [rest]
+        if not sep or len(fields) != (2 if pair else 1):
+            form = "name=lo:hi" if pair else "name=value"
+            raise CliError(f"{flag} wants {form}, got {item!r}")
         try:
-            bounds[name] = (float(pieces[0]), float(pieces[1]))
+            values = tuple(map(float, fields))
         except ValueError as exc:
-            raise CliError(f"--bounds {item!r}: {exc}") from None
-    return bounds
-
-
-def _parse_fixed(items: Sequence[str]) -> Dict[str, float]:
-    fixed = {}
-    for item in items:
-        name, sep, rest = item.partition("=")
-        if not sep:
-            raise CliError(f"--fix wants name=value, got {item!r}")
-        try:
-            fixed[name] = float(rest)
-        except ValueError as exc:
-            raise CliError(f"--fix {item!r}: {exc}") from None
-    return fixed
+            raise CliError(f"{flag} {item!r}: {exc}") from None
+        parsed[name] = values if pair else values[0]
+    return parsed
 
 
 def cmd_nu_fit(args) -> int:
@@ -400,15 +376,10 @@ def cmd_nu_fit(args) -> int:
         raise CliError(f"cannot read spectrum: {exc}") from None
     except ValueError as exc:
         raise CliError(f"{args.data}: {exc}") from None
-    bounds = _parse_bounds(args.bounds or [])
-    fixed = _parse_fixed(args.fix or [])
-    try:
-        fit = neutrino.fit_parameters(points, bounds=bounds or None,
-                                      fixed=fixed or None,
-                                      grid_points=args.grid_points,
-                                      max_cycles=args.max_cycles)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    bounds = _parse_named("--bounds", args.bounds, pair=True)
+    fixed = _parse_named("--fix", args.fix, pair=False)
+    fit = neutrino.fit_parameters(points, bounds=bounds or None, fixed=fixed or None,
+                                  grid_points=args.grid_points, max_cycles=args.max_cycles)
     print(f"points={len(points)}")
     print(f"dm2={_fmt(fit.params.dm2)}")
     print(f"theta={_fmt(fit.params.theta)}")
@@ -442,11 +413,7 @@ def cmd_basis(args) -> int:
 
 def cmd_lindblad(args) -> int:
     liou = build_liouvillian(load_model(args.model))
-    try:
-        ops = gks.lindblad_operators(liou.kossakowski, liou.basis)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    _print_operators("operator", ops)
+    _print_operators("operator", gks.lindblad_operators(liou.kossakowski, liou.basis))
     return 0
 
 
@@ -532,8 +499,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # A downstream consumer closed early (dqs ... | head).  Park stdout

@@ -195,8 +195,11 @@ class GKSLiouvillian:
         object.__setattr__(self, "hamiltonian", h)
 
         eye = np.eye(n)
-        m = (-1j * (np.kron(eye, h) - np.kron(h.T, eye))
-             + _dissipator_superop(self.kossakowski.matrix, self.basis))
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = (-1j * (np.kron(eye, h) - np.kron(h.T, eye))
+                 + _dissipator_superop(self.kossakowski.matrix, self.basis))
+        if not np.isfinite(m).all():
+            raise ValueError("generator overflows")
         m.flags.writeable = False
         object.__setattr__(self, "superop", m)
 
@@ -222,7 +225,11 @@ def dissipation_from_parts(a, basis: OperatorBasis, hamiltonian) -> np.ndarray:
     arr = _kossakowski_array(a, basis)
     linalg.require_hermitian(arr, 1e-12)
     h = linalg.as_matrix(hamiltonian)
-    return unvec(dagger(_dissipator_superop(arr, basis)) @ vec(h), basis.dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = dagger(_dissipator_superop(arr, basis)) @ vec(h)
+    if not np.isfinite(d).all():
+        raise ValueError("dissipation operator overflows")
+    return unvec(d, basis.dim)
 
 
 def dissipation_operator(liouvillian: GKSLiouvillian) -> np.ndarray:
@@ -243,8 +250,16 @@ def is_dispersive(liouvillian: GKSLiouvillian, tol: float = KERNEL_TOL) -> Dispe
     tol * max(1, ||H||_F).
     """
     residual = linalg.frobenius(dissipation_operator(liouvillian))
-    bound = tol * max(1.0, linalg.frobenius(liouvillian.hamiltonian))
-    return DispersiveVerdict(residual <= bound, residual)
+    return DispersiveVerdict(residual <= _zero_bound(liouvillian.hamiltonian, tol), residual)
+
+
+def _zero_bound(h: np.ndarray, tol: float) -> float:
+    """tol * max(1, ||H||_F): the size of D_H, or of a singular value, that counts as zero."""
+    bound = tol * max(1.0, linalg.frobenius(h))
+    if bound == math.inf:  # ||H||_F is past the float range, tol ||H||_F may not be
+        with np.errstate(over="ignore"):
+            bound = linalg.frobenius(tol * h)
+    return bound
 
 
 # ------------------------------------------------------------------
@@ -342,7 +357,7 @@ def dispersive_kossakowski_kernel(hamiltonian, basis: OperatorBasis,
     # not relative to the largest singular value: for H proportional to I
     # that is itself round-off
     _, s, vt = np.linalg.svd(phi)
-    rank = int(np.count_nonzero(s > tol * max(1.0, linalg.frobenius(h))))
+    rank = int(np.count_nonzero(s > _zero_bound(h, tol)))
     coords = vt[rank:]
     dim = len(coords)
     coeffs = np.random.default_rng(seed).standard_normal((max(samples, 0), dim))

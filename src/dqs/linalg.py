@@ -47,6 +47,16 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 
 
+def hermitian_part(ms: np.ndarray) -> np.ndarray:
+    """(m + m^dagger) / 2 of each matrix of a stack, halved before the sum.
+
+    Halving first keeps an entry and its mirror from overflowing together
+    near the float maximum; for normal-range floats the bits are those of
+    0.5 * (m + m^dagger).
+    """
+    return 0.5 * ms + 0.5 * ms.conj().swapaxes(-1, -2)
+
+
 def _defects(ms: np.ndarray) -> np.ndarray:
     """Largest entrywise deviation from the adjoint, per matrix of a stack."""
     return np.abs(ms - ms.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
@@ -79,7 +89,14 @@ def require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
 
 
 def frobenius(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m))
+    """Frobenius norm; finite entries whose squares overflow are rescaled first."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.linalg.norm(m))
+        if norm == math.inf and np.isfinite(m).all():
+            a = np.asarray(m)
+            s = max(np.abs(a.real).max(), np.abs(a.imag).max())
+            norm = float(s * np.linalg.norm(a / s))
+    return norm
 
 
 def vec(m: np.ndarray) -> np.ndarray:
@@ -101,7 +118,7 @@ def hermitian_eigen(a, tol: float = HERMITICITY_TOL) -> tuple[np.ndarray, np.nda
     """
     m = as_matrix(a)
     require_hermitian(m, tol)
-    return np.linalg.eigh(0.5 * (m + dagger(m)))
+    return np.linalg.eigh(hermitian_part(m))
 
 
 # [6/6] diagonal Pade coefficients for exp(x): numerator sum c_j x^j,
@@ -232,7 +249,7 @@ def density_spectra(ms) -> tuple[np.ndarray, str | None]:
     unit = ~(drift > TRACE_TOL * np.maximum(1.0, np.abs(tr)))
     checked = _leading(hermitian & unit)
     m = m[:checked]
-    w = np.linalg.eigh(0.5 * (m + m.conj().swapaxes(1, 2)))[0]
+    w = np.linalg.eigh(hermitian_part(m))[0]
     valid = _leading(~(w[:, 0] < -PSD_TOL)) if w.shape[1] else checked
     if valid < checked:
         error = f"density matrix is not PSD: min eigenvalue {w[valid, 0]:.3e}"

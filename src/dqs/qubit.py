@@ -111,8 +111,11 @@ def transition_probability(params: DispersiveQubitParams, theta: float, t: float
     check_angle(theta)
     if not (t >= 0.0):
         raise ValueError(f"time must be nonnegative, got {t!r}")
+    phase = 0.5 * params.delta * t
+    if not math.isfinite(phase):
+        raise ValueError("oscillation phase overflows")
     damping = math.exp(-params.lam * t)
-    osc = math.sin(0.5 * params.delta * t) ** 2
+    osc = math.sin(phase) ** 2
     return (0.5 - damping * (0.5 - osc)) * math.sin(2.0 * theta) ** 2
 
 

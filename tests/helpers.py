@@ -15,9 +15,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def src_env(**overrides):
-    """os.environ for a child interpreter that imports dqs from this checkout."""
+    """os.environ for a child interpreter that imports dqs from this checkout.
+
+    Warnings are errors in the child too, as they are in the test session.
+    """
     pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    return dict(os.environ, PYTHONPATH=pythonpath, **overrides)
+    return {**os.environ, "PYTHONPATH": pythonpath, "PYTHONWARNINGS": "error", **overrides}
 
 
 def random_complex(rng, shape):

@@ -73,6 +73,71 @@ def test_check_reports_residuals_for_invalid_model(capsys, tmp_path):
     assert "error" in kv
 
 
+@pytest.mark.parametrize("axis, code, residual", [(0, 1, 2e200 / math.sqrt(2.0)), (2, 0, 0.0)])
+def test_check_hamiltonian_whose_norm_overflows(capsys, tmp_path, axis, code, residual):
+    # ||H||_F overflows although every entry is finite; an infinite residual
+    # and bound would make damping along x pass as dispersive (inf <= inf)
+    a = np.zeros((3, 3))
+    a[axis, axis] = 1.0
+    path = tmp_path / "huge.model"
+    cli.save_model(path, 2, np.diag([1e200, -1e200]), a)
+    got, out, err = run_cli(capsys, "check", str(path))
+    kv = parse_kv(out)
+    assert (got, kv["dispersive"], err) == (code, "true" if code == 0 else "false", "")
+    assert float(kv["dissipation_residual"]) == pytest.approx(residual, rel=1e-12)
+
+
+def test_kossakowski_entry_near_the_float_maximum(capsys, tmp_path):
+    # an entry and its mirror must not overflow while the Hermitian part is
+    # formed; D_H is linear in a, so a_33 = 1e308 gets the verdict of a_33 = 1
+    a = np.zeros((3, 3))
+    a[2, 2] = 1e308
+    path = tmp_path / "huge.model"
+    cli.save_model(path, 2, np.diag([2.5, -2.5]), a)
+    code, out, err = run_cli(capsys, "check", str(path))
+    ref_code, ref_out, _ = run_cli(capsys, "check", DISPERSIVE)
+    kv = parse_kv(out)
+    assert kv["kossakowski_min_eigenvalue"] == "0"
+    assert (code, kv["dispersive"], err) == (ref_code, parse_kv(ref_out)["dispersive"], "")
+
+    code, out, err = run_cli(capsys, "lindblad", str(path))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()[1:]
+    assert len(lines) == 4 and {line.split(",")[0] for line in lines} == {"1"}
+    got = np.zeros((2, 2), dtype=complex)
+    for line in lines:
+        _, i, j, re, im = line.split(",")
+        got[int(i) - 1, int(j) - 1] = float(re) + 1j * float(im)
+    assert np.isfinite(got).all()
+    f3 = math.sqrt(1e308) * gks.gell_mann_basis(2).traceless[2]
+    assert min(np.abs(got - s * f3).max() for s in (1, -1)) <= 1e-15 * math.sqrt(1e308)
+
+
+@pytest.mark.parametrize("h, axis, tail, err", [
+    # the generator's entries overflow: the model is invalid
+    (np.diag([1.7e308, -1.7e308]), 2, "valid=false\nerror=generator overflows\n", ""),
+    # the generator is valid, but D_H overflows
+    (np.diag([2.5, -2.5]), 0, "valid=true\n", "error: dissipation operator overflows\n"),
+], ids=["generator", "dissipation-operator"])
+def test_check_model_too_large_to_compute_with(capsys, tmp_path, h, axis, tail, err):
+    a = np.zeros((3, 3))
+    a[axis, axis] = 1e308
+    path = tmp_path / "huge.model"
+    cli.save_model(path, 2, h, a)
+    code, out, got_err = run_cli(capsys, "check", str(path))
+    assert (code, out.endswith(tail), got_err) == (2, True, err)
+
+
+def test_generator_that_overflows_is_one_error(capsys, tmp_path):
+    a = np.zeros((3, 3))
+    a[2, 2] = 1.0
+    path = tmp_path / "huge.model"
+    cli.save_model(path, 2, np.diag([1.7e308, -1.7e308]), a)
+    for argv in (["lindblad"], ["evolve", "--state", "0.5,0.1"]):
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert (code, out, err) == (2, "", "error: generator overflows\n"), argv
+
+
 def test_check_rejects_truncated_file(capsys, tmp_path):
     path = tmp_path / "broken.model"
     path.write_text(Path(DISPERSIVE).read_text()[:100])
@@ -379,6 +444,16 @@ def test_probabilities_rejects_bad_angle(capsys):
         assert err == "error: mixing angle must lie in [0, pi/2]\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("--t-max", "1e308", "--steps", "3"),
+    ("--delta", "1e308", "--t-max", "10", "--steps", "2"),
+])
+def test_probabilities_overflowing_phase_is_one_error(capsys, argv):
+    # the phase grows with t, so it is checked at --t-max before the header
+    code, out, err = run_cli(capsys, "probabilities", *argv)
+    assert (code, out, err) == (2, "", "error: oscillation phase overflows\n")
+
+
 # ------------------------------------------------------------------ nu
 
 def test_nu_sweep_matches_formula(capsys):
@@ -563,13 +638,16 @@ def test_nu_fit_flags_cycle_limit(capsys, tmp_path):
 def test_nu_fit_rejects_bad_flags(capsys, tmp_path):
     data = tmp_path / "spectrum.csv"
     write_spectrum(data, neutrino.OscillationParams(7.9e-5, 0.55, 0.0), n=10)
-    for extra in (["--bounds", "theta=oops:1"],
-                  ["--bounds", "theta"],
-                  ["--fix", "mass=1"],
-                  ["--fix", "theta"]):
-        code, _, err = run_cli(capsys, "nu-fit", str(data), *extra)
-        assert code == 2, extra
-        assert err
+    for extra, message in (
+            (["--bounds", "theta=oops:1"],
+             "--bounds 'theta=oops:1': could not convert string to float: 'oops'"),
+            (["--bounds", "theta"], "--bounds wants name=lo:hi, got 'theta'"),
+            (["--fix", "mass=1"], "unknown parameter 'mass'"),
+            (["--fix", "theta"], "--fix wants name=value, got 'theta'"),
+            (["--fix", "theta=oops"],
+             "--fix 'theta=oops': could not convert string to float: 'oops'")):
+        code, out, err = run_cli(capsys, "nu-fit", str(data), *extra)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), extra
 
 
 # ------------------------------------------------------------------ basis, lindblad
@@ -666,6 +744,17 @@ def test_early_pipe_close_is_quiet():
     assert err == b""
 
 
+def memory_limited():
+    """Popen keywords for a child with 1 GiB of address space and one BLAS thread."""
+    resource = pytest.importorskip("resource")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = src_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    return dict(env=env, preexec_fn=limit_memory)
+
+
 @pytest.mark.parametrize("command", [
     ["probabilities", "--steps", str(10 ** 12)],
     ["evolve", DISPERSIVE, "--state", "0.7,0.2+0.3j", "--steps", str(10 ** 12)],
@@ -674,16 +763,9 @@ def test_early_pipe_close_is_quiet():
 def test_huge_time_grid_streams_rows(command):
     # the rows of a 10^12-point grid must start before any grid is built:
     # under a 1 GiB address-space limit the child prints until the pipe closes
-    resource = pytest.importorskip("resource")
-
-    def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-    env = src_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     proc = subprocess.Popen(
         [sys.executable, "-m", "dqs", *command],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-        preexec_fn=limit_memory)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, **memory_limited())
     lines = [proc.stdout.readline() for _ in range(3)]
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
@@ -691,3 +773,15 @@ def test_huge_time_grid_streams_rows(command):
     assert lines[1].startswith(b"0,") and lines[2].endswith(b"\n")
     assert proc.returncode == 141, err
     assert err == b""
+
+
+def test_nu_fit_grid_too_large_to_allocate_is_one_error(tmp_path):
+    # only in a child under the 1 GiB limit: a host that overcommits memory
+    # could grant the 10^12-point grid to this process
+    data = tmp_path / "spectrum.csv"
+    write_spectrum(data, neutrino.OscillationParams(7.9e-5, 0.55, 0.0), n=10)
+    proc = subprocess.run(
+        [sys.executable, "-m", "dqs", "nu-fit", str(data), "--grid-points", str(10 ** 12)],
+        capture_output=True, timeout=60, **memory_limited())
+    assert (proc.returncode, proc.stdout) == (2, b""), proc.stderr
+    assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1

@@ -245,6 +245,32 @@ def test_dispersiveness_survives_basis_rotation(rng):
     assert np.abs(liou2.superop - liou.superop).max() <= 1e-12
 
 
+def test_verdict_bound_survives_an_overflowing_hamiltonian_norm():
+    # ||H||_F = 3e308 is past the float range but 1e-9 ||H||_F is not; an
+    # infinite bound would call every finite residual dispersive
+    a = np.zeros((8, 8))
+    a[0, 0] = 1.0
+    liou = gks.GKSLiouvillian(np.full((3, 3), 1e308), KossakowskiMatrix(3, a),
+                              gks.gell_mann_basis(3))
+    verdict = gks.is_dispersive(liou)
+    assert not verdict.dispersive and np.isfinite(verdict.residual)
+    # with tol ||H||_F itself past the float range every finite residual is below it
+    assert gks.is_dispersive(liou, tol=1e10).dispersive
+
+
+def test_generator_and_dissipation_operator_refuse_to_overflow():
+    basis = gks.gell_mann_basis(2)
+    z = np.zeros((3, 3))
+    z[2, 2] = 1.0
+    with pytest.raises(ValueError, match="^generator overflows$"):
+        GKSLiouvillian(np.diag([1.7e308, -1.7e308]), KossakowskiMatrix(2, z), basis)
+    x = np.zeros((3, 3))
+    x[0, 0] = 1e308
+    liou = GKSLiouvillian(np.diag([2.5, -2.5]), KossakowskiMatrix(2, x), basis)
+    with pytest.raises(ValueError, match="^dissipation operator overflows$"):
+        gks.dissipation_operator(liou)
+
+
 # ---------------------------------------------------------------- kernel solver
 
 def test_qubit_dispersion_kernel_dimension_and_ray():

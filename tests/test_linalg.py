@@ -344,6 +344,28 @@ def test_density_matrix_shape_errors_keep_their_messages():
         DensityMatrix([[0.5, 0.5]])
 
 
+# ---------------------------------------------------------------- near the float maximum
+
+def test_frobenius_rescales_only_when_the_plain_norm_overflows(rng):
+    m = random_complex(rng, (4, 4))
+    assert linalg.frobenius(m) == float(np.linalg.norm(m))
+    assert linalg.frobenius(np.diag([1e200, -1e200])) == pytest.approx(2 ** 0.5 * 1e200,
+                                                                       rel=1e-15)
+    assert linalg.frobenius([[1e300 + 1e300j]]) == pytest.approx(2 ** 0.5 * 1e300, rel=1e-15)
+    # a norm past the float range is infinite, without a warning
+    assert linalg.frobenius(np.full((2, 2), 1.5e308)) == np.inf
+
+
+def test_hermitian_part_halves_before_it_sums(rng):
+    stack = random_complex(rng, (5, 3, 3))
+    assert np.array_equal(linalg.hermitian_part(stack),
+                          0.5 * (stack + stack.conj().swapaxes(1, 2)))
+    big = np.array([[1.5e308, 1.5e308], [1.5e308, 0.0]])
+    assert np.array_equal(linalg.hermitian_part(big), big)
+    w, _ = linalg.hermitian_eigen(np.diag([1e308, 0.0]))
+    assert w.tolist() == [0.0, 1e308]
+
+
 # ---------------------------------------------------------------- vec plumbing
 
 def test_vec_column_stacking_identity(rng):

@@ -132,6 +132,12 @@ def test_transition_probability_projector_oracle(rng):
         assert value == pytest.approx(oracle, abs=1e-12)
 
 
+@pytest.mark.parametrize("delta, t", [(5.0, 1e308), (1e308, 10.0)])
+def test_transition_probability_rejects_overflowing_phase(delta, t):
+    with pytest.raises(ValueError, match="^oscillation phase overflows$"):
+        qubit.transition_probability(params(0.0, delta), 0.4, t)
+
+
 def test_surviving_probability_complements():
     p = params(0.9, 4.0)
     for t in (0.0, 0.3, 2.0, 7.0):
