@@ -215,26 +215,18 @@ def _propagate_chunks(liou: gks.GKSLiouvillian, rho: linalg.DensityMatrix,
                       times: Iterable[float]):
     """Yield (times, states, spectra) for successive chunks of the time grid.
 
-    Each state exp(t L) rho takes one ``expm``; a chunk's states are then
-    validated and decomposed as one stack.  The first row whose propagation
-    or validation fails ends the stream with a CliError, after the rows
-    before it have been yielded.
+    Each chunk's states come from one ``dynamics.propagate_many`` call and
+    are then validated and decomposed as one stack.  The first row whose
+    propagation or validation fails ends the stream with a CliError, after
+    the rows before it have been yielded.
     """
-    superop, v0, n = liou.superop, linalg.vec(rho.matrix), liou.dim
     times = iter(times)
     while chunk := list(itertools.islice(times, EVOLVE_CHUNK)):
-        vecs, error = [], None
-        for t in chunk:
-            try:
-                vecs.append(linalg.expm(superop, scale=t) @ v0)
-            except ValueError as exc:
-                error = exc
-                break
-        stack = np.reshape(vecs, (len(vecs), n, n)).transpose(0, 2, 1)  # unvec
+        stack, error = dynamics.propagate_many(liou, rho, chunk)
         spectra, invalid = linalg.density_spectra(stack)
         k = len(spectra)
         if k:
-            yield chunk[:k], np.ascontiguousarray(stack[:k]), spectra
+            yield chunk[:k], stack[:k], spectra
         if invalid is not None:
             error = invalid
         if error is not None:

@@ -1,7 +1,11 @@
 """Propagation through the quantum dynamical semigroup and its diagnostics.
 
-States evolve by exact exponentiation of the generator matrix on
-column-stacked states; there is no ODE stepper.  The checks collected here
+States evolve by exact exponentiation of the generator, one matrix
+exponential per time and no ODE stepper: in real Bloch coordinates
+(``propagate_many``), where the trace coordinate is preserved exactly and
+every state is rebuilt Hermitian.  Channels, the Choi matrix and the
+semigroup checks use the complex generator matrix on column-stacked states
+instead.  The checks collected here
 probe the semigroup laws that a valid generator must satisfy: trace
 preservation and complete positivity along the flow (through the Choi
 matrix), the semigroup composition law, recovery of the generator from
@@ -13,6 +17,7 @@ that the dynamics is not reversible in time.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -51,10 +56,78 @@ def _density(rho) -> DensityMatrix:
     return rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
 
 
+@functools.lru_cache(maxsize=None)
+def _bloch_frame(n: int):
+    """Index and coefficient tables of the coordinates propagate_many works in.
+
+    They are the Gell-Mann coordinates x of a Hermitian matrix with each
+    off-diagonal one divided by sqrt(2), so that the pair (j < k) reads
+    exactly Re and Im of the entry [k, j]; the diagonal and trace
+    coordinates are x itself.  Returns the scale ratio u_i / u_j turning the
+    Gell-Mann generator into the generator of these coordinates, the
+    upper-triangle indices (rows, cols), and the diagonal values of the
+    diagonal Gell-Mann elements and of I/sqrt(N), one row each.
+    """
+    rows, cols = np.triu_indices(n, 1)
+    u = np.ones(n * n)
+    u[:2 * len(rows)] = 1.0 / math.sqrt(2.0)
+    levels = np.stack(gks.gell_mann_basis(n).elements[2 * len(rows):]).real
+    return u[:, None] / u[None, :], rows, cols, np.diagonal(levels, axis1=1, axis2=2)
+
+
+def propagate_many(liouvillian: gks.GKSLiouvillian, rho, times):
+    """The states exp(t L) rho for successive times t, as one (k, N, N) stack.
+
+    Each state takes one ``expm`` of the real Bloch generator
+    (``GKSLiouvillian.bloch``, in the coordinates of ``_bloch_frame``) times
+    the coordinates of rho.  The stack is rebuilt from those coordinates
+    entry by entry, so each state's bits do not depend on how many others
+    share the call: off-diagonal entries are the coordinates themselves,
+    mirrored as exact conjugates, and the diagonal is rho's plus the change
+    of the diagonal coordinates.  So every state is Hermitian and a time
+    whose coordinates did not move (t = 0) gives rho's Hermitian part back
+    bit for bit.  Returns (states, error): states for the longest prefix of
+    times that propagated, and the ValueError of the time after it, or None.
+    """
+    h0 = linalg.hermitian_part(_density(rho).matrix)
+    n = liouvillian.dim
+    if h0.shape != (n, n):
+        raise ValueError(f"state has shape {h0.shape}, expected square of dim {n}")
+    ratio, rows, cols, levels = _bloch_frame(n)
+    gen = liouvillian.bloch * ratio
+    pairs = len(rows)
+    p0 = h0.real.diagonal()
+    y0 = np.concatenate([h0.real[cols, rows], h0.imag[cols, rows], levels @ p0])
+    times = list(times)
+    ys, error = np.empty((len(times), n * n)), None
+    for k, t in enumerate(times):
+        try:
+            ys[k] = linalg.expm(gen, scale=t) @ y0
+        except ValueError as exc:
+            ys, error = ys[:k], exc
+            break
+    states = np.empty((len(ys), n, n), dtype=complex)
+    re, im = ys[:, :pairs], ys[:, pairs:2 * pairs]
+    states.real[:, cols, rows] = states.real[:, rows, cols] = re
+    states.imag[:, cols, rows] = im
+    states.imag[:, rows, cols] = 0.0 - im  # a zero stays +0, not -0
+    diagonal = np.broadcast_to(p0, (len(ys), n))
+    for level in range(n - 1):  # the trace coordinate does not move
+        change = ys[:, 2 * pairs + level] - y0[2 * pairs + level]
+        diagonal = diagonal + change[:, None] * levels[level]
+    states.real[:, range(n), range(n)] = diagonal
+    states.imag[:, range(n), range(n)] = 0.0
+    return states, error
+
+
 def propagate(liouvillian: gks.GKSLiouvillian, rho, t: float) -> DensityMatrix:
-    """Evolve a state forward: rho(t) = exp(t L) rho."""
-    m = _density(rho).matrix
-    return DensityMatrix(unvec(propagator(liouvillian, t).matrix @ vec(m), liouvillian.dim))
+    """Evolve a state forward: rho(t) = exp(t L) rho, by ``propagate_many``."""
+    if not (t >= 0.0):
+        raise ValueError(f"propagation time must be nonnegative, got {t!r}")
+    states, error = propagate_many(liouvillian, rho, [t])
+    if error is not None:
+        raise error
+    return DensityMatrix(states[0])
 
 
 def semigroup_residual(liouvillian: gks.GKSLiouvillian, t1: float, t2: float) -> float:

@@ -26,13 +26,18 @@ The GKS sum is written once, as the matrix S(a) of the dissipator on
 column-stacked states; the generator matrix, the dissipator's action and D_H
 (as S(a)^+ vec H) come from it.  The dispersion kernel contracts H first and
 gathers each coordinate direction's D_H from the terms F_j^+ H F_i.
+
+In the Hermitian Gell-Mann basis G_1 .. G_{N^2} (G_{N^2} = I/sqrt(N)) a state
+is a real vector x_j = tr(G_j rho), and the generator is the real matrix
+R_ij = tr(G_i L(G_j)), the affine Bloch form of the generator.  Its last row
+is zero because L preserves the trace, so exp(tR) keeps x_{N^2} = 1/sqrt(N).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -206,6 +211,25 @@ class GKSLiouvillian:
     @property
     def dim(self) -> int:
         return self.basis.dim
+
+    @cached_property
+    def bloch(self) -> np.ndarray:
+        """The real generator R_ij = tr(G_i L(G_j)) in the Hermitian Gell-Mann basis.
+
+        Read-only and built on first use.  R is real in exact arithmetic:
+        the imaginary round-off of the basis change is dropped, and the last
+        row, tr(L(.)) / sqrt(N), is set to exactly zero.
+        """
+        n = self.dim
+        g = np.stack(gell_mann_basis(n).elements)
+        v = g.swapaxes(1, 2).reshape(n * n, n * n)  # row j is vec(G_j)
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = (v.conj() @ self.superop @ v.T).real.copy()
+        if not np.isfinite(r).all():
+            raise ValueError("generator overflows")
+        r[-1] = 0.0
+        r.flags.writeable = False
+        return r
 
 
 def liouvillian_apply(liouvillian: GKSLiouvillian, sigma) -> np.ndarray:

@@ -1,12 +1,13 @@
-"""Dense complex linear algebra for small matrices.
+"""Dense linear algebra for small matrices.
 
-Everything in this package works on plain numpy arrays of complex128.  The
-matrices of interest are tiny (system dimension N <= 8, superoperators up to
-64 x 64).  Decompositions come from numpy's LAPACK bindings: Hermitian
-eigenproblems from ``eigh``, singular values and null spaces from ``svd``.
-The matrix exponential is an in-house [6/6] diagonal Pade approximant with
-scaling and squaring.  The wrappers here add input validation and the
-package's tolerance conventions.
+Matrices and states are plain numpy arrays of complex128; the one real
+exception is the generator in Bloch coordinates, which ``expm`` keeps in
+float64.  The matrices of interest are tiny (system dimension N <= 8,
+generators up to 64 x 64).  Decompositions come from numpy's LAPACK
+bindings: Hermitian eigenproblems from ``eigh``, singular values and null
+spaces from ``svd``.  The matrix exponential is an in-house [6/6] diagonal
+Pade approximant with scaling and squaring.  The wrappers here add input
+validation and the package's tolerance conventions.
 """
 
 from __future__ import annotations
@@ -57,9 +58,21 @@ def hermitian_part(ms: np.ndarray) -> np.ndarray:
     return 0.5 * ms + 0.5 * ms.conj().swapaxes(-1, -2)
 
 
-def _defects(ms: np.ndarray) -> np.ndarray:
-    """Largest entrywise deviation from the adjoint, per matrix of a stack."""
-    return np.abs(ms - ms.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+_HALF_MAX = np.finfo(float).max / 2
+
+
+def _half_defects(ms: np.ndarray) -> np.ndarray:
+    """max |m - m^dagger| / 2 per matrix of a stack, halved before the difference.
+
+    As in hermitian_part, halving first keeps an entry and its mirror near
+    the float maximum from overflowing together.
+    """
+    return np.abs(0.5 * ms - 0.5 * ms.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+
+
+def _defects(half: np.ndarray) -> np.ndarray:
+    """The defects max |m - m^dagger| from their halves; one past the float range reads as the largest float."""
+    return 2.0 * np.minimum(half, _HALF_MAX)
 
 
 def _hermitian_within(ms: np.ndarray, tol: float):
@@ -67,9 +80,9 @@ def _hermitian_within(ms: np.ndarray, tol: float):
 
     Returns that verdict with the defects and scales it was judged by.
     """
-    defect = _defects(ms)
+    half = _half_defects(ms)
     scale = np.maximum(1.0, np.abs(ms).max(axis=(-2, -1), initial=0.0))
-    return ~(defect > tol * scale), defect, scale
+    return ~(half > 0.5 * tol * scale), _defects(half), scale
 
 
 def _not_hermitian(defect: float, tol: float, scale: float) -> str:
@@ -77,8 +90,8 @@ def _not_hermitian(defect: float, tol: float, scale: float) -> str:
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
-    """Largest entrywise deviation of m from its own adjoint."""
-    return float(_defects(m))
+    """Largest entrywise deviation of m from its own adjoint (at most the largest float)."""
+    return float(_defects(_half_defects(m)))
 
 
 def require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
@@ -125,6 +138,12 @@ def hermitian_eigen(a, tol: float = HERMITICITY_TOL) -> tuple[np.ndarray, np.nda
 # denominator the same series in -x.
 _PADE6 = (1.0, 1.0 / 2.0, 5.0 / 44.0, 1.0 / 66.0,
           1.0 / 792.0, 1.0 / 15840.0, 1.0 / 665280.0)
+# Their sums over the powers (b^2, b^4, b^6): the even part less its constant
+# c_0, and the odd part's factor after b less its constant c_1.
+_PADE6_ROWS = np.array([[_PADE6[2], _PADE6[4], _PADE6[6]], [_PADE6[3], _PADE6[5], 0.0]])
+#: Below this scaled 1-norm every power squared up is at most about e^700,
+#: far inside the float range, so the squarings cannot overflow.
+_SAFE_NORM = 700.0
 
 
 def expm(a, scale: float = 1.0) -> np.ndarray:
@@ -132,11 +151,13 @@ def expm(a, scale: float = 1.0) -> np.ndarray:
 
     The argument is halved until its 1-norm is at most 0.5, the [6/6]
     diagonal Pade approximant is evaluated there, and the result is squared
-    back up.
+    back up.  A real matrix gives a float64 result, any other a complex128
+    one.
     """
     # The entries are scanned only on an error path: the scaled 1-norm below
     # is non-finite whenever an entry is, so a valid matrix is read once.
-    m = np.asarray(a, dtype=complex)
+    m = np.asarray(a)
+    m = m.astype(float if m.dtype.kind in "biuf" else complex, copy=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or not np.isfinite(scale):
         require_square(as_matrix(m))
         raise ValueError("scale must be finite")
@@ -154,15 +175,20 @@ def expm(a, scale: float = 1.0) -> np.ndarray:
         # norm / 0.5 overflows past 2**1024; 1025 halvings bring any finite
         # norm below 0.5
         squarings = max(0, int(math.ceil(min(math.log2(norm / 0.5), 1025.0))))
-        b = b * 0.5 ** squarings
-    eye = np.eye(n, dtype=complex)
-    b2 = b @ b
-    b4 = b2 @ b2
-    b6 = b2 @ b4
-    c = _PADE6
-    even = c[0] * eye + c[2] * b2 + c[4] * b4 + c[6] * b6
-    odd = b @ (c[1] * eye + c[3] * b2 + c[5] * b4)
-    r = np.linalg.solve(even - odd, even + odd)
+        b *= 0.5 ** squarings
+    powers = np.empty((3, n, n), dtype=b.dtype)
+    b2 = np.matmul(b, b, out=powers[0])
+    b4 = np.matmul(b2, b2, out=powers[1])
+    np.matmul(b2, b4, out=powers[2])
+    even, inner = (_PADE6_ROWS @ powers.reshape(3, -1)).reshape(2, n, n)
+    odd = b @ inner + _PADE6[1] * b
+    den = even - odd
+    den.reshape(-1)[::n + 1] += _PADE6[0]
+    r = np.linalg.solve(den, den + (odd + odd))      # (even + odd) / (even - odd)
+    if norm < _SAFE_NORM:
+        for _ in range(squarings):
+            r = r @ r
+        return r
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(squarings):
             r = r @ r

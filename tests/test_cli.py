@@ -87,6 +87,21 @@ def test_check_hamiltonian_whose_norm_overflows(capsys, tmp_path, axis, code, re
     assert float(kv["dissipation_residual"]) == pytest.approx(residual, rel=1e-12)
 
 
+def test_check_hermiticity_defect_past_the_float_range(tmp_path):
+    # H - H^dagger has the entry 3e308: the defect reads as the largest float,
+    # with no overflow warning (an error in the child) on the way
+    a = np.zeros((3, 3))
+    a[0, 0] = 1.0
+    path = tmp_path / "skew.model"
+    cli.save_model(path, 2, np.array([[0.0, 1.5e308], [-1.5e308, 0.0]]), a)
+    proc = subprocess.run([sys.executable, "-m", "dqs", "check", str(path)],
+                          capture_output=True, text=True, env=src_env(), timeout=60)
+    kv = parse_kv(proc.stdout)
+    assert (proc.returncode, kv["valid"], proc.stderr) == (2, "false", "")
+    assert math.isfinite(float(kv["hamiltonian_hermiticity_defect"]))
+    assert kv["error"].startswith("matrix is not Hermitian")
+
+
 def test_kossakowski_entry_near_the_float_maximum(capsys, tmp_path):
     # an entry and its mirror must not overflow while the Hermitian part is
     # formed; D_H is linear in a, so a_33 = 1e308 gets the verdict of a_33 = 1
@@ -293,10 +308,12 @@ def test_evolve_horizon_past_half_the_float_range(capsys):
     _, rows = parse_csv(out)
     assert rows[-1][1] == pytest.approx(0.7, abs=1e-12)
     assert rows[-1][3:7] == [0.0, 0.0, 0.0, 0.0]
-    code, _, err = run_cli(capsys, "evolve", DAMPED_X, "--state", "0.7,0.2+0.3j",
-                           "--t-max", "1e307", "--steps", "1")
-    assert code == 2
-    assert err.startswith("error:")
+    # damped_x is unital and relaxes to I/2; in Bloch coordinates the trace
+    # coordinate is exact, so 1025 squarings no longer overflow
+    code, out, err = run_cli(capsys, "evolve", DAMPED_X, "--state", "0.7,0.2+0.3j",
+                             "--t-max", "1e307", "--steps", "1")
+    assert (code, err) == (0, "")
+    assert_rows_are_maximally_mixed(parse_csv(out)[1][-1:])
 
 
 @pytest.mark.filterwarnings("error")
@@ -388,10 +405,12 @@ def test_evolve_chunks_match_row_by_row_reference(capsys, generic_models, name, 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name, t_max, steps, failing", [
-    ("damped_x", "1e4", "200", True),           # trace drift a few rows in
-    ("damped_x", "850", "600", True),           # the same drift past the first chunk
+    ("damped_x", "1e4", "200", False),          # long horizons keep the trace at 1
+    ("damped_x", "850", "600", False),          # past the first chunk
+    ("damped_x", "850", "1000", False),
     ("dispersive_qubit", "1e307", "200", False),  # k * t_max overflows, the grid does not
-    ("damped_x", "1e307", "200", True),         # expm overflows on the second row
+    ("damped_x", "1e307", "200", False),        # 1025 squarings of a decaying map
+    ("damped_x", "1e308", "2000", True),        # expm overflows in the third chunk
 ])
 def test_evolve_chunks_match_reference_on_hard_grids(capsys, name, t_max, steps, failing):
     code, out, err = assert_evolve_matches_reference(
@@ -399,14 +418,22 @@ def test_evolve_chunks_match_reference_on_hard_grids(capsys, name, t_max, steps,
     assert (code, bool(err)) == ((2, True) if failing else (0, False))
 
 
+def assert_rows_are_maximally_mixed(rows):
+    # rho_11, rho_12, rho_21, rho_22 (re, im) of I/2
+    assert np.abs(np.array(rows)[:, 1:9] - [0.5, 0, 0, 0, 0, 0, 0.5, 0]).max() <= 1e-12
+
+
 def test_evolve_long_horizon_does_not_traceback(capsys):
-    # only the absence of an uncaught exception is pinned here; whether the
-    # trajectory should survive the trace drift at t = 1e4 is an accuracy
-    # question for the propagator
-    code, _, err = run_cli(capsys, "evolve", DAMPED_X, "--state", "0.7,0.2+0.3j",
-                           "--t-max", "1e4")
-    assert code in (0, 2)
-    assert code == 0 or err.startswith("error:")
+    # damped_x is unital, so every trajectory ends in I/2; the trace stays at
+    # 1 to round-off however long the horizon
+    for t_max, steps in (("1e4", "200"), ("850", "1000")):
+        code, out, err = run_cli(capsys, "evolve", DAMPED_X, "--state", "0.7,0.2+0.3j",
+                                 "--t-max", t_max, "--steps", steps)
+        assert (code, err) == (0, "")
+        header, rows = parse_csv(out)
+        traces = np.array(rows)[:, header.index("trace_re")]
+        assert np.abs(traces - 1.0).max() <= 1e-12
+        assert_rows_are_maximally_mixed(rows[-1:])
 
 
 # ------------------------------------------------------------------ probabilities

@@ -39,6 +39,11 @@ def test_propagate_rejects_negative_time(rng):
         dynamics.propagate(liou, coherent_state(), -0.1)
 
 
+def test_propagate_rejects_a_state_of_another_dimension():
+    with pytest.raises(ValueError, match="expected square of dim 2"):
+        dynamics.propagate(dispersive_qubit(), np.eye(3) / 3.0, 1.0)
+
+
 def test_propagate_matches_dephasing_closed_form():
     lam, delta = 0.8, 3.0
     liou = dispersive_qubit(lam, delta)
@@ -72,6 +77,58 @@ def test_propagated_states_stay_valid(rng):
 
 
 # ---------------------------------------------------------------- semigroup and CPTP
+
+def bloch_models():
+    from dqs import cli
+    from dqs.models import bundled
+    models = {name: cli.build_liouvillian(cli.load_model(bundled(f"{name}.model")))
+              for name in ("dispersive_qubit", "damped_x")}
+    for n, seed in ((3, 11), (4, 12)):
+        models[f"n{n}"] = random_liouvillian(np.random.default_rng(seed), n)
+    return models
+
+
+@pytest.mark.parametrize("name", ["dispersive_qubit", "damped_x", "n3", "n4"])
+def test_trace_coordinate_is_exact_on_long_horizons(name):
+    liou = bloch_models()[name]
+    n = liou.dim
+    x0 = np.zeros(n * n)
+    x0[-1] = 1.0 / np.sqrt(n)
+    x0[:-1] = np.random.default_rng(3).uniform(-0.1, 0.1, n * n - 1)
+    for t in np.concatenate([np.linspace(0.0, 1e4, 401), [1e-3, 372.3, 850.0]]):
+        x = linalg.expm(liou.bloch, scale=t) @ x0
+        assert x[-1] == x0[-1], t
+
+
+@pytest.mark.parametrize("name", ["dispersive_qubit", "damped_x", "n3", "n4"])
+def test_propagate_agrees_with_the_superoperator_exponential(name):
+    liou = bloch_models()[name]
+    n = liou.dim
+    rho = random_density(np.random.default_rng(5), n)
+    for t in (0.0, 0.3, 2.0, 10.0):
+        ref = linalg.unvec(linalg.expm(liou.superop, scale=t) @ linalg.vec(rho.matrix), n)
+        assert np.abs(dynamics.propagate(liou, rho, t).matrix - ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["damped_x", "n3"])
+def test_propagate_many_rebuilds_each_state_on_its_own(name):
+    liou = bloch_models()[name]
+    rho = random_density(np.random.default_rng(6), liou.dim)
+    times = np.linspace(0.0, 50.0, 256).tolist()
+    states, error = dynamics.propagate_many(liou, rho, times)
+    assert error is None and states.shape == (256, liou.dim, liou.dim)
+    singles = [dynamics.propagate_many(liou, rho, [t])[0] for t in times]
+    assert np.concatenate(singles).tobytes() == states.tobytes()
+    assert np.array_equal(states, states.conj().swapaxes(1, 2))
+    assert states[0].tobytes() == linalg.hermitian_part(rho.matrix).tobytes()
+
+
+def test_propagate_many_stops_at_the_first_time_that_fails():
+    liou = bloch_models()["damped_x"]
+    states, error = dynamics.propagate_many(liou, coherent_state(), [0.0, 1.0, 1e308, 2.0])
+    assert len(states) == 2
+    assert isinstance(error, ValueError) and str(error) == "matrix exponential overflowed"
+
 
 def test_semigroup_residual_zero_time(rng):
     liou = random_liouvillian(rng, 2)

@@ -135,6 +135,20 @@ def test_superop_matches_direct_action(rng):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
+def test_bloch_generator_is_real_with_an_exact_zero_last_row(rng, n):
+    liou = random_liouvillian(rng, n)
+    r = liou.bloch
+    assert r.dtype == np.float64 and r.shape == (n * n, n * n)
+    assert not r.flags.writeable and liou.bloch is r
+    assert np.all(r[-1] == 0.0)
+    g = gks.gell_mann_basis(n).elements
+    for j in range(n * n):
+        out = gks.liouvillian_apply(liou, g[j])
+        coords = [np.trace(gi @ out) for gi in g]
+        assert np.abs(r[:, j] - coords).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_generator_matches_textbook_double_sum(rng, n):
     liou = random_liouvillian(rng, n)
     h, a, basis = liou.hamiltonian, liou.kossakowski.matrix, liou.basis
@@ -254,6 +268,9 @@ def test_verdict_bound_survives_an_overflowing_hamiltonian_norm():
                               gks.gell_mann_basis(3))
     verdict = gks.is_dispersive(liou)
     assert not verdict.dispersive and np.isfinite(verdict.residual)
+    # the Bloch generator is built on first use only, and refuses to overflow
+    with pytest.raises(ValueError, match="^generator overflows$"):
+        liou.bloch
     # with tol ||H||_F itself past the float range every finite residual is below it
     assert gks.is_dispersive(liou, tol=1e10).dispersive
 

@@ -163,6 +163,30 @@ def test_expm_semigroup_property(s, t, seed):
     assert np.linalg.norm(lhs - rhs) <= 1e-9 * max(1.0, np.linalg.norm(lhs))
 
 
+def test_expm_keeps_a_real_matrix_real(rng):
+    for n in (2, 3, 6):
+        for scale in (1.0, -0.7, 40.0):
+            a = rng.standard_normal((n, n))
+            got = linalg.expm(a, scale=scale)
+            ref = linalg.expm(a.astype(complex), scale=scale)
+            assert got.dtype == np.float64
+            assert np.abs(got - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
+    assert linalg.expm(np.zeros((2, 2), dtype=int)).dtype == np.float64
+    assert linalg.expm(SX.real, scale=1j).dtype == np.complex128
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("norm", [699.9, 705.0])
+def test_expm_squarings_near_the_overflow_threshold_warn_nothing(norm):
+    # below a scaled 1-norm of 700 the squarings skip np.errstate; neither
+    # side of that threshold may overflow on the way to a finite result
+    a = np.array([[1.0, 0.0], [0.5, -1.0]])
+    got = linalg.expm(a, scale=norm / 1.5)
+    ref = scipy.linalg.expm(a * (norm / 1.5))
+    assert np.isfinite(got).all()
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 # ---------------------------------------------------------------- singular values / norms
 
 def test_trace_norm_frozen_cases():
@@ -364,6 +388,18 @@ def test_hermitian_part_halves_before_it_sums(rng):
     assert np.array_equal(linalg.hermitian_part(big), big)
     w, _ = linalg.hermitian_eigen(np.diag([1e308, 0.0]))
     assert w.tolist() == [0.0, 1e308]
+
+
+@pytest.mark.filterwarnings("error")
+def test_hermiticity_defect_halves_before_it_subtracts():
+    m = np.array([[0.5, 0.3], [0.1, 0.5]])
+    assert linalg.hermiticity_defect(m) == abs(0.3 - 0.1)
+    # the defect 3e308 is past the float range: it reads as the largest float
+    # and the matrix is still judged not Hermitian
+    h = np.array([[0.0, 1.5e308], [-1.5e308, 0.0]])
+    assert linalg.hermiticity_defect(h) == np.finfo(float).max
+    with pytest.raises(ValueError, match="not Hermitian: defect 1.798e[+]308"):
+        linalg.require_hermitian(h)
 
 
 # ---------------------------------------------------------------- vec plumbing
