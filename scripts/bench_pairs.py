@@ -3,11 +3,11 @@
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload trajectory --pairs 10
 
-Each pair runs ``bench/run.py --workload W --seed S --trace 0`` once in each
-checkout (the parent first in even pairs, the change first in odd ones) and
-reads the final JSON line of each run.  For every metric it prints both
-sides' median and quartiles, the pairs the change wins (ties count for
-neither side) and a verdict:
+Each pair runs ``bench/run.py --workload W --seed S --trace 0``, plus
+``--seconds`` when given, once in each checkout (the parent first in even
+pairs, the change first in odd ones) and reads the final JSON line of each
+run.  For every metric it prints both sides' median and quartiles, the pairs
+the change wins (ties count for neither side) and a verdict:
 
 * ``gain``: the change wins at least nine tenths of the pairs and its median
   beats the parent's by more than the parent's interquartile range;
@@ -38,6 +38,8 @@ class RunError(Exception):
 def run_once(checkout, args):
     argv = [sys.executable, os.path.join("bench", "run.py"), "--workload", args.workload,
             "--seed", str(args.seed), "--trace", "0"]
+    if args.seconds is not None:
+        argv += ["--seconds", repr(args.seconds)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -96,6 +98,8 @@ def main(argv=None):
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seconds", type=float,
+                        help="task seconds per run (default: bench/run.py's own)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")

@@ -23,6 +23,7 @@ should rescale its rate accordingly or go through ``survival_probability``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -42,7 +43,9 @@ DEFAULT_BOUNDS: Mapping[str, Tuple[float, float]] = {
 
 SPECTRUM_COLUMNS = ("L_over_E_km_per_GeV", "P_survival")
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# the golden-section fraction (3 - sqrt 5)/2 of a bracket
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
+_EPS = sys.float_info.epsilon
 
 # slack for survival probabilities that graze 0 or 1 through rounding
 _P_SLACK = 1e-9
@@ -147,11 +150,13 @@ def read_spectrum_csv(path) -> List[SpectrumPoint]:
 
     Expected header: ``L_over_E_km_per_GeV,P_survival`` with an optional
     trailing ``weight`` column.  Blank lines and lines starting with ``#``
-    are ignored.  Malformed rows raise ValueError with the line number.
+    are ignored, and so is a UTF-8 byte order mark, which spreadsheet
+    exports often write.  Malformed rows raise ValueError with the line
+    number.
     """
     points: List[SpectrumPoint] = []
     ncols: Optional[int] = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -183,9 +188,9 @@ class FitResult:
     """Outcome of a spectrum fit.
 
     ``grid_params``/``grid_sse`` record the best coarse-grid point before the
-    golden-section polish, which is occasionally useful for diagnosing a fit
-    that latched onto an aliased minimum.  Only dm2 and lambda_km are grid
-    nodes; ``grid_params.theta`` is the angle solved in closed form there.
+    polish, which is occasionally useful for diagnosing a fit that latched
+    onto an aliased minimum.  Only dm2 and lambda_km are grid nodes;
+    ``grid_params.theta`` is the angle solved in closed form there.
     """
 
     params: OscillationParams
@@ -196,29 +201,65 @@ class FitResult:
     grid_sse: float
 
 
-def _golden_min(f: Callable[[float], float], lo: float, hi: float,
-                tol: float) -> float:
-    """Golden-section minimiser on [lo, hi]; assumes a unimodal slice."""
+def _brent_min(f: Callable[[float], float], lo: float, hi: float,
+               tol: float) -> float:
+    """Brent's bounded minimiser on [lo, hi]; assumes a unimodal slice.
+
+    Each step goes to the vertex of the parabola through the three best
+    points so far.  When that vertex leaves the bracket, or the step is not
+    less than half the step before last, a golden-section step into the
+    larger part of the bracket is taken instead (R. P. Brent, *Algorithms
+    for Minimization without Derivatives*, 1973, ch. 5).  The search stops
+    once both ends of the bracket lie within 2/3 ``tol`` of the best point,
+    plus a few ulps of it; a bracket no wider than ``tol`` returns its midpoint.
+    """
     a, b = lo, hi
-    h = b - a
-    if h <= tol:
+    if b - a <= tol:
         return 0.5 * (a + b)
-    c = b - _INVPHI * h
-    d = a + _INVPHI * h
-    fc = f(c)
-    fd = f(d)
-    while h > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = b - _INVPHI * h
-            fc = f(c)
+    x = w = v = a + _CGOLD * (b - a)
+    fx = fw = fv = f(x)
+    d = e = 0.0
+    while True:
+        m = 0.5 * (a + b)
+        # at least one ulp of x, so that every step moves
+        tol1 = _EPS * abs(x) + tol / 3.0
+        tol2 = 2.0 * tol1
+        if abs(x - m) <= tol2 - 0.5 * (b - a):
+            return x
+        golden = True
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                e, d = d, p / q
+                if x + d - a < tol2 or b - (x + d) < tol2:
+                    d = tol1 if x < m else -tol1
+                golden = False
+        if golden:
+            e = (a if x >= m else b) - x
+            d = _CGOLD * e
+        u = x + d if abs(d) >= tol1 else x + math.copysign(tol1, d)
+        fu = f(u)
+        if fu <= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INVPHI * h
-            fd = f(d)
-    return c if fc <= fd else d
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 _RANGE_CHECKS = {
@@ -260,11 +301,12 @@ def fit_parameters(data: Iterable[SpectrumPoint],
 
     Only dm2 and lambda_km are searched.  The SSE at T* is estimated on a
     full grid over the free ones by two matrix products; the best finite
-    node seeds a coordinate-wise golden-section polish over a bracket of one
-    grid spacing either side.  A slice minimum that lowers the SSE is taken;
-    one that lies farther away but does not lower it halves that bracket.
-    The polish cycles until every slice minimum lies within 1e-6 of its
-    bound width of the current value, or ``max_cycles`` is exhausted.
+    node seeds a coordinate-wise polish by Brent's bounded minimiser over a
+    bracket of one grid spacing either side.  A slice minimum that lowers
+    the SSE is taken; one that lies farther away but does not lower it
+    halves that bracket.  The polish cycles until every slice minimum lies
+    within 1e-6 of its bound width of the current value, or ``max_cycles``
+    is exhausted.
     Degenerate bounds (lo == hi) pin a parameter just like an entry in
     ``fixed``.  The procedure is deterministic: the same data and settings
     always return the same result.
@@ -376,8 +418,8 @@ def fit_parameters(data: Iterable[SpectrumPoint],
         for name in free:
             lo = max(merged[name][0], values[name] - spacing[name])
             hi = min(merged[name][1], values[name] + spacing[name])
-            candidate = _golden_min(lambda v: profile({**values, name: v})[0],
-                                    lo, hi, tol[name])
+            candidate = _brent_min(lambda v: profile({**values, name: v})[0],
+                                   lo, hi, tol[name])
             candidate_sse, candidate_theta = profile({**values, name: candidate})
             move = abs(candidate - values[name])
             if candidate_sse < cur_sse:

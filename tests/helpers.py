@@ -137,6 +137,37 @@ def reference_grid(x, p, w, merged, values, free, grid_points):
     return values, best_sse
 
 
+def reference_golden_min(f, lo, hi, tol):
+    """Golden-section slice minimiser, the reference for ``neutrino._brent_min``.
+
+    Each evaluation shrinks the bracket by 1/phi until it is no wider than
+    ``tol``; the better of the two inner points is returned.
+    """
+    import math
+
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    h = b - a
+    if h <= tol:
+        return 0.5 * (a + b)
+    c = b - invphi * h
+    d = a + invphi * h
+    fc = f(c)
+    fd = f(d)
+    while h > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            h = b - a
+            c = b - invphi * h
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            h = b - a
+            d = a + invphi * h
+            fd = f(d)
+    return c if fc <= fd else d
+
+
 def reference_stationary_states(liouvillian, tol, samples, seed):
     """``dynamics.stationary_states``'s candidates drawn and summed one at a time.
 

@@ -1,3 +1,4 @@
+import codecs
 import json
 import math
 import subprocess
@@ -603,6 +604,17 @@ def test_nu_fit_respects_fix(capsys, tmp_path):
     assert float(kv["theta"]) == 0.55
     assert float(kv["lambda_km"]) == 0.0
     assert float(kv["dm2"]) == pytest.approx(truth.dm2, rel=1e-3)
+
+
+def test_nu_fit_accepts_a_byte_order_mark(capsys, tmp_path):
+    plain = tmp_path / "plain.csv"
+    write_spectrum(plain, neutrino.OscillationParams(7.9e-5, 0.55, 0.0), n=40)
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+    assert neutrino.read_spectrum_csv(marked) == neutrino.read_spectrum_csv(plain)
+    code, out, err = run_cli(capsys, "nu-fit", str(marked), "--fix", "lambda_km=0")
+    assert (code, err) == (0, "")
+    assert out == run_cli(capsys, "nu-fit", str(plain), "--fix", "lambda_km=0")[1]
 
 
 def test_nu_fit_header_only_is_an_error(capsys, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from dqs import neutrino, qubit
 from dqs.neutrino import OscillationParams, SpectrumPoint
-from helpers import reference_grid
+from helpers import reference_golden_min, reference_grid
 
 THETA_04 = math.atan(math.sqrt(0.40))  # tan^2 theta = 0.40
 
@@ -143,6 +143,76 @@ def test_read_spectrum_csv_errors(tmp_path):
         path.write_text(text)
         with pytest.raises(ValueError, match=pattern):
             neutrino.read_spectrum_csv(path)
+
+
+# ------------------------------------------------------------------ slice minimiser
+
+BRACKETS = [(0.0, 1.0), (1e-5, 2e-4), (0.0, 1e-3), (-3.0, 5.0)]
+
+
+def _minimise(f, lo, hi, tol):
+    """``_brent_min`` on [lo, hi]; returns its point and every point it evaluated."""
+    seen = []
+
+    def recording(v):
+        seen.append(v)
+        return f(v)
+
+    v = neutrino._brent_min(recording, lo, hi, tol)
+    assert all(lo <= u <= hi for u in seen + [v])
+    return v, seen
+
+
+@pytest.mark.parametrize("lo, hi", BRACKETS)
+@pytest.mark.parametrize("where", [0.013, 0.37, 0.5, 0.81, 0.999])
+def test_brent_min_lands_on_a_parabola_vertex_in_few_steps(lo, hi, where):
+    # golden section needs about 45 evaluations for the same tolerance
+    width = hi - lo
+    c = lo + where * width
+    tol = 1e-10 * width
+    v, seen = _minimise(lambda u: ((u - c) / width) ** 2, lo, hi, tol)
+    assert abs(v - c) <= tol
+    assert len(seen) <= 15
+
+
+@pytest.mark.parametrize("lo, hi", BRACKETS)
+def test_brent_min_finds_a_minimum_at_either_end(lo, hi):
+    tol = 1e-10 * (hi - lo)
+    v, _ = _minimise(lambda u: u, lo, hi, tol)
+    assert v - lo <= tol
+    v, _ = _minimise(lambda u: -u, lo, hi, tol)
+    assert hi - v <= tol
+
+
+@pytest.mark.parametrize("lo, hi", BRACKETS)
+@pytest.mark.parametrize("where", [0.1, 0.5, 0.73])
+def test_brent_min_falls_back_to_golden_steps_on_a_kink(lo, hi, where):
+    c = lo + where * (hi - lo)
+    tol = 1e-10 * (hi - lo)
+    v, _ = _minimise(lambda u: abs(u - c), lo, hi, tol)
+    assert abs(v - c) <= tol
+
+
+@pytest.mark.parametrize("lo, hi", BRACKETS)
+def test_brent_min_on_a_constant_stays_in_the_bracket(lo, hi):
+    _minimise(lambda u: 1.0, lo, hi, 1e-10 * (hi - lo))
+
+
+def test_brent_min_ends_when_its_tolerance_is_below_one_ulp():
+    # the tolerance is below one ulp of the bracket and cannot be met; the
+    # search must still end, and so must a fit over that bracket
+    lo, hi = 1e-4, 1.000000000001e-4
+    _, seen = _minimise(lambda u: (u - 1.0000000000004e-4) ** 2, lo, hi, 1e-10 * (hi - lo))
+    assert len(seen) < 100
+    fit = neutrino.fit_parameters(synthetic_spectrum(OscillationParams(1e-4, 0.5), n=50),
+                                  bounds={"dm2": (lo, hi)}, fixed={"lambda_km": 0.0})
+    assert fit.converged
+
+
+def test_brent_min_degenerate_bracket_is_its_midpoint():
+    assert _minimise(lambda u: u, 0.25, 0.25, 1e-12) == (0.25, [])
+    lo, hi = 0.25, 0.25 + 1e-13
+    assert _minimise(lambda u: u, lo, hi, 1e-12) == (0.5 * (lo + hi), [])
 
 
 # ------------------------------------------------------------------ fitting
@@ -294,9 +364,10 @@ _X50 = np.linspace(0.0, 3.6e4, 50)
 _MIRROR = neutrino.survival_at_l_over_e(
     OscillationParams(8e-5, math.pi / 4.0 - 0.3), _X50)
 
+RANDOM_CASES = [pytest.param(_random_spectrum(seed), _GRID_OPTIONS[seed % len(_GRID_OPTIONS)],
+                             id=f"random{seed}") for seed in range(32)]
 GRID_CASES = (
-    [pytest.param(_random_spectrum(seed), _GRID_OPTIONS[seed % len(_GRID_OPTIONS)],
-                  id=f"random{seed}") for seed in range(32)]
+    RANDOM_CASES
     + [pytest.param([SpectrumPoint(float(x), level) for x in _X50], options,
                     id=f"flat{level}-{len(options)}")
        for level in (1.0, 0.5, 0.0)
@@ -337,9 +408,9 @@ def test_grid_matches_brute_force_exactly(points, options):
     assert fit.converged
 
 
-def test_grid_evaluates_few_rows(monkeypatch):
-    # a clean three-parameter spectrum: the brute-force grid makes 41^2 model
-    # calls before the polish even starts
+def _clean_fit_counting_model_calls(monkeypatch):
+    """A clean 200-point three-parameter fit, theta in the first octant, and
+    the number of ``_damped`` calls it makes."""
     truth = OscillationParams(7.5e-5, 0.6, 3e-5)
     x = np.linspace(0.0, 3.6e4, 200)
     points = [SpectrumPoint(float(a), float(b))
@@ -352,20 +423,85 @@ def test_grid_evaluates_few_rows(monkeypatch):
         return damped(*args)
 
     monkeypatch.setattr(neutrino, "_damped", counting)
-    fit = neutrino.fit_parameters(points, bounds=FIRST_OCTANT)
+    return neutrino.fit_parameters(points, bounds=FIRST_OCTANT), len(calls)
+
+
+def test_grid_evaluates_few_rows(monkeypatch):
+    # the brute-force grid makes 41^2 model calls before the polish even starts
+    fit, calls = _clean_fit_counting_model_calls(monkeypatch)
     assert fit.converged
-    assert len(calls) < 41 ** 2
+    assert calls < 41 ** 2
 
 
-def test_polish_does_not_stop_short_of_a_slice_minimum():
+def test_polish_evaluates_few_points(monkeypatch):
+    # golden-section slices narrowed to 1e-10 of the bound width made 362
+    # model calls here; parabolic steps need far fewer
+    fit, calls = _clean_fit_counting_model_calls(monkeypatch)
+    assert fit.converged
+    assert calls < 160
+
+
+def test_polish_does_not_stop_short_of_a_slice_minimum(monkeypatch):
     # with two grid points the first bracket spans the whole dm2 range and
-    # golden section lands in a worse valley; the polish must narrow the
+    # its slice minimum lies in a worse valley; the polish must narrow the
     # bracket rather than settle where the SSE still falls along dm2
     points = _random_spectrum(22)
+    brackets = []
+    brent = neutrino._brent_min
+
+    def spy(f, lo, hi, tol):
+        brackets.append((lo, hi))
+        return brent(f, lo, hi, tol)
+
+    monkeypatch.setattr(neutrino, "_brent_min", spy)
     coarse = neutrino.fit_parameters(points, grid_points=2)
+    # dm2 slices come first in every cycle; a bracket of the full spacing
+    # covers the whole dm2 range, so a narrower one was halved
+    assert brackets[0] == neutrino.DEFAULT_BOUNDS["dm2"]
+    assert any(bracket != brackets[0] for bracket in brackets[2::2])
     fine = neutrino.fit_parameters(points)
     assert coarse.converged
     assert coarse.sse <= fine.sse * (1.0 + 1e-9)
+
+
+def _bench_like_spectrum(seed, n, noisy):
+    """A spectrum drawn the way the nu-fit benchmark draws its spectra."""
+    g = np.random.default_rng(seed)
+    truth = OscillationParams(g.uniform(6e-5, 9e-5), math.atan(math.sqrt(g.uniform(0.3, 0.5))),
+                              g.uniform(0.0, 8e-5))
+    x = np.linspace(0.0, 3.6e4, n)
+    p = neutrino.survival_at_l_over_e(truth, x)
+    w = np.ones(n)
+    if noisy:
+        sigma = g.uniform(0.01, 0.03, n)
+        p = np.clip(p + sigma * g.standard_normal(n), 0.0, 1.0)
+        w = 1.0 / sigma ** 2
+    return [SpectrumPoint(float(a), float(b), float(c)) for a, b, c in zip(x, p, w)]
+
+
+POLISH_CASES = RANDOM_CASES + [
+    pytest.param(_bench_like_spectrum(1, 200, False), {"bounds": FIRST_OCTANT},
+                 id="bench-octant-200"),
+    pytest.param(_bench_like_spectrum(2, 200, True), {}, id="bench-free-200"),
+    pytest.param(_bench_like_spectrum(3, 2000, False),
+                 {"bounds": FIRST_OCTANT, "fixed": {"lambda_km": 0.0}}, id="bench-fix-2000"),
+    pytest.param(_bench_like_spectrum(4, 2000, True),
+                 {"bounds": FIRST_OCTANT, "fixed": {"lambda_km": 0.0}},
+                 id="bench-fix-noisy-2000"),
+]
+
+
+@pytest.mark.parametrize("points, options", POLISH_CASES)
+def test_polish_matches_the_golden_section_reference(monkeypatch, points, options):
+    # the same grid, cycles and verdict as a polish by golden section, and an
+    # SSE no worse up to rounding
+    fit = neutrino.fit_parameters(points, **options)
+    monkeypatch.setattr(neutrino, "_brent_min", reference_golden_min)
+    ref = neutrino.fit_parameters(points, **options)
+    assert (fit.cycles, fit.converged) == (ref.cycles, ref.converged)
+    assert (fit.grid_params, fit.grid_sse) == (ref.grid_params, ref.grid_sse)
+    total_weight = sum(pt.weight for pt in points)
+    assert fit.sse <= ref.sse * (1.0 + 1e-12) + 1e-12 * total_weight
 
 
 def test_fit_lands_in_the_second_octant_when_bounded_there():

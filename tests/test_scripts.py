@@ -65,12 +65,13 @@ def stub_checkout(root, name, tasks_per_ref, rss):
 def test_bench_pairs_alternates_and_applies_the_gain_rule(tmp_path):
     parent = stub_checkout(tmp_path, "parent", 0.26, 45.0)
     change = stub_checkout(tmp_path, "change", 0.33, 48.0)
-    proc = run_script("bench_pairs.py", tmp_path, parent, change,
-                      "--workload", "trajectory", "--pairs", "4", "--seed", "1")
+    proc = run_script("bench_pairs.py", tmp_path, parent, change, "--workload", "trajectory",
+                      "--pairs", "4", "--seed", "1", "--seconds", "2.5")
     assert proc.returncode == 0, proc.stderr
     order = (tmp_path / "order.log").read_text().splitlines()
     assert [line.split()[0] for line in order] == ["parent", "change", "change", "parent"] * 2
-    assert all(line.split()[1:] == ["--workload", "trajectory", "--seed", "1", "--trace", "0"]
+    assert all(line.split()[1:] == ["--workload", "trajectory", "--seed", "1", "--trace", "0",
+                                    "--seconds", "2.5"]
                for line in order)
     table = json.loads(proc.stdout.splitlines()[-1])["metrics"]
     assert table["tasks_per_ref"] == {"parent": [0.26] * 3, "change": [0.33] * 3,
