@@ -3,11 +3,14 @@
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload trajectory --pairs 10
 
-Each pair runs ``bench/run.py --workload W --seed S --trace 0``, plus
-``--seconds`` when given, once in each checkout (the parent first in even
-pairs, the change first in odd ones) and reads the final JSON line of each
-run.  For every metric it prints both sides' median and quartiles, the pairs
-the change wins (ties count for neither side) and a verdict:
+Before the first pair, each checkout's ``src/`` (when it has one) is
+compiled with ``python -m compileall -q``, so that a fresh copy and one that
+has run before import alike and their ``setup_s`` compare.  Each pair runs
+``bench/run.py --workload W --seed S --trace 0``, plus ``--seconds`` when
+given, once in each checkout (the parent first in even pairs, the change
+first in odd ones) and reads the final JSON line of each run.  For every
+metric it prints both sides' median and quartiles, the pairs the change wins
+(ties count for neither side) and a verdict:
 
 * ``gain``: the change wins at least nine tenths of the pairs and its median
   beats the parent's by more than the parent's interquartile range;
@@ -19,8 +22,8 @@ the change wins (ties count for neither side) and a verdict:
 * ``ok`` otherwise, and ``-`` for a metric with no declared direction.
 
 Directions and bounds come from CHANGE_DIR/BENCHMARK.json.  The last stdout
-line is the same table as one JSON object.  Exit code 0, or 2 when a run
-fails or prints no JSON.
+line is the same table as one JSON object.  Exit code 0, or 2 when a
+compile or a run fails or a run prints no JSON.
 """
 
 import argparse
@@ -32,7 +35,19 @@ import sys
 
 
 class RunError(Exception):
-    """A benchmark run failed or printed no result."""
+    """A compile or a benchmark run failed, or a run printed no result."""
+
+
+def compile_sources(checkout):
+    """Write the bytecode of checkout/src, if there is one."""
+    src = os.path.join(checkout, "src")
+    if not os.path.isdir(src):
+        return
+    proc = subprocess.run([sys.executable, "-m", "compileall", "-q", src],
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RunError(f"{src}: compileall exit {proc.returncode}: "
+                       f"{(proc.stdout + proc.stderr).strip()[-300:]}")
 
 
 def run_once(checkout, args):
@@ -105,15 +120,17 @@ def main(argv=None):
         parser.error("--pairs must be at least 1")
 
     runs = {"parent": [], "change": []}
-    for k in range(args.pairs):
-        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        for side in order:
-            try:
+    try:
+        for side in runs:
+            compile_sources(getattr(args, side))
+        for k in range(args.pairs):
+            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            for side in order:
                 runs[side].append(run_once(getattr(args, side), args))
-            except RunError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-        print(f"pair {k + 1}/{args.pairs} done", file=sys.stderr)
+            print(f"pair {k + 1}/{args.pairs} done", file=sys.stderr)
+    except RunError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     spec = declared(args.change)
     table = {}

@@ -12,7 +12,10 @@ matrix), the semigroup composition law, recovery of the generator from
 short-time propagators, a resolvent-based growth-bound inequality, and the
 energy-flow identity d<H>/dt = tr(rho D_H).  Positivity of the *inverse*
 flow is the one property that may legitimately fail: its failure certifies
-that the dynamics is not reversible in time.
+that the dynamics is not reversible in time.  The stationary state is not
+searched for: it is the spectral projection at eigenvalue 0 (the ergodic
+projection, built from the null spaces of the generator and its adjoint)
+applied to the maximally mixed state.
 """
 
 from __future__ import annotations
@@ -88,6 +91,7 @@ def propagate_many(liouvillian: gks.GKSLiouvillian, rho, times):
     whose coordinates did not move (t = 0) gives rho's Hermitian part back
     bit for bit.  Returns (states, error): states for the longest prefix of
     times that propagated, and the ValueError of the time after it, or None.
+    A negative or NaN time is such a failing time.
     """
     h0 = linalg.hermitian_part(_density(rho).matrix)
     n = liouvillian.dim
@@ -102,6 +106,8 @@ def propagate_many(liouvillian: gks.GKSLiouvillian, rho, times):
     ys, error = np.empty((len(times), n * n)), None
     for k, t in enumerate(times):
         try:
+            if not (t >= 0.0):
+                raise ValueError(f"propagation time must be nonnegative, got {t!r}")
             ys[k] = linalg.expm(gen, scale=t) @ y0
         except ValueError as exc:
             ys, error = ys[:k], exc
@@ -122,8 +128,6 @@ def propagate_many(liouvillian: gks.GKSLiouvillian, rho, times):
 
 def propagate(liouvillian: gks.GKSLiouvillian, rho, t: float) -> DensityMatrix:
     """Evolve a state forward: rho(t) = exp(t L) rho, by ``propagate_many``."""
-    if not (t >= 0.0):
-        raise ValueError(f"propagation time must be nonnegative, got {t!r}")
     states, error = propagate_many(liouvillian, rho, [t])
     if error is not None:
         raise error
@@ -222,38 +226,34 @@ def hille_yosida_probe(liouvillian: gks.GKSLiouvillian, growth_bound: float,
 
 @dataclass(frozen=True, eq=False)
 class StationaryFamily:
-    """Null space of the generator plus density matrices sampled from it."""
+    """Null space of the generator and the stationary state P0(I/N).
+
+    kernel holds an orthonormal basis of the null space of the generator
+    matrix, each element unvec'd to a matrix; density_matrices holds the one
+    state P0(I/N), the time average of exp(t L)(I/N) as t grows.
+    """
 
     kernel: tuple
     density_matrices: tuple
 
 
-def stationary_states(liouvillian: gks.GKSLiouvillian, tol: float = KERNEL_TOL,
-                      samples: int = 64, seed: int = 0) -> StationaryFamily:
-    """Stationary subspace of the flow and example stationary states.
+def stationary_states(liouvillian: gks.GKSLiouvillian,
+                      tol: float = KERNEL_TOL) -> StationaryFamily:
+    """Stationary subspace of the flow and the stationary state reached from I/N.
 
-    The kernel of the generator matrix is returned as matrices.  Because the
-    generator commutes with the adjoint, the kernel is spanned by Hermitian
-    elements; random real combinations of those with nonzero trace are
-    normalized and kept when they pass the density-matrix checks.
+    The kernel of the generator matrix L is returned as matrices.  With V a
+    basis of the kernel of L and W one of the kernel of L^+, P0 = V (W^+ V)^-1
+    W^+ is the spectral projection at eigenvalue 0; for a bounded semigroup 0
+    is semisimple, so P0 is the Cesaro limit of exp(t L), a CPTP map (Spohn,
+    Lett. Math. Phys. 2, 1977).  The one density matrix returned is P0(I/N).
     """
     n = liouvillian.dim
-    null = linalg.kernel_basis(liouvillian.superop, tol)
+    m = liouvillian.superop
+    null = linalg.kernel_basis(m, tol)
+    co = linalg.dagger(linalg.kernel_basis(linalg.dagger(m), tol))  # W^+
+    rho = unvec(null @ np.linalg.solve(co @ null, co @ vec(np.eye(n) / n)), n)
     mats = null.T.reshape(-1, n, n).swapaxes(1, 2)  # unvec of each column
-    adj = mats.conj().swapaxes(1, 2)
-    parts = np.stack([0.5 * (mats + adj), (mats - adj) / 2j], axis=1).reshape(-1, n, n)
-    parts = parts[np.linalg.norm(parts, axis=(1, 2)) > 1e-12]
-    coeffs = np.random.default_rng(seed).standard_normal((max(samples, 0), len(parts)))
-    cands = np.tensordot(coeffs, parts, axes=1)
-    tr = np.trace(cands, axis1=1, axis2=2).real
-    keep = np.abs(tr) >= 1e-8
-    found = []
-    for cand in cands[keep] / tr[keep, None, None]:
-        try:
-            found.append(DensityMatrix(cand))
-        except ValueError:
-            continue
-    return StationaryFamily(tuple(mats), tuple(found))
+    return StationaryFamily(tuple(mats), (DensityMatrix(rho),))
 
 
 def spectrum_entropy(spectrum, cutoff: float = ENTROPY_CUTOFF) -> float:

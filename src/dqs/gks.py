@@ -288,7 +288,11 @@ def _zero_bound(h: np.ndarray, tol: float) -> float:
 
 # ------------------------------------------------------------------
 # Real coordinates for Hermitian matrices: diagonal entries first, then
-# (real, imag) of each upper-triangle entry in row-major order.
+# sqrt(2) (real, imag) of each upper-triangle entry in row-major order, so
+# that the Frobenius norm of a matrix is the Euclidean norm of its coordinates.
+
+_SQRT_HALF = math.sqrt(0.5)
+
 
 def hermitian_coords(m) -> np.ndarray:
     """Coordinates of the Hermitian part of m; leading axes are batch axes."""
@@ -298,7 +302,7 @@ def hermitian_coords(m) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     rows, cols = np.triu_indices(a.shape[-1], 1)
-    upper = 0.5 * (a[..., rows, cols] + a[..., cols, rows].conj())
+    upper = _SQRT_HALF * (a[..., rows, cols] + a[..., cols, rows].conj())
     pairs = np.stack([upper.real, upper.imag], axis=-1).reshape(a.shape[:-2] + (-1,))
     return np.concatenate([np.diagonal(a, axis1=-2, axis2=-1).real, pairs], axis=-1)
 
@@ -309,7 +313,7 @@ def coords_to_hermitian(x, n: int) -> np.ndarray:
     if x.shape[-1:] != (n * n,):
         raise ValueError(f"expected {n * n} coordinates, got shape {x.shape}")
     rows, cols = np.triu_indices(n, 1)
-    upper = x[..., n::2] + 1j * x[..., n + 1::2]
+    upper = _SQRT_HALF * (x[..., n::2] + 1j * x[..., n + 1::2])
     a = np.zeros(x.shape[:-1] + (n, n), dtype=complex)
     a[..., range(n), range(n)] = x[..., :n]
     a[..., rows, cols] = upper
@@ -327,11 +331,13 @@ class KernelSample(NamedTuple):
 class DispersionKernel:
     """Null space of a |-> D_H(a) over Hermitian coefficient matrices.
 
-    kernel holds Hermitian matrices whose coordinate vectors are orthonormal;
+    kernel holds Frobenius-orthonormal Hermitian matrices spanning it;
     element_psd flags each of them (and its negation) as PSD or not, and
     samples records random combinations drawn inside the kernel together
     with their PSD verdicts.  map_matrix is the real matrix of the
-    constraint map, size N^2 x (N^2-1)^2.
+    constraint map, size N^2 x (N^2-1)^2, in the isometric coordinates of
+    hermitian_coords on both sides, so that its singular values do not
+    depend on the operator basis.
     """
 
     kernel: tuple
@@ -352,10 +358,10 @@ def dispersive_kossakowski_kernel(hamiltonian, basis: OperatorBasis,
                                   seed: int = 0) -> DispersionKernel:
     """All Hermitian coefficient matrices making the given H dispersive.
 
-    Builds the real-linear map a |-> D_H(a) over the real coordinates of
-    Hermitian (N^2-1) x (N^2-1) matrices, gathering D_H of each coordinate
-    direction from H-contracted GKS terms, and extracts its null space:
-    singular values at or below tol * max(1, ||H||_F), the bound
+    Builds the real-linear map a |-> D_H(a) over the isometric real
+    coordinates of Hermitian (N^2-1) x (N^2-1) matrices, gathering D_H of
+    each coordinate direction from H-contracted GKS terms, and extracts its
+    null space: singular values at or below tol * max(1, ||H||_F), the bound
     is_dispersive applies to D_H, count as zero.  Valid dissipators in the
     kernel are its PSD elements; since PSD-ness is not a linear condition,
     it is reported by inspection: each kernel basis element (and its
@@ -374,9 +380,10 @@ def dispersive_kossakowski_kernel(hamiltonian, basis: OperatorBasis,
     fd = f.conj().transpose(1, 0, 3, 2)        # [0, j] = F_j^+
     prods = fd @ f
     m = fd @ h @ f - 0.5 * (prods @ h + h @ prods)
-    # column c is D_H of direction c: M_ii, or M_rs + M_sr and i(M_rs - M_sr)
+    # column c is D_H of unit direction c: M_ii, or (M_rs + M_sr) and
+    # i(M_rs - M_sr) over sqrt(2)
     i, j = np.triu_indices(k, 1)
-    pairs = np.stack([m[i, j] + m[j, i], 1j * (m[i, j] - m[j, i])], axis=1)
+    pairs = _SQRT_HALF * np.stack([m[i, j] + m[j, i], 1j * (m[i, j] - m[j, i])], axis=1)
     phi = hermitian_coords(np.concatenate([m[range(k), range(k)], pairs.reshape(-1, n, n)])).T
     # not relative to the largest singular value: for H proportional to I
     # that is itself round-off

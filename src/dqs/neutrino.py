@@ -201,9 +201,12 @@ class FitResult:
     grid_sse: float
 
 
-def _brent_min(f: Callable[[float], float], lo: float, hi: float,
-               tol: float) -> float:
+def _brent_min(f: Callable[[float], tuple], lo: float, hi: float,
+               tol: float) -> Tuple[float, tuple]:
     """Brent's bounded minimiser on [lo, hi]; assumes a unimodal slice.
+
+    f returns a tuple whose first item is the value minimised; the best
+    point is returned together with f's tuple there.
 
     Each step goes to the vertex of the parabola through the three best
     points so far.  When that vertex leaves the bracket, or the step is not
@@ -215,9 +218,11 @@ def _brent_min(f: Callable[[float], float], lo: float, hi: float,
     """
     a, b = lo, hi
     if b - a <= tol:
-        return 0.5 * (a + b)
+        x = 0.5 * (a + b)
+        return x, f(x)
     x = w = v = a + _CGOLD * (b - a)
-    fx = fw = fv = f(x)
+    best = f(x)
+    fx = fw = fv = best[0]
     d = e = 0.0
     while True:
         m = 0.5 * (a + b)
@@ -225,7 +230,7 @@ def _brent_min(f: Callable[[float], float], lo: float, hi: float,
         tol1 = _EPS * abs(x) + tol / 3.0
         tol2 = 2.0 * tol1
         if abs(x - m) <= tol2 - 0.5 * (b - a):
-            return x
+            return x, best
         golden = True
         if abs(e) > tol1:
             r = (x - w) * (fx - fv)
@@ -244,13 +249,14 @@ def _brent_min(f: Callable[[float], float], lo: float, hi: float,
             e = (a if x >= m else b) - x
             d = _CGOLD * e
         u = x + d if abs(d) >= tol1 else x + math.copysign(tol1, d)
-        fu = f(u)
+        out = f(u)
+        fu = out[0]
         if fu <= fx:
             if u < x:
                 b = x
             else:
                 a = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+            v, fv, w, fw, x, fx, best = w, fw, x, fx, u, fu, out
         else:
             if u < x:
                 a = u
@@ -418,9 +424,8 @@ def fit_parameters(data: Iterable[SpectrumPoint],
         for name in free:
             lo = max(merged[name][0], values[name] - spacing[name])
             hi = min(merged[name][1], values[name] + spacing[name])
-            candidate = _brent_min(lambda v: profile({**values, name: v})[0],
-                                   lo, hi, tol[name])
-            candidate_sse, candidate_theta = profile({**values, name: candidate})
+            candidate, (candidate_sse, candidate_theta) = _brent_min(
+                lambda v: profile({**values, name: v}), lo, hi, tol[name])
             move = abs(candidate - values[name])
             if candidate_sse < cur_sse:
                 values[name] = candidate

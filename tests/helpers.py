@@ -141,7 +141,8 @@ def reference_golden_min(f, lo, hi, tol):
     """Golden-section slice minimiser, the reference for ``neutrino._brent_min``.
 
     Each evaluation shrinks the bracket by 1/phi until it is no wider than
-    ``tol``; the better of the two inner points is returned.
+    ``tol``; the better of the two inner points is returned with f's tuple
+    there, whose first item is the value minimised.
     """
     import math
 
@@ -149,13 +150,13 @@ def reference_golden_min(f, lo, hi, tol):
     a, b = lo, hi
     h = b - a
     if h <= tol:
-        return 0.5 * (a + b)
+        return 0.5 * (a + b), f(0.5 * (a + b))
     c = b - invphi * h
     d = a + invphi * h
     fc = f(c)
     fd = f(d)
     while h > tol:
-        if fc < fd:
+        if fc[0] < fd[0]:
             b, d, fd = d, c, fc
             h = b - a
             c = b - invphi * h
@@ -165,38 +166,7 @@ def reference_golden_min(f, lo, hi, tol):
             h = b - a
             d = a + invphi * h
             fd = f(d)
-    return c if fc <= fd else d
-
-
-def reference_stationary_states(liouvillian, tol, samples, seed):
-    """``dynamics.stationary_states``'s candidates drawn and summed one at a time.
-
-    Returns the matrices that pass the density-matrix checks, in draw order.
-    """
-    from dqs import linalg
-
-    n = liouvillian.dim
-    null = linalg.kernel_basis(liouvillian.superop, tol)
-    parts = []
-    for k in range(null.shape[1]):
-        m = null[:, k].reshape((n, n), order="F")
-        parts.append(0.5 * (m + m.conj().T))
-        parts.append((m - m.conj().T) / 2j)
-    parts = [h for h in parts if np.linalg.norm(h) > 1e-12]
-    found = []
-    if parts and samples > 0:
-        rng = np.random.default_rng(seed)
-        for _ in range(samples):
-            coeffs = rng.standard_normal(len(parts))
-            cand = sum(c * h for c, h in zip(coeffs, parts))
-            tr = cand.trace().real
-            if abs(tr) < 1e-8:
-                continue
-            try:
-                found.append(linalg.DensityMatrix(cand / tr).matrix)
-            except ValueError:
-                continue
-    return found
+    return (c, fc) if fc[0] <= fd[0] else (d, fd)
 
 
 def reference_evolve(liouvillian, rho, times):

@@ -5,8 +5,7 @@ from dqs import dynamics, gks, linalg
 from dqs.gks import KossakowskiMatrix
 from dqs.linalg import KERNEL_TOL, DensityMatrix
 
-from helpers import (random_density, random_hermitian, random_liouvillian,
-                     reference_stationary_states)
+from helpers import random_density, random_hermitian, random_liouvillian
 
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -121,6 +120,15 @@ def test_propagate_many_rebuilds_each_state_on_its_own(name):
     assert np.concatenate(singles).tobytes() == states.tobytes()
     assert np.array_equal(states, states.conj().swapaxes(1, 2))
     assert states[0].tobytes() == linalg.hermitian_part(rho.matrix).tobytes()
+
+
+def test_propagate_many_stops_at_a_negative_time():
+    # exp(-L) of the dephasing qubit is no channel: its state is never built
+    states, error = dynamics.propagate_many(dispersive_qubit(), coherent_state(),
+                                            [0, 1, -1, 2])
+    assert len(states) == 2
+    assert isinstance(error, ValueError)
+    assert str(error) == "propagation time must be nonnegative, got -1"
 
 
 def test_propagate_many_stops_at_the_first_time_that_fails():
@@ -258,23 +266,52 @@ def test_random_generators_have_stationary_states(rng):
             s = np.linalg.svd(liou.superop, compute_uv=False)
             nullity = int(np.count_nonzero(s <= KERNEL_TOL * s[0]))
             assert len(family.kernel) == nullity >= 1
-            assert family.density_matrices
-            for rho in family.density_matrices:
-                assert np.abs(gks.liouvillian_apply(liou, rho.matrix)).max() <= 1e-9
+            the_stationary_state(liou)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_stationary_states_match_per_sample_reference(rng, n):
-    liouvillians = [random_liouvillian(rng, n) for _ in range(4)]
-    if n == 2:
-        liouvillians.append(dispersive_qubit(0.7, 2.0))
-    for liou in liouvillians:
-        for seed in (0, 1):
-            family = dynamics.stationary_states(liou, samples=48, seed=seed)
-            expected = reference_stationary_states(liou, KERNEL_TOL, 48, seed)
-            assert len(family.density_matrices) == len(expected) > 0
-            for rho, ref in zip(family.density_matrices, expected):
-                assert np.abs(rho.matrix - ref).max() <= 1e-14
+def single_jump_liouvillian(h, v):
+    """The generator with Hamiltonian h and the one traceless jump operator v."""
+    n = h.shape[0]
+    basis = gks.gell_mann_basis(n)
+    c = np.array([np.trace(f.conj().T @ v) for f in basis.traceless])
+    return gks.GKSLiouvillian(h, KossakowskiMatrix(n, np.outer(c, c.conj())), basis)
+
+
+def the_stationary_state(liou):
+    """The one state stationary_states returns, after checking L vec rho = 0."""
+    family = dynamics.stationary_states(liou, tol=KERNEL_TOL)
+    assert len(family.density_matrices) == 1
+    rho = family.density_matrices[0]
+    assert np.abs(liou.superop @ linalg.vec(rho.matrix)).max() <= 1e-12
+    return rho.matrix
+
+
+def test_planted_dispersive_models_have_a_stationary_state():
+    # one jump operator diagonal in a random H's eigenbasis: I/N is
+    # stationary, but random combinations of the kernel are rarely PSD, so
+    # sampling them found no state for 1 of these models at N = 6 and 4 at N = 8
+    rng = np.random.default_rng(5)
+    for n in (6, 8):
+        for _ in range(10):
+            h = random_hermitian(rng, n)
+            _, u = np.linalg.eigh(h)
+            d = rng.standard_normal(n)
+            d -= d.mean()
+            the_stationary_state(single_jump_liouvillian(h, u @ np.diag(d) @ u.conj().T))
+
+
+def test_amplitude_damping_relaxes_to_the_ground_state():
+    lowering = np.array([[0, 1], [0, 0]], dtype=complex)
+    liou = single_jump_liouvillian(np.diag([0.0, 1.5]), 0.8 * lowering)
+    assert np.abs(the_stationary_state(liou) - np.diag([1.0, 0.0])).max() <= 1e-12
+
+
+def test_unital_models_keep_the_maximally_mixed_state():
+    zero = gks.GKSLiouvillian(np.zeros((3, 3)), KossakowskiMatrix(3, np.zeros((8, 8))),
+                              gks.gell_mann_basis(3))
+    for liou in (dispersive_qubit(0.7, 2.0), dispersive_qubit(0.0, 3.0), zero):
+        n = liou.dim
+        assert np.abs(the_stationary_state(liou) - np.eye(n) / n).max() <= 1e-12
 
 
 def test_zero_generator_kernel_is_everything():

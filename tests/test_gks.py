@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -354,6 +356,29 @@ def test_dispersion_kernel_dimension_is_basis_independent(rng):
         assert len(dims) == 1 and dims.pop() > 0
 
 
+def test_kernel_map_singular_values_are_basis_invariant():
+    # mixing the traceless elements by a unitary is an isometry of the
+    # coefficient matrices; in isometric coordinates the map keeps its
+    # singular values, and so the rank cut keeps its meaning
+    rng = np.random.default_rng(2)
+    h = random_hermitian(rng, 3)
+    gm = gks.gell_mann_basis(3)
+    u = random_unitary(rng, 8)
+    mixed = np.einsum("ji,jkl->ikl", u, np.stack(gm.traceless))
+    rotated = OperatorBasis(3, tuple(mixed) + (gm.elements[-1],))
+    s = [np.linalg.svd(gks.dispersive_kossakowski_kernel(h, b, samples=0).map_matrix,
+                       compute_uv=False) for b in (gm, rotated)]
+    assert np.abs(s[1] - s[0]).max() <= 1e-12 * s[0][0]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_kernel_elements_are_frobenius_orthonormal(rng, n):
+    kernel = gks.dispersive_kossakowski_kernel(random_hermitian(rng, n),
+                                               gks.gell_mann_basis(n), samples=0).kernel
+    gram = np.einsum("aij,bij->ab", np.conj(kernel), kernel)
+    assert np.abs(gram - np.eye(len(kernel))).max() <= 1e-12
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_kernel_map_columns_are_dissipation_operators(rng, n):
     # column c is the coordinate vector of D_H(e_c), by the S(a) core; an H
@@ -465,13 +490,16 @@ def test_coordinate_round_trip(rng):
     a = random_hermitian(rng, 4, scale=2.0)
     x = gks.hermitian_coords(a)
     assert x.shape == (16,)
+    assert np.linalg.norm(x) == pytest.approx(2.0, rel=1e-14)  # a Frobenius isometry
     assert np.abs(gks.coords_to_hermitian(x, 4) - a).max() <= 1e-14
 
 
 def test_coordinate_order():
+    # diagonal, then sqrt(2) (re, im) of each upper-triangle entry
     a = np.array([[1, 2 + 3j, 4 + 5j], [2 - 3j, 6, 7 + 8j], [4 - 5j, 7 - 8j, 9]])
-    assert gks.hermitian_coords(a).tolist() == [1, 6, 9, 2, 3, 4, 5, 7, 8]
-    assert np.array_equal(gks.coords_to_hermitian([1, 6, 9, 2, 3, 4, 5, 7, 8], 3), a)
+    coords = [1, 6, 9] + (math.sqrt(0.5) * np.array([4, 6, 8, 10, 14, 16])).tolist()
+    assert gks.hermitian_coords(a).tolist() == coords
+    assert np.abs(gks.coords_to_hermitian(coords, 3) - a).max() <= 1e-14
 
 
 # ---------------------------------------------------------------- lindblad form

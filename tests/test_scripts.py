@@ -11,9 +11,9 @@ from helpers import src_env
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, cwd, *args):
+def run_script(name, cwd, *args, **env):
     return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], cwd=cwd,
-                          env=src_env(), capture_output=True, text=True, timeout=120)
+                          env=src_env(**env), capture_output=True, text=True, timeout=120)
 
 
 def test_probability_curves_writes_both_curves(tmp_path):
@@ -91,3 +91,28 @@ def test_bench_pairs_reports_a_failed_run(tmp_path):
                       "--workload", "trajectory", "--pairs", "1")
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and "exit 3" in proc.stderr
+
+
+def test_bench_pairs_compiles_each_source_tree_first(tmp_path):
+    # a checkout that never ran has no bytecode; without it every launch of
+    # the setup_s probe would compile dqs anew
+    parent = stub_checkout(tmp_path, "parent", 0.26, 45.0)
+    change = stub_checkout(tmp_path, "change", 0.26, 45.0)
+    (tmp_path / "change" / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "change" / "src" / "pkg" / "__init__.py").write_text("VALUE = 1\n")
+    proc = run_script("bench_pairs.py", tmp_path, parent, change, "--workload", "trajectory",
+                      "--pairs", "1", PYTHONDONTWRITEBYTECODE="1")
+    assert proc.returncode == 0, proc.stderr
+    assert list((tmp_path / "change" / "src" / "pkg" / "__pycache__").glob("__init__.*.pyc"))
+
+
+def test_bench_pairs_reports_a_failed_compile(tmp_path):
+    parent = stub_checkout(tmp_path, "parent", 0.26, 45.0)
+    change = stub_checkout(tmp_path, "change", 0.26, 45.0)
+    (tmp_path / "change" / "src").mkdir()
+    (tmp_path / "change" / "src" / "broken.py").write_text("def (:\n")
+    proc = run_script("bench_pairs.py", tmp_path, parent, change, "--workload", "trajectory",
+                      "--pairs", "1")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "compileall" in proc.stderr
+    assert not (tmp_path / "order.log").exists()
