@@ -36,6 +36,7 @@ from .linalg import (
 )
 from .neutrino import (
     OscillationParams,
+    Spectrum,
     SpectrumPoint,
     fit_parameters,
     read_spectrum_csv,
@@ -60,6 +61,7 @@ __all__ = [
     "OperatorBasis",
     "OscillationParams",
     "QubitBloch",
+    "Spectrum",
     "SpectrumPoint",
     "cptp_report",
     "dispersive_kossakowski_kernel",

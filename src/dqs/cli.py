@@ -345,7 +345,10 @@ def cmd_nu(args) -> int:
 
 
 def _parse_named(flag: str, items: Optional[Sequence[str]], pair: bool) -> Dict[str, object]:
-    """Parse repeated ``name=value`` flags, or ``name=lo:hi`` ones when ``pair``."""
+    """Parse repeated ``name=value`` flags, or ``name=lo:hi`` ones when ``pair``.
+
+    Each name may appear once; a repeat is an error, not an override.
+    """
     parsed = {}
     for item in items or ():
         name, sep, rest = item.partition("=")
@@ -353,6 +356,8 @@ def _parse_named(flag: str, items: Optional[Sequence[str]], pair: bool) -> Dict[
         if not sep or len(fields) != (2 if pair else 1):
             form = "name=lo:hi" if pair else "name=value"
             raise CliError(f"{flag} wants {form}, got {item!r}")
+        if name in parsed:
+            raise CliError(f"{flag} names {name} twice")
         try:
             values = tuple(map(float, fields))
         except ValueError as exc:
@@ -363,16 +368,16 @@ def _parse_named(flag: str, items: Optional[Sequence[str]], pair: bool) -> Dict[
 
 def cmd_nu_fit(args) -> int:
     try:
-        points = neutrino.read_spectrum_csv(args.data)
+        spectrum = neutrino.read_spectrum_csv(args.data)
     except OSError as exc:
         raise CliError(f"cannot read spectrum: {exc}") from None
     except ValueError as exc:
         raise CliError(f"{args.data}: {exc}") from None
     bounds = _parse_named("--bounds", args.bounds, pair=True)
     fixed = _parse_named("--fix", args.fix, pair=False)
-    fit = neutrino.fit_parameters(points, bounds=bounds or None, fixed=fixed or None,
+    fit = neutrino.fit_parameters(spectrum, bounds=bounds or None, fixed=fixed or None,
                                   grid_points=args.grid_points, max_cycles=args.max_cycles)
-    print(f"points={len(points)}")
+    print(f"points={len(spectrum)}")
     print(f"dm2={_fmt(fit.params.dm2)}")
     print(f"theta={_fmt(fit.params.theta)}")
     print(f"tan2theta={_fmt(math.tan(fit.params.theta) ** 2)}")

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -49,6 +49,10 @@ _EPS = sys.float_info.epsilon
 
 # slack for survival probabilities that graze 0 or 1 through rounding
 _P_SLACK = 1e-9
+
+# spectrum CSV rows parsed at a time, so that the field strings of one block
+# are alive at once rather than those of the whole file
+_PARSE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -75,21 +79,97 @@ class OscillationParams:
         return math.sin(2.0 * self.theta) ** 2
 
 
+# the point rule, one clause per column of (L/E, P, weight), in that order
+_POINT_RULE = ("L/E must be finite and nonnegative",
+               "survival probability must lie in [0, 1]",
+               "weight must be finite and nonnegative")
+
+
+def _first_fault(x: np.ndarray, p: np.ndarray, w: np.ndarray) -> Optional[Tuple[int, int]]:
+    """(point, column) of the first value, in point order, that breaks the point rule.
+
+    A point has a finite L/E >= 0, a survival probability in [0, 1] up to
+    ``_P_SLACK`` and a finite weight >= 0.  The column indexes
+    ``_POINT_RULE``; None when every point passes.
+    """
+    bad = np.stack([~(np.isfinite(x) & (x >= 0.0)),
+                    ~((p >= -_P_SLACK) & (p <= 1.0 + _P_SLACK)),
+                    ~(np.isfinite(w) & (w >= 0.0))], axis=-1)
+    if not bad.any():
+        return None
+    point = int(bad.any(axis=1).argmax())
+    return point, int(bad[point].argmax())
+
+
 @dataclass(frozen=True)
 class SpectrumPoint:
-    """One sample of a survival spectrum: x = L/E in km/GeV, probability, weight."""
+    """One sample of a survival spectrum: x = L/E in km/GeV, probability, weight.
+
+    Validation is ``_first_fault`` on a spectrum of one point.
+    """
 
     l_over_e: float
     p: float
     weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.l_over_e) and self.l_over_e >= 0.0):
-            raise ValueError(f"L/E must be finite and nonnegative, got {self.l_over_e!r}")
-        if not -_P_SLACK <= self.p <= 1.0 + _P_SLACK:
-            raise ValueError(f"survival probability must lie in [0, 1], got {self.p!r}")
-        if not (math.isfinite(self.weight) and self.weight >= 0.0):
-            raise ValueError(f"weight must be finite and nonnegative, got {self.weight!r}")
+        values = (self.l_over_e, self.p, self.weight)
+        fault = _first_fault(*(np.array([v], dtype=float) for v in values))
+        if fault is not None:
+            col = fault[1]
+            raise ValueError(f"{_POINT_RULE[col]}, got {values[col]!r}")
+
+
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """A survival spectrum as three read-only float64 columns of equal length.
+
+    ``l_over_e`` holds x = L/E in km/GeV, ``p`` the survival probabilities
+    and ``weight`` the fit weights.  Every point is validated at
+    construction by ``_first_fault``, the rule ``SpectrumPoint`` applies to
+    one point; the ValueError names the first bad point by its index.
+    Columns are copied, so the caller's arrays stay writable.
+
+    ``len``, integer indexing (which yields a ``SpectrumPoint``) and
+    iteration behave as on a list of points; two spectra are equal when
+    their columns are.
+    """
+
+    l_over_e: np.ndarray
+    p: np.ndarray
+    weight: np.ndarray
+
+    def __post_init__(self) -> None:
+        cols = [np.array(c, dtype=float) for c in (self.l_over_e, self.p, self.weight)]
+        if any(c.ndim != 1 or c.shape != cols[0].shape for c in cols):
+            raise ValueError("spectrum columns must be 1-D and of equal length")
+        fault = _first_fault(*cols)
+        if fault is not None:
+            point, col = fault
+            raise ValueError(f"point {point}: {_POINT_RULE[col]}, got {float(cols[col][point])!r}")
+        for name, c in zip(("l_over_e", "p", "weight"), cols):
+            c.flags.writeable = False
+            object.__setattr__(self, name, c)
+
+    @classmethod
+    def from_points(cls, points: Iterable[SpectrumPoint]) -> "Spectrum":
+        """The spectrum of the given points, in order."""
+        pts = list(points)
+        return cls([pt.l_over_e for pt in pts], [pt.p for pt in pts],
+                   [pt.weight for pt in pts])
+
+    def __len__(self) -> int:
+        return self.p.size
+
+    def __getitem__(self, k: int) -> SpectrumPoint:
+        return SpectrumPoint(float(self.l_over_e[k]), float(self.p[k]), float(self.weight[k]))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Spectrum):
+            return NotImplemented
+        return all(np.array_equal(a, b) for a, b in ((self.l_over_e, other.l_over_e),
+                                                      (self.p, other.p),
+                                                      (self.weight, other.weight)))
 
 
 def oscillation_phase(dm2: float, baseline_km: float, energy_gev: float) -> float:
@@ -145,40 +225,61 @@ def _model(x, dm2, theta, lambda_km):
 
 # ------------------------------------------------------------------ spectrum IO
 
-def read_spectrum_csv(path) -> List[SpectrumPoint]:
-    """Read a survival spectrum from CSV.
+def read_spectrum_csv(path) -> Spectrum:
+    """Read a survival spectrum from CSV into a ``Spectrum``.
 
     Expected header: ``L_over_E_km_per_GeV,P_survival`` with an optional
-    trailing ``weight`` column.  Blank lines and lines starting with ``#``
-    are ignored, and so is a UTF-8 byte order mark, which spreadsheet
-    exports often write.  Malformed rows raise ValueError with the line
-    number.
+    trailing ``weight`` column; without it every weight is 1.  Blank lines
+    and lines starting with ``#`` are ignored, and so is a UTF-8 byte order
+    mark, which spreadsheet exports often write.  Each field is converted by
+    ``float``.  A malformed row raises ValueError naming the first bad line
+    in file order, whatever its fault: a wrong field count, a field that is
+    not a number, or a point that breaks the ``SpectrumPoint`` rule.
+
+    The rows are parsed in one pass and checked as columns; only a file
+    that fails is gone through line by line, to find the line to name.
+    Lines are counted as file iteration counts them: by ``\\n`` after
+    universal-newline translation, so a form feed or U+2028 inside a line
+    does not start a new one.
     """
-    points: List[SpectrumPoint] = []
-    ncols: Optional[int] = None
     with open(path, "r", encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = [f.strip() for f in line.split(",")]
-            if ncols is None:
-                expected = list(SPECTRUM_COLUMNS)
-                if fields not in (expected, expected + ["weight"]):
-                    raise ValueError(f"line {lineno}: unexpected header {line!r}")
-                ncols = len(fields)
-                continue
-            if len(fields) != ncols:
-                raise ValueError(
-                    f"line {lineno}: expected {ncols} fields, got {len(fields)}")
-            try:
-                numbers = [float(f) for f in fields]
-                points.append(SpectrumPoint(*numbers))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-    if ncols is None:
+        lines = [raw.strip() for raw in fh.read().split("\n")]
+    header = next((k for k, line in enumerate(lines) if line and line[0] != "#"), None)
+    if header is None:
         raise ValueError("no header line found")
-    return points
+    fields = [f.strip() for f in lines[header].split(",")]
+    expected = list(SPECTRUM_COLUMNS)
+    if fields not in (expected, expected + ["weight"]):
+        raise ValueError(f"line {header + 1}: unexpected header {lines[header]!r}")
+    ncols = len(fields)
+    rows = [line for line in lines[header + 1:] if line and line[0] != "#"]
+    values = np.empty((len(rows), ncols))
+    try:
+        for k in range(0, len(rows), _PARSE_BLOCK):
+            block = rows[k:k + _PARSE_BLOCK]
+            if any(row.count(",") != ncols - 1 for row in block):
+                raise ValueError("wrong field count")
+            values[k:k + len(block)] = np.fromiter(
+                map(float, ",".join(block).split(",")), dtype=float).reshape(-1, ncols)
+        weight = values[:, 2] if ncols == 3 else np.ones(len(rows))
+        return Spectrum(values[:, 0], values[:, 1], weight)
+    except ValueError:
+        _raise_at_first_bad_line(lines, header + 1, ncols)
+        raise
+
+
+def _raise_at_first_bad_line(lines: List[str], start: int, ncols: int) -> None:
+    """Raise ValueError naming the first bad data line of ``lines[start:]``, if any."""
+    for lineno, line in enumerate(lines[start:], start=start + 1):
+        if not line or line[0] == "#":
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if len(fields) != ncols:
+            raise ValueError(f"line {lineno}: expected {ncols} fields, got {len(fields)}")
+        try:
+            SpectrumPoint(*[float(f) for f in fields])
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
 
 
 # ------------------------------------------------------------------ fitting
@@ -289,7 +390,7 @@ def _theta_for(t: float, lo: float, hi: float) -> float:
     return min(max(second if gaps[1] < gaps[0] else first, lo), hi)
 
 
-def fit_parameters(data: Iterable[SpectrumPoint],
+def fit_parameters(data: Union[Spectrum, Iterable[SpectrumPoint]],
                    bounds: Optional[Mapping[str, Tuple[float, float]]] = None,
                    fixed: Optional[Mapping[str, float]] = None,
                    grid_points: int = 41,
@@ -321,18 +422,19 @@ def fit_parameters(data: Iterable[SpectrumPoint],
     twice the angle is symmetric about pi/4), so with the default theta
     bounds the fit reports the first octant.  Restrict theta to
     (pi/4, pi/2) for the second.
+
+    ``data`` is a ``Spectrum``, whose columns are used as they are, or any
+    iterable of ``SpectrumPoint``, which is gathered into one first.
     """
-    points = list(data)
-    if not points:
+    spectrum = data if isinstance(data, Spectrum) else Spectrum.from_points(data)
+    if not len(spectrum):
         raise ValueError("no spectrum points to fit")
     if grid_points < 2:
         raise ValueError("grid_points must be at least 2")
     if max_cycles < 1:
         raise ValueError("max_cycles must be at least 1")
 
-    x = np.array([pt.l_over_e for pt in points], dtype=float)
-    p = np.array([pt.p for pt in points], dtype=float)
-    w = np.array([pt.weight for pt in points], dtype=float)
+    x, p, w = spectrum.l_over_e, spectrum.p, spectrum.weight
     if not w.max() > 0.0:
         raise ValueError("spectrum has zero total weight")
 
@@ -372,6 +474,7 @@ def fit_parameters(data: Iterable[SpectrumPoint],
     # neither huge nor subnormal weights overflow or underflow
     q = 1.0 - p
     ws = w / w.max()
+    wsq = ws * q
 
     def profile(at: Mapping[str, float]) -> Tuple[float, float]:
         """(SSE, theta) at the best theta for the point's dm2 and lambda_km."""
@@ -381,7 +484,7 @@ def fit_parameters(data: Iterable[SpectrumPoint],
                 theta = pinned_theta
             else:
                 b = np.dot(ws * d, d)
-                t = t_lo if b == 0.0 else min(max(np.dot(ws * q, d) / b, t_lo), t_hi)
+                t = t_lo if b == 0.0 else min(max(np.dot(wsq, d) / b, t_lo), t_hi)
                 theta = _theta_for(t, theta_lo, theta_hi)
             r = 1.0 - d * np.sin(2.0 * theta) ** 2 - p
             return float(np.dot(w * r, r)), theta
@@ -400,7 +503,7 @@ def fit_parameters(data: Iterable[SpectrumPoint],
         a = 0.5 * np.dot(ws, q) - s @ (q * we).T
         b = 0.25 * ws.sum() - s @ we.T + (s * s) @ (we * e).T
         t = np.where(b == 0.0, t_lo, np.clip(a / b, t_lo, t_hi))
-        estimate = np.dot(ws * q, q) - 2.0 * t * a + t * t * b
+        estimate = np.dot(wsq, q) - 2.0 * t * a + t * t * b
     finite = np.isfinite(estimate)
     if not finite.any():
         raise ValueError("no grid point has a finite SSE")

@@ -689,6 +689,19 @@ def test_nu_fit_rejects_bad_flags(capsys, tmp_path):
         assert (code, out, err) == (2, "", f"error: {message}\n"), extra
 
 
+@pytest.mark.parametrize("flag, first, again", [
+    ("--fix", "theta=0.5", "theta=0.6"),
+    ("--bounds", "theta=0:0.5", "theta=0:0.7"),
+])
+def test_nu_fit_rejects_a_repeated_name(capsys, tmp_path, flag, first, again):
+    # a repeat is not an override: the user asked two questions of one name
+    data = tmp_path / "spectrum.csv"
+    write_spectrum(data, neutrino.OscillationParams(7.9e-5, 0.55, 0.0), n=10)
+    code, out, err = run_cli(capsys, "nu-fit", str(data), flag, first, flag, again,
+                             "--fix", "lambda_km=0")
+    assert (code, out, err) == (2, "", f"error: {flag} names theta twice\n")
+
+
 # ------------------------------------------------------------------ basis, lindblad
 
 def test_basis_dump(capsys):

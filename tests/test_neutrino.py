@@ -137,12 +137,88 @@ def test_read_spectrum_csv_errors(tmp_path):
         ("L_over_E_km_per_GeV,P_survival\n1.0,spam\n", "line 2"),
         ("L_over_E_km_per_GeV,P_survival\n1.0,7.0\n", "line 2.*probability"),
         ("# only comments\n", "no header"),
+        # the first bad line in file order is named, whatever its fault
+        ("L_over_E_km_per_GeV,P_survival\n1.0,0.5\n1.0,7.0\n2.0,0.5\n1.0,spam\n",
+         "^line 3: survival probability"),
+        ("L_over_E_km_per_GeV,P_survival\n-1.0,0.5\n1.0\n", "^line 2: L/E"),
+        ("L_over_E_km_per_GeV,P_survival\n1.0,spam\n1.0,7.0\n", "^line 2: could not convert"),
+        ("L_over_E_km_per_GeV,P_survival,weight\n1.0,0.5,1\n1.0,0.5,-2\n2.0,0.5\n",
+         "^line 3: weight"),
     ]
     for text, pattern in cases:
         path = tmp_path / "bad.csv"
         path.write_text(text)
         with pytest.raises(ValueError, match=pattern):
             neutrino.read_spectrum_csv(path)
+
+
+def test_read_spectrum_csv_counts_lines_as_file_iteration_does(tmp_path):
+    # CRLF and a lone CR each end one line; a form feed or U+2028 inside a
+    # comment ends none, although str.splitlines breaks there
+    text = ("# exported\u2028by a spreadsheet\r\n"
+            "L_over_E_km_per_GeV,P_survival\r\n"
+            "# page\x0cbreak\r\n"
+            "1.0,0.5\r"
+            "1.5,0.6\r\n"
+            "2.0,oops\r\n")
+    path = tmp_path / "crlf.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with open(path, encoding="utf-8-sig") as fh:
+        want = next(k for k, line in enumerate(fh, start=1) if "oops" in line)
+    assert want == 6
+    message = f"^line {want}: could not convert string to float: 'oops'$"
+    with pytest.raises(ValueError, match=message):
+        neutrino.read_spectrum_csv(path)
+
+
+BAD_POINTS = [(-1.0, 0.5, 1.0), (math.nan, 0.5, 1.0), (math.inf, 0.5, 1.0),
+              (1.0, 1.0 + 2e-9, 1.0), (1.0, -0.1, 1.0), (1.0, math.nan, 1.0),
+              (1.0, 0.5, -1.0), (1.0, 0.5, math.inf), (1.0, 0.5, math.nan),
+              (-1.0, 7.0, -1.0), (1.0, 7.0, -1.0)]
+
+
+@pytest.mark.parametrize("bad", BAD_POINTS, ids=repr)
+def test_spectrum_applies_the_point_rule(bad):
+    # one rule: a spectrum names its first bad point with the message that
+    # point alone raises as a SpectrumPoint
+    with pytest.raises(ValueError) as alone:
+        SpectrumPoint(*bad)
+    good = (0.0, 1.0, 1.0)
+    with pytest.raises(ValueError) as within:
+        neutrino.Spectrum(*zip(good, bad, bad))
+    assert str(within.value) == f"point 1: {alone.value}"
+
+
+def test_spectrum_accepts_the_probability_slack():
+    spectrum = neutrino.Spectrum([0.0, 1.0], [-1e-9, 1.0 + 1e-9], [0.0, 2.0])
+    assert spectrum[0] == SpectrumPoint(0.0, -1e-9, 0.0)
+
+
+def test_spectrum_keeps_read_only_copies():
+    x = np.array([0.0, 10.0])
+    spectrum = neutrino.Spectrum(x, [1.0, 0.5], [1.0, 2.0])
+    x[0] = 5.0
+    assert spectrum.l_over_e.tolist() == [0.0, 10.0]
+    for column in (spectrum.l_over_e, spectrum.p, spectrum.weight):
+        assert column.dtype == np.float64 and column.flags.c_contiguous
+        with pytest.raises(ValueError):
+            column[0] = 0.5
+    with pytest.raises(ValueError, match="equal length"):
+        neutrino.Spectrum([0.0, 1.0], [0.5], [1.0, 1.0])
+    with pytest.raises(ValueError, match="1-D"):
+        neutrino.Spectrum([[0.0]], [[0.5]], [[1.0]])
+
+
+def test_spectrum_acts_as_a_list_of_points():
+    points = [SpectrumPoint(0.0, 1.0), SpectrumPoint(10.0, 0.5, 2.0)]
+    spectrum = neutrino.Spectrum.from_points(points)
+    assert len(spectrum) == 2
+    assert spectrum[1] == points[1] and spectrum[-1] == points[1]
+    assert list(spectrum) == points
+    assert spectrum == neutrino.Spectrum([0.0, 10.0], [1.0, 0.5], [1.0, 2.0])
+    assert spectrum != neutrino.Spectrum([0.0, 10.0], [1.0, 0.5], [1.0, 3.0])
+    assert spectrum != points
+    assert len(neutrino.Spectrum.from_points([])) == 0
 
 
 # ------------------------------------------------------------------ slice minimiser
@@ -271,6 +347,35 @@ def test_fit_is_deterministic():
     assert one.params == two.params
     assert one.sse == two.sse
     assert one.cycles == two.cycles
+
+
+def test_fit_reads_a_spectrum_as_its_points():
+    points = _random_spectrum(4)
+    spectrum = neutrino.Spectrum.from_points(points)
+    assert neutrino.fit_parameters(spectrum) == neutrino.fit_parameters(points)
+
+
+def test_reading_and_fitting_make_no_point_objects(monkeypatch, tmp_path):
+    # the reader and the fit work on columns; one validated SpectrumPoint
+    # per row used to be made, and converted back into arrays by the fit
+    points = _bench_like_spectrum(4, 2000, True)
+    path = tmp_path / "spectrum.csv"
+    path.write_text("L_over_E_km_per_GeV,P_survival,weight\n" + "".join(
+        f"{pt.l_over_e!r},{pt.p!r},{pt.weight!r}\n" for pt in points))
+    made = []
+    check = SpectrumPoint.__post_init__
+
+    def counting(self):
+        made.append(self)
+        check(self)
+
+    monkeypatch.setattr(SpectrumPoint, "__post_init__", counting)
+    spectrum = neutrino.read_spectrum_csv(path)
+    fit = neutrino.fit_parameters(spectrum, bounds=FIRST_OCTANT, fixed={"lambda_km": 0.0})
+    assert fit.converged
+    assert made == []
+    assert spectrum == neutrino.Spectrum.from_points(points)
+    assert spectrum[0] == points[0] and len(made) == 1  # the spy counts
 
 
 def test_fit_input_validation():
