@@ -471,7 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bounds", action="append", metavar="NAME=LO:HI",
                    help="override search bounds (repeatable)")
     p.add_argument("--fix", action="append", metavar="NAME=VALUE",
-                   help="pin a parameter (repeatable)")
+                   help="pin a parameter; the value must lie inside any "
+                        "--bounds given for it (repeatable)")
     p.add_argument("--grid-points", type=int, default=41)
     p.add_argument("--max-cycles", type=int, default=60)
     p.set_defaults(func=cmd_nu_fit)

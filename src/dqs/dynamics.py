@@ -242,15 +242,15 @@ def stationary_states(liouvillian: gks.GKSLiouvillian,
     """Stationary subspace of the flow and the stationary state reached from I/N.
 
     The kernel of the generator matrix L is returned as matrices.  With V a
-    basis of the kernel of L and W one of the kernel of L^+, P0 = V (W^+ V)^-1
-    W^+ is the spectral projection at eigenvalue 0; for a bounded semigroup 0
-    is semisimple, so P0 is the Cesaro limit of exp(t L), a CPTP map (Spohn,
-    Lett. Math. Phys. 2, 1977).  The one density matrix returned is P0(I/N).
+    basis of the kernel of L and W one of the kernel of L^+, both from one
+    SVD of L so that W^+ V is square, P0 = V (W^+ V)^-1 W^+ is the spectral
+    projection at eigenvalue 0; for a bounded semigroup 0 is semisimple, so
+    P0 is the Cesaro limit of exp(t L), a CPTP map (Spohn, Lett. Math.
+    Phys. 2, 1977).  The one density matrix returned is P0(I/N).
     """
     n = liouvillian.dim
-    m = liouvillian.superop
-    null = linalg.kernel_basis(m, tol)
-    co = linalg.dagger(linalg.kernel_basis(linalg.dagger(m), tol))  # W^+
+    null, left = linalg.null_spaces(liouvillian.superop, tol)
+    co = linalg.dagger(left)  # W^+
     rho = unvec(null @ np.linalg.solve(co @ null, co @ vec(np.eye(n) / n)), n)
     mats = null.T.reshape(-1, n, n).swapaxes(1, 2)  # unvec of each column
     return StationaryFamily(tuple(mats), (DensityMatrix(rho),))

@@ -21,7 +21,7 @@ import numpy as np
 HERMITICITY_TOL = 1e-10
 #: Eigenvalues above -PSD_TOL (scaled) count as nonnegative.
 PSD_TOL = 1e-10
-#: Relative tolerance for zero: kernel_basis drops singular values up to
+#: Relative tolerance for zero: null_spaces drops singular values up to
 #: KERNEL_TOL times the largest; the dispersion checks (is_dispersive and the
 #: dispersion kernel's rank cut) use KERNEL_TOL * max(1, ||H||_F) instead.
 KERNEL_TOL = 1e-9
@@ -217,21 +217,30 @@ def trace_norm(a) -> float:
     return float(singular_values(m).sum())
 
 
+def null_spaces(m, tol: float = KERNEL_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases (as columns) of the numerical null spaces of m and of m^+.
+
+    Both come from one SVD of m: the right and the left singular vectors
+    past the numerical rank, which counts singular values above tol times
+    the largest.  The two bases of a square m therefore have equally many
+    columns.  A zero map returns bases of the whole domain and codomain.
+    """
+    u, s, vh = np.linalg.svd(as_matrix(m))
+    smax = float(s[0]) if s.size else 0.0
+    rank = int(np.count_nonzero(s > tol * smax))
+    return dagger(vh[rank:]), u[:, rank:]
+
+
 def kernel_basis(m, tol: float = KERNEL_TOL) -> np.ndarray:
     """Orthonormal basis (as columns) of the numerical null space of m.
 
-    The basis is the right singular vectors past the numerical rank, which
-    counts singular values above tol times the largest.  A zero map returns
-    a basis of the whole domain.
+    The basis is that of ``null_spaces``.  A zero map returns a basis of
+    the whole domain.
     """
     a = as_matrix(m)
-    n = a.shape[1]
-    if n == 0:
+    if a.shape[1] == 0:
         return np.zeros((0, 0), dtype=complex)
-    _, s, vh = np.linalg.svd(a)
-    smax = float(s[0]) if s.size else 0.0
-    rank = int(np.count_nonzero(s > tol * smax))
-    return dagger(vh[rank:])
+    return null_spaces(a, tol)[0]
 
 
 def psd_bound(w: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:

@@ -55,6 +55,22 @@ _P_SLACK = 1e-9
 _PARSE_BLOCK = 256
 
 
+_RANGE_CHECKS = {
+    "dm2": (lambda v: v > 0.0, "positive"),
+    "theta": (lambda v: 0.0 <= v <= math.pi / 2.0, "in [0, pi/2]"),
+    "lambda_km": (lambda v: v >= 0.0, "nonnegative"),
+}
+
+
+def _check_range(name: str, value: float) -> None:
+    """Raise ValueError unless value is finite and legal for the named parameter."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    ok, phrase = _RANGE_CHECKS[name]
+    if not ok(value):
+        raise ValueError(f"{name} must be {phrase}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class OscillationParams:
     """Two-flavor model point: splitting, mixing angle, damping rate."""
@@ -65,14 +81,7 @@ class OscillationParams:
 
     def __post_init__(self) -> None:
         for name in PARAMETER_NAMES:
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.dm2 <= 0.0:
-            raise ValueError(f"dm2 must be positive, got {self.dm2!r}")
-        if not 0.0 <= self.theta <= math.pi / 2.0:
-            raise ValueError("theta must lie in [0, pi/2]")
-        if self.lambda_km < 0.0:
-            raise ValueError("lambda_km must be nonnegative")
+            _check_range(name, getattr(self, name))
 
     @property
     def sin2_2theta(self) -> float:
@@ -369,19 +378,6 @@ def _brent_min(f: Callable[[float], tuple], lo: float, hi: float,
                 v, fv = u, fu
 
 
-_RANGE_CHECKS = {
-    "dm2": (lambda v: v > 0.0, "positive"),
-    "theta": (lambda v: 0.0 <= v <= math.pi / 2.0, "in [0, pi/2]"),
-    "lambda_km": (lambda v: v >= 0.0, "nonnegative"),
-}
-
-
-def _check_range(name: str, value: float) -> None:
-    ok, phrase = _RANGE_CHECKS[name]
-    if not (math.isfinite(value) and ok(value)):
-        raise ValueError(f"{name} must be {phrase}, got {value!r}")
-
-
 def _theta_for(t: float, lo: float, hi: float) -> float:
     """An angle in [lo, hi] with sin^2(2 theta) = t, the first octant on a tie."""
     first = 0.5 * math.asin(math.sqrt(t))
@@ -403,8 +399,7 @@ def fit_parameters(data: Union[Spectrum, Iterable[SpectrumPoint]],
     minimum T* = A/B, A = sum w q D and B = sum w D^2 (variable projection,
     Golub & Pereyra 1973).  T* is clipped to the image of the theta bounds
     and mapped back to an angle inside them; where both theta and
-    pi/2 - theta are allowed, the first octant is taken.  A pinned theta is
-    kept exactly.
+    pi/2 - theta are allowed, the first octant is taken.
 
     Only dm2 and lambda_km are searched.  The SSE at T* is estimated on a
     full grid over the free ones by two matrix products; the best finite
@@ -413,10 +408,11 @@ def fit_parameters(data: Union[Spectrum, Iterable[SpectrumPoint]],
     the SSE is taken; one that lies farther away but does not lower it
     halves that bracket.  The polish cycles until every slice minimum lies
     within 1e-6 of its bound width of the current value, or ``max_cycles``
-    is exhausted.
-    Degenerate bounds (lo == hi) pin a parameter just like an entry in
-    ``fixed``.  The procedure is deterministic: the same data and settings
-    always return the same result.
+    is exhausted.  Degenerate bounds (lo == hi) pin a parameter, and an
+    entry v in ``fixed`` is the bound (v, v): it must lie inside any bounds
+    given for the same name, though the default bounds do not limit it.  A
+    pinned theta is kept exactly.  The procedure is deterministic: the same
+    data and settings always return the same result.
 
     Survival spectra cannot distinguish theta from pi/2 - theta (sin^2 of
     twice the angle is symmetric about pi/4), so with the default theta
@@ -451,24 +447,20 @@ def fit_parameters(data: Union[Spectrum, Iterable[SpectrumPoint]],
     for name, value in (fixed or {}).items():
         if name not in PARAMETER_NAMES:
             raise ValueError(f"unknown parameter {name!r}")
-        _check_range(name, float(value))
+        v = float(value)
+        _check_range(name, v)
+        lo, hi = merged[name]
+        if name in (bounds or {}) and not lo <= v <= hi:
+            raise ValueError(f"fixed {name}={v!r} lies outside its bounds [{lo!r}, {hi!r}]")
+        merged[name] = (v, v)
 
-    values: Dict[str, float] = {}
-    for name in PARAMETER_NAMES:
-        if fixed is not None and name in fixed:
-            values[name] = float(fixed[name])
-        elif merged[name][0] == merged[name][1]:
-            values[name] = merged[name][0]
+    values = {name: lo for name, (lo, hi) in merged.items() if lo == hi}
     free = [name for name in ("dm2", "lambda_km") if name not in values]
 
-    pinned_theta = values.get("theta")
     theta_lo, theta_hi = merged["theta"]
-    if pinned_theta is not None:
-        t_lo = t_hi = math.sin(2.0 * pinned_theta) ** 2
-    else:
-        ends = (math.sin(2.0 * theta_lo) ** 2, math.sin(2.0 * theta_hi) ** 2)
-        t_lo = min(ends)
-        t_hi = 1.0 if theta_lo <= math.pi / 4.0 <= theta_hi else max(ends)
+    ends = (math.sin(2.0 * theta_lo) ** 2, math.sin(2.0 * theta_hi) ** 2)
+    t_lo = min(ends)
+    t_hi = 1.0 if theta_lo <= math.pi / 4.0 <= theta_hi else max(ends)
 
     # A/B is computed with the weights scaled to a maximum of 1, so that
     # neither huge nor subnormal weights overflow or underflow
@@ -480,8 +472,8 @@ def fit_parameters(data: Union[Spectrum, Iterable[SpectrumPoint]],
         """(SSE, theta) at the best theta for the point's dm2 and lambda_km."""
         with np.errstate(over="ignore", invalid="ignore"):
             d = _damped(x, at["dm2"], at["lambda_km"])
-            if pinned_theta is not None:
-                theta = pinned_theta
+            if theta_lo == theta_hi:
+                theta = theta_lo
             else:
                 b = np.dot(ws * d, d)
                 t = t_lo if b == 0.0 else min(max(np.dot(wsq, d) / b, t_lo), t_hi)

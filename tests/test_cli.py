@@ -604,6 +604,11 @@ def test_nu_fit_respects_fix(capsys, tmp_path):
     assert float(kv["theta"]) == 0.55
     assert float(kv["lambda_km"]) == 0.0
     assert float(kv["dm2"]) == pytest.approx(truth.dm2, rel=1e-3)
+    # outside the default dm2 bounds, which do not limit a fixed value
+    code, out, err = run_cli(capsys, "nu-fit", str(data), "--fix", "dm2=3e-4",
+                             "--fix", "lambda_km=0")
+    assert (code, err) == (0, "")
+    assert float(parse_kv(out)["dm2"]) == 3e-4
 
 
 def test_nu_fit_accepts_a_byte_order_mark(capsys, tmp_path):
@@ -684,7 +689,9 @@ def test_nu_fit_rejects_bad_flags(capsys, tmp_path):
             (["--fix", "mass=1"], "unknown parameter 'mass'"),
             (["--fix", "theta"], "--fix wants name=value, got 'theta'"),
             (["--fix", "theta=oops"],
-             "--fix 'theta=oops': could not convert string to float: 'oops'")):
+             "--fix 'theta=oops': could not convert string to float: 'oops'"),
+            (["--fix", "theta=0.5", "--bounds", "theta=0:0.3", "--fix", "lambda_km=0"],
+             "fixed theta=0.5 lies outside its bounds [0.0, 0.3]")):
         code, out, err = run_cli(capsys, "nu-fit", str(data), *extra)
         assert (code, out, err) == (2, "", f"error: {message}\n"), extra
 

@@ -269,6 +269,26 @@ def test_random_generators_have_stationary_states(rng):
             the_stationary_state(liou)
 
 
+def test_stationary_states_take_one_svd(monkeypatch, rng):
+    # V and W come from the right and left singular vectors of one SVD of L,
+    # so their rank cuts are one cut and W^+ V is square
+    liouvillians = [dispersive_qubit(0.7, 2.0), random_liouvillian(rng, 3)]
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    for liou in liouvillians:
+        n = liou.dim
+        calls.clear()
+        family = dynamics.stationary_states(liou)
+        assert calls == [(n * n, n * n)]
+        assert len(family.kernel) >= 1
+
+
 def single_jump_liouvillian(h, v):
     """The generator with Hamiltonian h and the one traceless jump operator v."""
     n = h.shape[0]

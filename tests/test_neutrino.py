@@ -32,10 +32,13 @@ def test_oscillation_phase_scaling():
 def test_params_validation():
     with pytest.raises(ValueError, match="positive"):
         OscillationParams(0.0, 0.5)
-    with pytest.raises(ValueError, match="pi/2"):
+    with pytest.raises(ValueError, match=r"^theta must be in \[0, pi/2\], got 2.0$"):
         OscillationParams(7.9e-5, 2.0)
     with pytest.raises(ValueError, match="nonnegative"):
         OscillationParams(7.9e-5, 0.5, -1e-6)
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^lambda_km must be finite, got {value!r}$"):
+            OscillationParams(7.9e-5, 0.5, value)
     assert OscillationParams(7.9e-5, THETA_04).sin2_2theta == pytest.approx(
         0.8163265306122449, abs=1e-15)
 
@@ -337,6 +340,23 @@ def test_fit_respects_fixed_parameters():
         data, bounds={"theta": (THETA_04, THETA_04)},
         fixed={"lambda_km": 0.0}, grid_points=21)
     assert pinned.params.theta == THETA_04
+    # the default bounds do not limit a fixed value, only bounds given for it
+    outside = neutrino.fit_parameters(data, fixed={"dm2": 3e-4}, grid_points=21)
+    assert outside.params.dm2 == 3e-4
+    inside = neutrino.fit_parameters(data, bounds={"dm2": (1e-5, 4e-4)},
+                                     fixed={"dm2": 3e-4}, grid_points=21)
+    assert inside == outside
+
+
+@pytest.mark.parametrize("name, value", [("theta", 0.6), ("theta", math.pi / 4.0),
+                                         ("theta", 0.0), ("lambda_km", 0.0),
+                                         ("lambda_km", 2e-5)])
+def test_a_fixed_value_is_a_degenerate_bound(name, value):
+    points = _random_spectrum(5)
+    fixed = neutrino.fit_parameters(points, fixed={name: value}, grid_points=13)
+    assert fixed == neutrino.fit_parameters(points, bounds={name: (value, value)},
+                                            grid_points=13)
+    assert getattr(fixed.params, name) == value
 
 
 def test_fit_is_deterministic():
@@ -390,6 +410,12 @@ def test_fit_input_validation():
         neutrino.fit_parameters(data, bounds={"dm2": (1e-4, 1e-5)})
     with pytest.raises(ValueError, match="positive"):
         neutrino.fit_parameters(data, fixed={"dm2": 0.0})
+    with pytest.raises(ValueError, match="dm2 must be finite, got nan"):
+        neutrino.fit_parameters(data, fixed={"dm2": math.nan})
+    with pytest.raises(ValueError,
+                       match=r"^fixed theta=0.5 lies outside its bounds \[0.0, 0.3\]$"):
+        neutrino.fit_parameters(data, bounds={"theta": (0.0, 0.3)},
+                                fixed={"theta": 0.5, "lambda_km": 0.0})
     with pytest.raises(ValueError, match="grid_points"):
         neutrino.fit_parameters(data, grid_points=1)
 

@@ -116,3 +116,22 @@ def test_bench_pairs_reports_a_failed_compile(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and "compileall" in proc.stderr
     assert not (tmp_path / "order.log").exists()
+
+
+def test_stdout_digest_is_reproducible(tmp_path):
+    runs = [run_script("stdout_digest.py", tmp_path, str(ROOT), "--workload", "nu-fit",
+                       "--seeds", "0") for _ in range(2)]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    keys = dict(line.split("=", 1) for line in runs[0].stdout.splitlines())
+    assert list(keys) == ["tasks", "failed", "sha256"]
+    assert int(keys["tasks"]) > 0 and keys["failed"] == "0"
+    assert len(bytes.fromhex(keys["sha256"])) == 32
+    assert runs[1].stdout == runs[0].stdout
+    assert not list(tmp_path.iterdir())
+
+
+def test_stdout_digest_reports_a_checkout_without_a_bench(tmp_path):
+    proc = run_script("stdout_digest.py", tmp_path, str(tmp_path), "--workload", "nu-fit")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: no bench/run.py in {tmp_path}\n"
