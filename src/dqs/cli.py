@@ -474,7 +474,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pin a parameter; the value must lie inside any "
                         "--bounds given for it (repeatable)")
     p.add_argument("--grid-points", type=int, default=41)
-    p.add_argument("--max-cycles", type=int, default=60)
+    p.add_argument("--max-cycles", type=int, default=60,
+                   help="cap on the polish: Levenberg-Marquardt iterations when "
+                        "dm2 and lambda_km are both free, Brent cycles when one "
+                        "is; exit 3 when it is reached unconverged")
     p.set_defaults(func=cmd_nu_fit)
 
     p = sub.add_parser("basis", help="dump the trace-orthonormal Hermitian basis")

@@ -47,6 +47,10 @@ SPECTRUM_COLUMNS = ("L_over_E_km_per_GeV", "P_survival")
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 _EPS = sys.float_info.epsilon
 
+# the least Levenberg-Marquardt damping, which keeps the step's system
+# regular when the Jacobian's columns are parallel
+_MU_MIN = 1e-12
+
 # slack for survival probabilities that graze 0 or 1 through rounding
 _P_SLACK = 1e-9
 
@@ -222,10 +226,23 @@ def survival_at_l_over_e(params: OscillationParams, l_over_e):
     return float(values) if values.ndim == 0 else values
 
 
-def _damped(x, dm2, lambda_km):
-    """D = 1/2 - exp(-lambda_km x) (1/2 - sin^2 phase), so that P = 1 - D sin^2(2 theta)."""
+def _damped(x, dm2, lambda_km, slopes=False):
+    """D = 1/2 - exp(-lambda_km x) (1/2 - sin^2 phase), so that P = 1 - D sin^2(2 theta).
+
+    With ``slopes`` the triple (D, dD/d dm2, dD/d lambda_km) is returned,
+    from the same sine and exponential: with E = exp(-lambda_km x),
+    dD/d dm2 = PHASE_CONSTANT x E sin(2 phase) and
+    dD/d lambda_km = x E (1/2 - sin^2 phase).
+    """
     phase = PHASE_CONSTANT * dm2 * x
-    return 0.5 - np.exp(-lambda_km * x) * (0.5 - np.sin(phase) ** 2)
+    s = np.sin(phase)
+    h = 0.5 - s ** 2
+    e = np.exp(-lambda_km * x)
+    d = 0.5 - e * h
+    if not slopes:
+        return d
+    xe = x * e
+    return d, (2.0 * PHASE_CONSTANT) * xe * s * np.cos(phase), xe * h
 
 
 def _model(x, dm2, theta, lambda_km):
@@ -301,6 +318,13 @@ class FitResult:
     polish, which is occasionally useful for diagnosing a fit that latched
     onto an aliased minimum.  Only dm2 and lambda_km are grid nodes;
     ``grid_params.theta`` is the angle solved in closed form there.
+
+    ``cycles`` counts the polish's iterations: Levenberg-Marquardt steps
+    proposed when dm2 and lambda_km are both free, Brent slice cycles when
+    one of them is, and 0 when both are pinned.  ``jtj_cond`` is cond(J^T J)
+    of the profiled residual at the returned point, in coordinates scaled
+    by the bound widths; inf when J^T J is singular or out of float range,
+    and None unless dm2 and lambda_km are both free.
     """
 
     params: OscillationParams
@@ -309,6 +333,7 @@ class FitResult:
     cycles: int
     grid_params: OscillationParams
     grid_sse: float
+    jtj_cond: Optional[float] = None
 
 
 def _brent_min(f: Callable[[float], tuple], lo: float, hi: float,
@@ -378,12 +403,115 @@ def _brent_min(f: Callable[[float], tuple], lo: float, hi: float,
                 v, fv = u, fu
 
 
+def _lm_min(f: Callable[[np.ndarray], tuple], start: np.ndarray, at_start: tuple,
+            lo: np.ndarray, hi: np.ndarray, tol: np.ndarray,
+            max_iterations: int) -> Tuple[np.ndarray, tuple, int, bool]:
+    """Box-projected Levenberg-Marquardt minimiser of a sum of squares in two
+    parameters.
+
+    f(beta) returns a tuple (value, g, m, rss, ...): the value minimised,
+    and for a residual r whose sum of squares it is, up to a constant
+    factor and rounding, the gradient g = J^T r, m = J^T J and rss = r^T r;
+    ``at_start`` is f's tuple at ``start``.  Each iteration solves
+    (J^T J + mu diag(J^T J)) step = -g (Marquardt's scaling, so the step
+    does not depend on the units of beta) over the free coordinates: a
+    coordinate on a bound whose gradient points out of the box stays there,
+    and so does one along which J vanishes.  The trial point is beta + step
+    clipped to [lo, hi].  A trial with a lower value is taken and mu
+    shrinks; any other, a non-finite value included, is rejected and mu
+    grows, faster with each rejection in a row.
+
+    The search stops, converged, once a step would move every coordinate
+    by at most its ``tol``, or once the full Gauss-Newton step
+    g^T (J^T J)^-1 g promises to lower rss by no more than 1e-13 of it:
+    closer to the minimum, rounding in g moves the steps more than the
+    residual can show.  Returns beta, f's tuple there, the number of
+    iterations and whether it converged within ``max_iterations``.
+    """
+    beta, best = start, at_start
+    mu, grow = 1e-3, 2.0
+    iterations = 0
+    while iterations < max_iterations:
+        iterations += 1
+        value, g, m, rss = best[:4]
+        scale = np.sqrt(np.diag(m))
+        free = ((scale > 0.0) & np.isfinite(scale)
+                & ~(((beta <= lo) & (g > 0.0)) | ((beta >= hi) & (g < 0.0))))
+        # in units of the columns of J, J^T J has unit diagonal and the
+        # off-diagonal c; a fixed coordinate has c = 0 and no gradient
+        s = np.where(free, scale, 1.0)
+        gs = np.where(free, g / s, 0.0)
+        c = m[0, 1] / (s[0] * s[1]) if free.all() else 0.0
+
+        def solve(k):
+            """[[k, c], [c, k]]^-1 gs."""
+            return np.array([k * gs[0] - c * gs[1], k * gs[1] - c * gs[0]]) / (k * k - c * c)
+
+        if gs @ solve(1.0 + _MU_MIN) <= 1e-13 * rss:
+            return beta, best, iterations, True
+        trial = np.clip(beta - solve(1.0 + mu) / s, lo, hi)
+        if (np.abs(trial - beta) <= tol).all():
+            return beta, best, iterations, True
+        out = f(trial)
+        if out[0] < value:
+            beta, best = trial, out
+            mu, grow = max(mu / 3.0, _MU_MIN), 2.0
+        else:
+            mu, grow = mu * grow, grow * 2.0
+    return beta, best, iterations, False
+
+
+def _jtj_condition(m: np.ndarray, widths: np.ndarray) -> float:
+    """cond(J^T J) of two parameters in coordinates scaled by ``widths``: inf
+    when it is singular or out of float range, never NaN."""
+    s = widths / widths.max()
+    a, b, c = (float(v) for v in (m[0, 0] * s[0] * s[0], m[1, 1] * s[1] * s[1],
+                                   m[0, 1] * s[0] * s[1]))
+    det = a * b - c * c
+    if not (math.isfinite(a) and math.isfinite(b) and det > 0.0):
+        return math.inf
+    # the larger eigenvalue squared over the product of both
+    high = 0.5 * (a + b) + math.hypot(0.5 * (a - b), c)
+    return high * high / det
+
+
 def _theta_for(t: float, lo: float, hi: float) -> float:
     """An angle in [lo, hi] with sin^2(2 theta) = t, the first octant on a tie."""
     first = 0.5 * math.asin(math.sqrt(t))
     second = math.pi / 2.0 - first
     gaps = [max(lo - theta, 0.0, theta - hi) for theta in (first, second)]
     return min(max(second if gaps[1] < gaps[0] else first, lo), hi)
+
+
+def _best_t(d: np.ndarray, ws: np.ndarray, wsq: np.ndarray,
+            t_range: Tuple[float, float]) -> Tuple[float, float]:
+    """(T*, B): T* = A/B clipped to t_range, or its low end where B = 0.
+
+    A = <D, ws q> (``wsq`` = ws q) and B = <D, ws D>, so that T* minimises
+    sum ws (q - D T)^2 over T in t_range.
+    """
+    b = np.dot(ws * d, d)
+    t_lo, t_hi = t_range
+    return (t_lo if b == 0.0 else min(max(np.dot(wsq, d) / b, t_lo), t_hi)), b
+
+
+def _profiled_residual(x: np.ndarray, q: np.ndarray, ws: np.ndarray, wsq: np.ndarray,
+                       t_range: Tuple[float, float], dm2: float,
+                       lambda_km: float) -> Tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """The profiled residual r = D T* - q at (dm2, lambda_km) and its Jacobian.
+
+    Returns (D, T*, r, jac), T* from ``_best_t``, with jac[k] the derivative
+    of r along dm2 (k = 0) and lambda_km (k = 1): dD_k T* + D dT*_k, where
+    dT*_k = (<dD_k, ws q> - 2 T* <dD_k, ws D>) / B, or 0 where T* is
+    clipped.  D and both dD_k come from one ``_damped`` call.
+    """
+    d, *slopes = _damped(x, dm2, lambda_km, True)
+    dd = np.array(slopes)
+    t, b = _best_t(d, ws, wsq, t_range)
+    jac = dd * t
+    if t_range[0] < t < t_range[1]:
+        jac += np.outer((dd @ wsq - 2.0 * t * (dd @ (ws * d))) / b, d)
+    return d, t, d * t - q, jac
 
 
 def fit_parameters(data: Union[Spectrum, Iterable[SpectrumPoint]],
@@ -402,13 +530,24 @@ def fit_parameters(data: Union[Spectrum, Iterable[SpectrumPoint]],
     pi/2 - theta are allowed, the first octant is taken.
 
     Only dm2 and lambda_km are searched.  The SSE at T* is estimated on a
-    full grid over the free ones by two matrix products; the best finite
-    node seeds a coordinate-wise polish by Brent's bounded minimiser over a
-    bracket of one grid spacing either side.  A slice minimum that lowers
-    the SSE is taken; one that lies farther away but does not lower it
-    halves that bracket.  The polish cycles until every slice minimum lies
-    within 1e-6 of its bound width of the current value, or ``max_cycles``
-    is exhausted.  Degenerate bounds (lo == hi) pin a parameter, and an
+    full grid over the free ones by two matrix products, and the best
+    finite node is polished.
+
+    With dm2 and lambda_km both free, the polish is ``_lm_min``:
+    box-projected Levenberg-Marquardt steps on the profiled residual
+    D T* - q.  Its Jacobian (``_profiled_residual``) is exact: with one
+    linear parameter the residual term that Kaufman's approximation (BIT 15,
+    1975) drops costs two dot products.  It stops once a step would move
+    each parameter by at most 1e-10 of its bound width, or once the
+    Gauss-Newton step promises no more than rounding, or after
+    ``max_cycles`` iterations.  With one of them free, the polish is
+    coordinate-wise: Brent's bounded minimiser over a bracket of one grid
+    spacing either side.  A slice minimum that lowers the SSE is taken; one
+    that lies farther away but does not lower it halves that bracket.  It
+    cycles until the slice minimum lies within 1e-6 of the bound width of
+    the current value, or ``max_cycles`` is exhausted.  The reported SSE is
+    always sum w (p - P)^2 at the returned parameters, and never above the
+    grid node's.  Degenerate bounds (lo == hi) pin a parameter, and an
     entry v in ``fixed`` is the bound (v, v): it must lie inside any bounds
     given for the same name, though the default bounds do not limit it.  A
     pinned theta is kept exactly.  The procedure is deterministic: the same
@@ -461,6 +600,7 @@ def fit_parameters(data: Union[Spectrum, Iterable[SpectrumPoint]],
     ends = (math.sin(2.0 * theta_lo) ** 2, math.sin(2.0 * theta_hi) ** 2)
     t_lo = min(ends)
     t_hi = 1.0 if theta_lo <= math.pi / 4.0 <= theta_hi else max(ends)
+    t_range = (t_lo, t_hi)
 
     # A/B is computed with the weights scaled to a maximum of 1, so that
     # neither huge nor subnormal weights overflow or underflow
@@ -468,18 +608,28 @@ def fit_parameters(data: Union[Spectrum, Iterable[SpectrumPoint]],
     ws = w / w.max()
     wsq = ws * q
 
-    def profile(at: Mapping[str, float]) -> Tuple[float, float]:
+    def profile(d) -> Tuple[float, float]:
+        """(SSE, theta) at the best theta for the damping column d."""
+        if theta_lo == theta_hi:
+            theta = theta_lo
+        else:
+            theta = _theta_for(_best_t(d, ws, wsq, t_range)[0], theta_lo, theta_hi)
+        r = 1.0 - d * np.sin(2.0 * theta) ** 2 - p
+        return float(np.dot(w * r, r)), theta
+
+    def slice_profile(at: Mapping[str, float]) -> Tuple[float, float]:
         """(SSE, theta) at the best theta for the point's dm2 and lambda_km."""
         with np.errstate(over="ignore", invalid="ignore"):
-            d = _damped(x, at["dm2"], at["lambda_km"])
-            if theta_lo == theta_hi:
-                theta = theta_lo
-            else:
-                b = np.dot(ws * d, d)
-                t = t_lo if b == 0.0 else min(max(np.dot(wsq, d) / b, t_lo), t_hi)
-                theta = _theta_for(t, theta_lo, theta_hi)
-            r = 1.0 - d * np.sin(2.0 * theta) ** 2 - p
-            return float(np.dot(w * r, r)), theta
+            return profile(_damped(x, at["dm2"], at["lambda_km"]))
+
+    def profiled(beta: np.ndarray) -> tuple:
+        """``profile``'s SSE at (dm2, lambda_km) = beta, with J^T r, J^T J and
+        r^T r of the profiled residual r weighted by ws, and ``profile``'s theta."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            d, _, r, jac = _profiled_residual(x, q, ws, wsq, t_range, beta[0], beta[1])
+            wr = ws * r
+            sse, theta = profile(d)
+            return sse, jac @ wr, (jac * ws) @ jac.T, np.dot(wr, r), theta
 
     # SSE(T) = sum w q^2 - 2 T A + T^2 B at every (dm2, lambda_km) node, with
     # S = 1/2 - sin^2 phase and E = exp(-lambda_km x) so that D = 1/2 - E S:
@@ -502,40 +652,49 @@ def fit_parameters(data: Union[Spectrum, Iterable[SpectrumPoint]],
     i, j = np.unravel_index(np.argmin(np.where(finite, estimate, np.inf)), estimate.shape)
     values["dm2"] = float(levels["dm2"][i])
     values["lambda_km"] = float(levels["lambda_km"][j])
-    cur_sse, values["theta"] = profile(values)
-
-    grid_params = OscillationParams(**values)
-    grid_sse = cur_sse
-
-    spacing = {n: (merged[n][1] - merged[n][0]) / (grid_points - 1) for n in free}
-    tol = {n: 1e-10 * (merged[n][1] - merged[n][0]) for n in free}
-    threshold = {n: 1e-6 * (merged[n][1] - merged[n][0]) for n in free}
 
     converged = not free
     cycles = 0
-    while free and cycles < max_cycles:
-        cycles += 1
-        settled = True
-        for name in free:
-            lo = max(merged[name][0], values[name] - spacing[name])
-            hi = min(merged[name][1], values[name] + spacing[name])
+    jtj_cond = None
+    if len(free) == 2:
+        lo, hi = (np.array([merged[n][k] for n in free]) for k in (0, 1))
+        beta = np.array([values[n] for n in free])
+        at_grid = profiled(beta)
+        grid_sse, values["theta"] = at_grid[0], at_grid[4]
+        grid_params = OscillationParams(**values)
+        beta, (cur_sse, _, jtj, _, values["theta"]), cycles, converged = _lm_min(
+            profiled, beta, at_grid, lo, hi, 1e-10 * (hi - lo), max_cycles)
+        values.update(zip(free, map(float, beta)))
+        jtj_cond = _jtj_condition(jtj, hi - lo)
+    else:
+        cur_sse, values["theta"] = slice_profile(values)
+        grid_params = OscillationParams(**values)
+        grid_sse = cur_sse
+    if len(free) == 1:
+        name = free[0]
+        bound_lo, bound_hi = merged[name]
+        spacing = (bound_hi - bound_lo) / (grid_points - 1)
+        tol = 1e-10 * (bound_hi - bound_lo)
+        threshold = 1e-6 * (bound_hi - bound_lo)
+        while cycles < max_cycles:
+            cycles += 1
+            lo = max(bound_lo, values[name] - spacing)
+            hi = min(bound_hi, values[name] + spacing)
             candidate, (candidate_sse, candidate_theta) = _brent_min(
-                lambda v: profile({**values, name: v}), lo, hi, tol[name])
+                lambda v: slice_profile({**values, name: v}), lo, hi, tol)
             move = abs(candidate - values[name])
             if candidate_sse < cur_sse:
                 values[name] = candidate
                 values["theta"] = candidate_theta
                 cur_sse = candidate_sse
-            elif move >= threshold[name]:
+            elif move >= threshold:
                 # the bracket reached a worse valley; the current point need
                 # not be a minimum of this slice, so look closer to it
-                spacing[name] *= 0.5
-            if move >= threshold[name]:
-                settled = False
-        if settled:
-            converged = True
-            break
+                spacing *= 0.5
+            if move < threshold:
+                converged = True
+                break
 
     return FitResult(params=OscillationParams(**values), sse=cur_sse,
                      converged=converged, cycles=cycles,
-                     grid_params=grid_params, grid_sse=grid_sse)
+                     grid_params=grid_params, grid_sse=grid_sse, jtj_cond=jtj_cond)

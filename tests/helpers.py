@@ -169,6 +169,79 @@ def reference_golden_min(f, lo, hi, tol):
     return (c, fc) if fc[0] <= fd[0] else (d, fd)
 
 
+def reference_coordinate_polish(points, bounds, start, grid_points=41, max_cycles=60,
+                                minimiser=None):
+    """The coordinate-wise polish of free dm2 and lambda_km, as a reference.
+
+    ``bounds`` holds all three parameters' (lo, hi), a pinned one as (v, v);
+    ``start`` is the grid node (an ``OscillationParams``; its theta is not
+    read).  Theta is profiled as ``neutrino.fit_parameters`` profiles it.
+    Each cycle minimises the SSE along dm2 and then along lambda_km with
+    ``minimiser`` (``neutrino._brent_min`` by default) over a bracket of one
+    grid spacing either side.  A slice minimum that lowers the SSE is taken;
+    one that lies farther away but does not lower it halves that bracket.
+    The polish stops once every slice minimum lies within 1e-6 of its bound
+    width of the current value, or after ``max_cycles`` cycles.  Returns a
+    ``FitResult`` whose grid point is ``start`` with the theta and SSE
+    solved there.
+    """
+    import math
+
+    from dqs import neutrino
+
+    minimiser = minimiser or neutrino._brent_min
+    x = np.array([pt.l_over_e for pt in points])
+    p = np.array([pt.p for pt in points])
+    w = np.array([pt.weight for pt in points])
+    theta_lo, theta_hi = bounds["theta"]
+    ends = (math.sin(2.0 * theta_lo) ** 2, math.sin(2.0 * theta_hi) ** 2)
+    t_lo = min(ends)
+    t_hi = 1.0 if theta_lo <= math.pi / 4.0 <= theta_hi else max(ends)
+    q = 1.0 - p
+    ws = w / w.max()
+
+    def profile(at):
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = neutrino._damped(x, at["dm2"], at["lambda_km"])
+            if theta_lo == theta_hi:
+                theta = theta_lo
+            else:
+                b = np.dot(ws * d, d)
+                t = t_lo if b == 0.0 else min(max(np.dot(ws * q, d) / b, t_lo), t_hi)
+                theta = neutrino._theta_for(t, theta_lo, theta_hi)
+            r = 1.0 - d * np.sin(2.0 * theta) ** 2 - p
+            return float(np.dot(w * r, r)), theta
+
+    free = ("dm2", "lambda_km")
+    values = {"dm2": start.dm2, "lambda_km": start.lambda_km}
+    cur_sse, values["theta"] = profile(values)
+    grid_params, grid_sse = neutrino.OscillationParams(**values), cur_sse
+    width = {n: bounds[n][1] - bounds[n][0] for n in free}
+    spacing = {n: width[n] / (grid_points - 1) for n in free}
+    converged, cycles = False, 0
+    while cycles < max_cycles:
+        cycles += 1
+        settled = True
+        for name in free:
+            lo = max(bounds[name][0], values[name] - spacing[name])
+            hi = min(bounds[name][1], values[name] + spacing[name])
+            candidate, (candidate_sse, candidate_theta) = minimiser(
+                lambda v: profile({**values, name: v}), lo, hi, 1e-10 * width[name])
+            move = abs(candidate - values[name])
+            if candidate_sse < cur_sse:
+                values[name], values["theta"], cur_sse = candidate, candidate_theta, candidate_sse
+            elif move >= 1e-6 * width[name]:
+                spacing[name] *= 0.5
+            if move >= 1e-6 * width[name]:
+                settled = False
+        if settled:
+            converged = True
+            break
+    return neutrino.FitResult(params=neutrino.OscillationParams(**values), sse=cur_sse,
+                              converged=converged, cycles=cycles,
+                              grid_params=grid_params, grid_sse=grid_sse)
+
+
 def reference_evolve(liouvillian, rho, times):
     """``dqs evolve``'s output built one row at a time, as (exit code, stdout, stderr).
 

@@ -669,6 +669,23 @@ def test_nu_fit_overflowing_dm2_bound_warns_nothing(capsys, tmp_path):
     assert parse_kv(out)["converged"] == "true"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bound", ["lambda_km=0:1e308", "dm2=1e-5:1.7e308"])
+def test_nu_fit_bounds_at_the_edge_of_the_float_range(capsys, tmp_path, bound):
+    # both parameters free: the polish's step tolerance and jtj_cond scale
+    # with the bound widths, which must give neither NaN steps nor a NaN
+    data = tmp_path / "spectrum.csv"
+    write_spectrum(data, neutrino.OscillationParams(7.9e-5, 0.55, 3e-5), n=40)
+    code, out, err = run_cli(capsys, "nu-fit", str(data), "--bounds", bound)
+    assert (code, err) == (0, "")
+    kv = parse_kv(out)
+    assert kv["converged"] == "true"
+    assert "jtj" not in out
+    fit = neutrino.fit_parameters(neutrino.read_spectrum_csv(data),
+                                  bounds=cli._parse_named("--bounds", [bound], pair=True))
+    assert fit.jtj_cond is not None and not math.isnan(fit.jtj_cond)
+
+
 def test_nu_fit_flags_cycle_limit(capsys, tmp_path):
     truth = neutrino.OscillationParams(7.9e-5, 0.55, 3e-5)
     data = tmp_path / "spectrum.csv"

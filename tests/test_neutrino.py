@@ -5,7 +5,7 @@ import pytest
 
 from dqs import neutrino, qubit
 from dqs.neutrino import OscillationParams, SpectrumPoint
-from helpers import reference_golden_min, reference_grid
+from helpers import reference_coordinate_polish, reference_golden_min, reference_grid
 
 THETA_04 = math.atan(math.sqrt(0.40))  # tan^2 theta = 0.40
 
@@ -542,6 +542,19 @@ def test_grid_matches_brute_force_exactly(points, options):
     assert fit.converged
 
 
+def _counting_model_calls(monkeypatch):
+    """A list that gains an entry with each ``_damped`` call from now on."""
+    calls = []
+    damped = neutrino._damped
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return damped(*args, **kwargs)
+
+    monkeypatch.setattr(neutrino, "_damped", counting)
+    return calls
+
+
 def _clean_fit_counting_model_calls(monkeypatch):
     """A clean 200-point three-parameter fit, theta in the first octant, and
     the number of ``_damped`` calls it makes."""
@@ -549,14 +562,7 @@ def _clean_fit_counting_model_calls(monkeypatch):
     x = np.linspace(0.0, 3.6e4, 200)
     points = [SpectrumPoint(float(a), float(b))
               for a, b in zip(x, neutrino.survival_at_l_over_e(truth, x))]
-    calls = []
-    damped = neutrino._damped
-
-    def counting(*args):
-        calls.append(args)
-        return damped(*args)
-
-    monkeypatch.setattr(neutrino, "_damped", counting)
+    calls = _counting_model_calls(monkeypatch)
     return neutrino.fit_parameters(points, bounds=FIRST_OCTANT), len(calls)
 
 
@@ -569,34 +575,109 @@ def test_grid_evaluates_few_rows(monkeypatch):
 
 def test_polish_evaluates_few_points(monkeypatch):
     # golden-section slices narrowed to 1e-10 of the bound width made 362
-    # model calls here; parabolic steps need far fewer, and taking each slice
-    # minimum's SSE and theta from the minimiser saves one call per slice
+    # model calls here and Brent's parabolic slices 97; Levenberg-Marquardt
+    # steps on both parameters at once need 6
     fit, calls = _clean_fit_counting_model_calls(monkeypatch)
     assert fit.converged
-    assert calls <= 97
+    assert calls <= 10
 
 
-def test_polish_does_not_stop_short_of_a_slice_minimum(monkeypatch):
-    # with two grid points the first bracket spans the whole dm2 range and
-    # its slice minimum lies in a worse valley; the polish must narrow the
-    # bracket rather than settle where the SSE still falls along dm2
+def _merged_bounds(options):
+    """Every parameter's (lo, hi) under a fit's options, a fixed one as (v, v)."""
+    merged = dict(neutrino.DEFAULT_BOUNDS)
+    merged.update(options.get("bounds", {}))
+    merged.update({name: (v, v) for name, v in options.get("fixed", {}).items()})
+    return merged
+
+
+def _both_free(options):
+    merged = _merged_bounds(options)
+    return all(merged[name][0] < merged[name][1] for name in ("dm2", "lambda_km"))
+
+
+def _check_against_coordinate_polish(fit, points, options, minimiser=None):
+    """The fit converged from the reference's grid point, to an SSE no worse
+    than the coordinate-wise reference polish from there, up to rounding."""
+    ref = reference_coordinate_polish(points, _merged_bounds(options), fit.grid_params,
+                                      options.get("grid_points", 41), minimiser=minimiser)
+    assert (fit.grid_params, fit.grid_sse) == (ref.grid_params, ref.grid_sse)
+    assert fit.converged
+    total_weight = sum(pt.weight for pt in points)
+    assert fit.sse <= ref.sse * (1.0 + 1e-12) + 1e-12 * total_weight
+
+
+def test_polish_does_not_stop_short_of_a_slice_minimum():
+    # with two grid points the polish starts in a corner of the box, and the
+    # coordinate-wise reference's first dm2 bracket spans the whole range
+    # with its slice minimum in a worse valley; the fit must end no worse
+    # than that reference, which narrows the bracket, or than the finer grid
     points = _random_spectrum(22)
-    brackets = []
-    brent = neutrino._brent_min
-
-    def spy(f, lo, hi, tol):
-        brackets.append((lo, hi))
-        return brent(f, lo, hi, tol)
-
-    monkeypatch.setattr(neutrino, "_brent_min", spy)
     coarse = neutrino.fit_parameters(points, grid_points=2)
-    # dm2 slices come first in every cycle; a bracket of the full spacing
-    # covers the whole dm2 range, so a narrower one was halved
-    assert brackets[0] == neutrino.DEFAULT_BOUNDS["dm2"]
-    assert any(bracket != brackets[0] for bracket in brackets[2::2])
+    _check_against_coordinate_polish(coarse, points, {"grid_points": 2})
     fine = neutrino.fit_parameters(points)
-    assert coarse.converged
     assert coarse.sse <= fine.sse * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("seed, options, most", [(22, {"grid_points": 2}, 16),
+                                                 (6, {"grid_points": 2}, 24),
+                                                 (13, {}, 10)])
+def test_polish_settles_a_correlated_valley_in_few_steps(monkeypatch, seed, options, most):
+    # the coordinate-wise polish crept along these correlated (dm2, lambda_km)
+    # valleys for 20, 20 and 25 cycles of 914, 706 and 1030 model calls
+    points = _random_spectrum(seed)
+    calls = _counting_model_calls(monkeypatch)
+    fit = neutrino.fit_parameters(points, **options)
+    assert fit.cycles <= most and len(calls) <= most
+    _check_against_coordinate_polish(fit, points, options)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_profiled_jacobian_matches_central_differences(seed):
+    g = np.random.default_rng(seed)
+    x = np.sort(g.uniform(0.0, 3.6e4, 80))
+    truth = OscillationParams(g.uniform(5e-5, 1e-4), g.uniform(0.4, 0.7), g.uniform(0.0, 1e-4))
+    p = np.clip(neutrino.survival_at_l_over_e(truth, x) + 0.02 * g.standard_normal(x.size),
+                0.0, 1.0)
+    w = g.uniform(0.5, 2.0, x.size)
+    q, ws = 1.0 - p, w / w.max()
+    seen = set()
+    # for this data T* is mostly interior to [0, 1] and clipped to [0, 0.1]
+    for t_range in ((0.0, 1.0), (0.0, 0.1)):
+        for _ in range(5):
+            at = np.array([g.uniform(1e-5, 2e-4), g.uniform(0.0, 1e-3)])
+            _, t, _, jac = neutrino._profiled_residual(x, q, ws, ws * q, t_range, *at)
+            clipped = not t_range[0] < t < t_range[1]
+            seen.add(clipped)
+            for k, h in enumerate((1e-10, 1e-9)):
+                ends = [neutrino._profiled_residual(x, q, ws, ws * q, t_range,
+                                                    *(at + sign * h * np.eye(2)[k]))[2]
+                        for sign in (1.0, -1.0)]
+                want = (ends[0] - ends[1]) / (2.0 * h)
+                scale = np.abs(jac[k]).max()
+                assert np.abs(jac[k] - want).max() <= 1e-6 * scale
+            if clipped:
+                _, *slopes = neutrino._damped(x, *at, True)
+                assert np.array_equal(jac, np.array(slopes) * t)  # dT* = 0
+    assert seen == {False, True}
+
+
+def test_fit_reports_the_condition_of_jtj():
+    data = _random_spectrum(13)
+    fit = neutrino.fit_parameters(data)
+    x = np.array([pt.l_over_e for pt in data])
+    p = np.array([pt.p for pt in data])
+    w = np.array([pt.weight for pt in data])
+    ws = w / w.max()
+    _, _, _, jac = neutrino._profiled_residual(
+        x, 1.0 - p, ws, ws * (1.0 - p), (0.0, 1.0), fit.params.dm2, fit.params.lambda_km)
+    widths = np.array([np.subtract(*neutrino.DEFAULT_BOUNDS[n][::-1])
+                       for n in ("dm2", "lambda_km")])
+    scaled = jac * widths[:, None] * np.sqrt(ws)
+    assert fit.jtj_cond == pytest.approx(np.linalg.cond(scaled @ scaled.T), rel=1e-6)
+    assert fit == neutrino.fit_parameters(data)
+    # not defined for fewer than two free parameters
+    assert neutrino.fit_parameters(data, fixed={"lambda_km": 0.0}).jtj_cond is None
+    assert neutrino.fit_parameters(data, fixed={"dm2": 7.9e-5}).jtj_cond is None
 
 
 def _bench_like_spectrum(seed, n, noisy):
@@ -628,9 +709,14 @@ POLISH_CASES = RANDOM_CASES + [
 
 @pytest.mark.parametrize("points, options", POLISH_CASES)
 def test_polish_matches_the_golden_section_reference(monkeypatch, points, options):
-    # the same grid, cycles and verdict as a polish by golden section, and an
-    # SSE no worse up to rounding
+    # with one free parameter, the same grid, cycles and verdict as a polish
+    # by golden section, and an SSE no worse up to rounding; with two, no
+    # worse than a coordinate-wise polish by golden section
     fit = neutrino.fit_parameters(points, **options)
+    assert (fit.jtj_cond is not None) == _both_free(options)
+    if _both_free(options):
+        _check_against_coordinate_polish(fit, points, options, reference_golden_min)
+        return
     monkeypatch.setattr(neutrino, "_brent_min", reference_golden_min)
     ref = neutrino.fit_parameters(points, **options)
     assert (fit.cycles, fit.converged) == (ref.cycles, ref.converged)
