@@ -5,14 +5,13 @@ exponential per time and no ODE stepper: in real Bloch coordinates
 (``propagate_many``), where the trace coordinate is preserved exactly and
 every state is rebuilt Hermitian.  Channels, the Choi matrix and the
 semigroup checks use the complex generator matrix on column-stacked states
-instead.  The checks collected here
-probe the semigroup laws that a valid generator must satisfy: trace
-preservation and complete positivity along the flow (through the Choi
-matrix), the semigroup composition law, recovery of the generator from
-short-time propagators, a resolvent-based growth-bound inequality, and the
-energy-flow identity d<H>/dt = tr(rho D_H).  Positivity of the *inverse*
-flow is the one property that may legitimately fail: its failure certifies
-that the dynamics is not reversible in time.  The stationary state is not
+instead.  The checks collected here probe the semigroup laws that a valid
+generator must satisfy: trace preservation and complete positivity along
+the flow (through the Choi matrix), the semigroup composition law, recovery
+of the generator from short-time propagators, and the energy-flow identity
+d<H>/dt = tr(rho D_H).  Positivity of the *inverse* flow is the one property
+that may legitimately fail: its failure certifies that the dynamics is not
+reversible in time.  The stationary state is not
 searched for: it is the spectral projection at eigenvalue 0 (the ergodic
 projection, built from the null spaces of the generator and its adjoint)
 applied to the maximally mixed state.
@@ -188,40 +187,6 @@ def generator_recovery_residual(liouvillian: gks.GKSLiouvillian, eps: float) -> 
     m = liouvillian.superop
     eye = np.eye(m.shape[0], dtype=complex)
     return linalg.frobenius((linalg.expm(m, scale=eps) - eye) / eps - m)
-
-
-def hille_yosida_probe(liouvillian: gks.GKSLiouvillian, growth_bound: float,
-                       bound_constant: float, zeta_grid, max_power: int = 4) -> float:
-    """Largest value of ||(zeta I - L)^-m|| (zeta - gamma)^m / C over the probe set.
-
-    Values at or below 1 are consistent with the semigroup bound
-    ||exp(t L)|| <= C exp(gamma t); the norm is the matrix 2-norm on
-    column-stacked states.  Grid points must exceed the growth bound and stay
-    clear of the spectrum of L.
-    """
-    if bound_constant <= 0:
-        raise ValueError("bound constant must be positive")
-    if max_power < 1:
-        raise ValueError("max_power must be at least 1")
-    m = liouvillian.superop
-    eye = np.eye(m.shape[0], dtype=complex)
-    worst = 0.0
-    for zeta in zeta_grid:
-        zeta = float(zeta)
-        if zeta <= growth_bound:
-            raise ValueError(f"probe point {zeta} does not exceed the growth bound "
-                             f"{growth_bound}")
-        shifted = zeta * eye - m
-        smallest = float(linalg.singular_values(shifted)[-1])
-        if smallest <= 1e-8:
-            raise ValueError(f"probe point {zeta} is within 1e-8 of the spectrum")
-        resolvent = np.linalg.solve(shifted, eye)
-        power = eye
-        for k in range(1, max_power + 1):
-            power = power @ resolvent
-            value = linalg.operator_norm(power) * (zeta - growth_bound) ** k / bound_constant
-            worst = max(worst, value)
-    return worst
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,9 +23,9 @@ dynamics is not unitary, and generally not time-reversible) yet energy is
 conserved exactly.
 
 The GKS sum is written once, as the matrix S(a) of the dissipator on
-column-stacked states; the generator matrix, the dissipator's action and D_H
-(as S(a)^+ vec H) come from it.  The dispersion kernel contracts H first and
-gathers each coordinate direction's D_H from the terms F_j^+ H F_i.
+column-stacked states; the generator matrix and D_H (as S(a)^+ vec H) come
+from it.  The dispersion kernel contracts H first and gathers each
+coordinate direction's D_H from the terms F_j^+ H F_i.
 
 In the Hermitian Gell-Mann basis G_1 .. G_{N^2} (G_{N^2} = I/sqrt(N)) a state
 is a real vector x_j = tr(G_j rho), and the generator is the real matrix
@@ -169,15 +169,6 @@ def _dissipator_superop(a: np.ndarray, basis: OperatorBasis) -> np.ndarray:
     return s.reshape(n * n, n * n)
 
 
-def dissipator_apply(a, basis: OperatorBasis, sigma) -> np.ndarray:
-    """Apply the dissipator with coefficients a to the matrix sigma."""
-    arr = _kossakowski_array(a, basis)
-    s = linalg.as_matrix(sigma)
-    if s.shape != (basis.dim, basis.dim):
-        raise ValueError(f"state has shape {s.shape}, expected square of dim {basis.dim}")
-    return unvec(_dissipator_superop(arr, basis) @ vec(s), basis.dim)
-
-
 @dataclass(frozen=True, eq=False)
 class GKSLiouvillian:
     """A GKS generator; caches its matrix on vectorized states at build time."""
@@ -230,14 +221,6 @@ class GKSLiouvillian:
         r[-1] = 0.0
         r.flags.writeable = False
         return r
-
-
-def liouvillian_apply(liouvillian: GKSLiouvillian, sigma) -> np.ndarray:
-    """L(sigma): the commutator term plus the dissipator's action through S(a)."""
-    s = linalg.as_matrix(sigma)
-    h = liouvillian.hamiltonian
-    return (-1j * (h @ s - s @ h)
-            + dissipator_apply(liouvillian.kossakowski, liouvillian.basis, s))
 
 
 def dissipation_from_parts(a, basis: OperatorBasis, hamiltonian) -> np.ndarray:
@@ -299,8 +282,6 @@ def hermitian_coords(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix has non-finite entries")
     rows, cols = np.triu_indices(a.shape[-1], 1)
     upper = _SQRT_HALF * (a[..., rows, cols] + a[..., cols, rows].conj())
     pairs = np.stack([upper.real, upper.imag], axis=-1).reshape(a.shape[:-2] + (-1,))
@@ -358,16 +339,25 @@ def dispersive_kossakowski_kernel(hamiltonian, basis: OperatorBasis,
                                   seed: int = 0) -> DispersionKernel:
     """All Hermitian coefficient matrices making the given H dispersive.
 
-    Builds the real-linear map a |-> D_H(a) over the isometric real
+    Builds the real-linear map phi: a |-> D_H(a) over the isometric real
     coordinates of Hermitian (N^2-1) x (N^2-1) matrices, gathering D_H of
-    each coordinate direction from H-contracted GKS terms, and extracts its
-    null space: singular values at or below tol * max(1, ||H||_F), the bound
-    is_dispersive applies to D_H, count as zero.  Valid dissipators in the
-    kernel are its PSD elements; since PSD-ness is not a linear condition,
-    it is reported by inspection: each kernel basis element (and its
-    negation) is flagged, and `samples` random unit-norm combinations (half
-    signed Gaussian, half with nonnegative coefficients) are drawn from a
-    generator seeded by `seed` and flagged likewise.
+    each coordinate direction from H-contracted GKS terms, and takes its
+    null space from one SVD.  phi depends on H only through
+    H0 = H - tr(H)/N I: in H's eigenbasis h_1 .. h_N, for Hermitian X,
+
+        ||phi^T coords(X)||^2 = sum_nl |X_nl|^2 [sum_m (h_m - (h_n+h_l)/2)^2 - (h_n-h_l)^2/(2N)]
+
+    and each bracket is at least ||H0||_F^2 / 2, so phi's smallest singular
+    value is at least ||H0||_F / sqrt(2), with equality at N = 2.  The rank
+    is decided once, not value by value: 0 (the kernel is everything) when
+    ||H0||_F is at or below tol * max(1, ||H||_F), the bound is_dispersive
+    applies to D_H, and N^2 otherwise.  An overflowing map is a ValueError.
+
+    Valid dissipators in the kernel are its PSD elements; since PSD-ness is
+    not a linear condition, it is reported by inspection: each kernel basis
+    element (and its negation) is flagged, and `samples` random unit-norm
+    combinations (half signed Gaussian, half with nonnegative coefficients)
+    are drawn from a generator seeded by `seed` and flagged likewise.
     """
     h = linalg.as_matrix(hamiltonian)
     n = basis.dim
@@ -379,17 +369,19 @@ def dispersive_kossakowski_kernel(hamiltonian, basis: OperatorBasis,
     f = np.stack(basis.traceless)[:, None]     # [i, 0] = F_i
     fd = f.conj().transpose(1, 0, 3, 2)        # [0, j] = F_j^+
     prods = fd @ f
-    m = fd @ h @ f - 0.5 * (prods @ h + h @ prods)
-    # column c is D_H of unit direction c: M_ii, or (M_rs + M_sr) and
-    # i(M_rs - M_sr) over sqrt(2)
-    i, j = np.triu_indices(k, 1)
-    pairs = _SQRT_HALF * np.stack([m[i, j] + m[j, i], 1j * (m[i, j] - m[j, i])], axis=1)
-    phi = hermitian_coords(np.concatenate([m[range(k), range(k)], pairs.reshape(-1, n, n)])).T
-    # not relative to the largest singular value: for H proportional to I
-    # that is itself round-off
-    _, s, vt = np.linalg.svd(phi)
-    rank = int(np.count_nonzero(s > _zero_bound(h, tol)))
-    coords = vt[rank:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = fd @ h @ f - 0.5 * (prods @ h + h @ prods)
+        # column c is D_H of unit direction c: M_ii, or (M_rs + M_sr) and
+        # i(M_rs - M_sr) over sqrt(2)
+        i, j = np.triu_indices(k, 1)
+        pairs = np.stack([m[i, j] + m[j, i], 1j * (m[i, j] - m[j, i])], axis=1).reshape(-1, n, n)
+        phi = hermitian_coords(np.concatenate([m[range(k), range(k)], _SQRT_HALF * pairs])).T
+        # tr(H)/N summed from the scaled diagonal cannot overflow
+        h0 = h - (h.diagonal().real / n).sum() * np.eye(n)
+    if not np.isfinite(phi).all():
+        raise ValueError("dispersion map overflows")
+    rank = 0 if linalg.frobenius(h0) <= _zero_bound(h, tol) else n * n
+    coords = np.linalg.svd(phi)[2][rank:]
     dim = len(coords)
     coeffs = np.random.default_rng(seed).standard_normal((max(samples, 0), dim))
     coeffs[samples // 2:] = np.abs(coeffs[samples // 2:])

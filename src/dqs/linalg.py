@@ -205,11 +205,6 @@ def singular_values(a) -> np.ndarray:
     return np.linalg.svd(m, compute_uv=False)
 
 
-def operator_norm(a) -> float:
-    s = singular_values(a)
-    return float(s[0]) if s.size else 0.0
-
-
 def trace_norm(a) -> float:
     """Sum of singular values of a square matrix."""
     m = as_matrix(a)

@@ -215,33 +215,6 @@ def test_generator_recovery_rejects_bad_eps(rng):
         dynamics.generator_recovery_residual(dispersive_qubit(), 0.0)
 
 
-# ---------------------------------------------------------------- growth bound probe
-
-def test_probe_on_zero_generator_is_one():
-    liou = gks.GKSLiouvillian(np.zeros((2, 2)), KossakowskiMatrix(2, np.zeros((3, 3))),
-                              gks.gell_mann_basis(2))
-    value = dynamics.hille_yosida_probe(liou, 0.0, 1.0, [1.0, 2.0, 5.0])
-    assert value == pytest.approx(1.0, abs=1e-12)
-
-
-def test_probe_on_dephasing_respects_contraction_bound():
-    liou = dispersive_qubit(1.0, 5.0)
-    value = dynamics.hille_yosida_probe(liou, 0.0, 1.0, [1.0, 2.0, 5.0], max_power=4)
-    assert value <= 1.0 + 1e-9
-
-
-def test_probe_rejects_spectrum_adjacent_points():
-    liou = dispersive_qubit(1.0, 5.0)  # 0 is an eigenvalue
-    with pytest.raises(ValueError, match="spectrum"):
-        dynamics.hille_yosida_probe(liou, -1.0, 1.0, [1e-9])
-
-
-def test_probe_rejects_points_below_growth_bound():
-    liou = dispersive_qubit()
-    with pytest.raises(ValueError, match="growth bound"):
-        dynamics.hille_yosida_probe(liou, 0.0, 1.0, [-0.5])
-
-
 # ---------------------------------------------------------------- stationary states
 
 def test_dephasing_stationary_family_is_diagonal():
@@ -252,7 +225,7 @@ def test_dephasing_stationary_family_is_diagonal():
         assert np.abs(m - np.diag(np.diag(m))).max() <= 1e-10
     assert family.density_matrices
     for rho in family.density_matrices:
-        assert np.abs(gks.liouvillian_apply(liou, rho.matrix)).max() <= 1e-9
+        assert np.abs(liou.superop @ linalg.vec(rho.matrix)).max() <= 1e-9
         assert abs(rho.matrix[0, 1]) <= 1e-10
 
 

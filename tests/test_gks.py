@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dqs import gks, linalg
 from dqs.gks import GKSLiouvillian, KossakowskiMatrix, OperatorBasis
@@ -19,6 +21,18 @@ def dispersive_kossakowski(lam):
     a = np.zeros((3, 3))
     a[2, 2] = lam
     return a
+
+
+def apply_generator(liou, sigma):
+    """L(sigma) through the generator matrix on column-stacked states."""
+    return linalg.unvec(liou.superop @ linalg.vec(sigma), liou.dim)
+
+
+def apply_dissipator(a, basis, sigma):
+    """The dissipator alone: the generator with H = 0 applied to sigma."""
+    n = basis.dim
+    return apply_generator(GKSLiouvillian(np.zeros((n, n)), KossakowskiMatrix(n, a), basis),
+                           sigma)
 
 
 # ---------------------------------------------------------------- basis
@@ -71,14 +85,14 @@ def test_kossakowski_validates():
 def test_dissipator_zero_coefficients(rng):
     b = gks.gell_mann_basis(2)
     s = random_hermitian(rng, 2)
-    assert np.abs(gks.dissipator_apply(np.zeros((3, 3)), b, s)).max() == 0.0
+    assert np.abs(apply_dissipator(np.zeros((3, 3)), b, s)).max() == 0.0
 
 
 def test_dissipator_dephasing_on_pauli_x():
     # a with a_33 = lam acts on sx as (lam/2)(sz sx sz - sx) = -lam sx
     b = gks.gell_mann_basis(2)
     lam = 0.8
-    out = gks.dissipator_apply(dispersive_kossakowski(lam), b, SX)
+    out = apply_dissipator(dispersive_kossakowski(lam), b, SX)
     assert np.allclose(out, -lam * SX, atol=1e-14)
 
 
@@ -86,7 +100,7 @@ def test_dissipator_dephasing_scales_coherences(rng):
     b = gks.gell_mann_basis(2)
     lam = 1.3
     rho = random_density(rng, 2).matrix
-    out = gks.dissipator_apply(dispersive_kossakowski(lam), b, rho)
+    out = apply_dissipator(dispersive_kossakowski(lam), b, rho)
     expected = np.array([[0.0, -lam * rho[0, 1]], [-lam * rho[1, 0], 0.0]])
     assert np.allclose(out, expected, atol=1e-14)
 
@@ -96,7 +110,7 @@ def test_dissipator_preserves_trace_and_hermiticity(rng):
         liou = random_liouvillian(rng, n)
         for _ in range(20):
             s = random_hermitian(rng, n, scale=2.0)
-            out = gks.dissipator_apply(liou.kossakowski, liou.basis, s)
+            out = apply_dissipator(liou.kossakowski.matrix, liou.basis, s)
             assert abs(np.trace(out)) <= 1e-11
             assert linalg.hermiticity_defect(out) <= 1e-11
 
@@ -107,7 +121,7 @@ def test_liouvillian_apply_unitary_part_annihilates_h(rng):
     liou = gks.GKSLiouvillian(np.diag([1.0, -1.0]).astype(complex),
                               KossakowskiMatrix(2, np.zeros((3, 3))),
                               gks.gell_mann_basis(2))
-    assert np.abs(gks.liouvillian_apply(liou, liou.hamiltonian)).max() <= 1e-14
+    assert np.abs(apply_generator(liou, liou.hamiltonian)).max() <= 1e-14
 
 
 def test_dispersive_qubit_liouvillian_action(rng):
@@ -115,25 +129,14 @@ def test_dispersive_qubit_liouvillian_action(rng):
     delta = e1 - e0
     liou = gks.qubit_liouvillian(e0, e1, lam)
     rho = random_density(rng, 2).matrix
-    out = gks.liouvillian_apply(liou, rho)
+    out = apply_generator(liou, rho)
     expected = np.array([
         [0.0, -(lam + 1j * delta) * rho[0, 1]],
         [-(lam - 1j * delta) * rho[1, 0], 0.0],
     ])
     assert np.allclose(out, expected, atol=1e-13)
     # diagonal states are stationary
-    assert np.abs(gks.liouvillian_apply(liou, np.diag([0.3, 0.7]))).max() <= 1e-14
-
-
-def test_superop_matches_direct_action(rng):
-    for n in (2, 3):
-        liou = random_liouvillian(rng, n)
-        m = liou.superop
-        for _ in range(20):
-            s = random_complex(rng, (n, n))
-            direct = gks.liouvillian_apply(liou, s)
-            via_matrix = linalg.unvec(m @ linalg.vec(s), n)
-            assert np.abs(direct - via_matrix).max() <= 1e-12
+    assert np.abs(apply_generator(liou, np.diag([0.3, 0.7]))).max() <= 1e-14
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -144,8 +147,9 @@ def test_bloch_generator_is_real_with_an_exact_zero_last_row(rng, n):
     assert not r.flags.writeable and liou.bloch is r
     assert np.all(r[-1] == 0.0)
     g = gks.gell_mann_basis(n).elements
+    ref = reference_superop(liou.hamiltonian, liou.kossakowski.matrix, liou.basis)
     for j in range(n * n):
-        out = gks.liouvillian_apply(liou, g[j])
+        out = linalg.unvec(ref @ linalg.vec(g[j]), n)
         coords = [np.trace(gi @ out) for gi in g]
         assert np.abs(r[:, j] - coords).max() <= 1e-12
 
@@ -160,12 +164,12 @@ def test_generator_matches_textbook_double_sum(rng, n):
                   - reference_dissipation_operator(a, basis, h)).max() <= 1e-12
     for _ in range(5):
         s = random_complex(rng, (n, n))
-        assert np.abs(gks.dissipator_apply(a, basis, s)
+        assert np.abs(apply_dissipator(a, basis, s)
                       - reference_dissipator(a, basis, s)).max() <= 1e-12
         # duality: D_H is the adjoint dissipator at H, tr(rho D_H) = tr(H D(rho))
         rho = random_density(rng, n).matrix
         lhs = np.trace(rho @ gks.dissipation_operator(liou))
-        rhs = np.trace(h @ gks.dissipator_apply(a, basis, rho))
+        rhs = np.trace(h @ reference_dissipator(a, basis, rho))
         assert abs(lhs - rhs) <= 1e-12
 
 
@@ -426,6 +430,61 @@ def test_degenerate_hamiltonian_kernel_is_everything(rng):
         assert report.dimension == (n * n - 1) ** 2
 
 
+@pytest.mark.parametrize("spectrum, dimension", [
+    ((0.0, 1e-9, 0.0), 64), ((0.0, 1.2e-9), 9), ((0.0, 1.6e-9), 5)])
+def test_near_tolerance_kernel_dimension_is_decided_once(rng, spectrum, dimension):
+    # ||H0||_F is 0.82e-9, 0.85e-9 and 1.13e-9 against the zero bound 1e-9,
+    # where phi's singular values straddle the bound: counting them one at a
+    # time gave 59 to 63 at N = 3 and 7 at N = 2, dimensions no H can have
+    n = len(spectrum)
+    basis = gks.gell_mann_basis(n)
+    for _ in range(20):
+        u = random_unitary(rng, n)
+        h = u @ np.diag(spectrum) @ u.conj().T
+        assert gks.dispersive_kossakowski_kernel(h, basis, samples=0).dimension == dimension
+
+
+@pytest.mark.filterwarnings("error")
+def test_kernel_reports_overflow_as_one_error():
+    basis = gks.gell_mann_basis(2)
+    # tr(H)/N is summed from the scaled diagonal, so H0 = 0 without overflow
+    assert gks.dispersive_kossakowski_kernel(1.5e308 * np.eye(2), basis,
+                                             samples=0).dimension == 9
+    with pytest.raises(ValueError, match="^dispersion map overflows$"):
+        gks.dispersive_kossakowski_kernel(np.diag([1e308, -1e308]), basis)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 2**32 - 1), st.integers(1, 4),
+       st.one_of(st.none(), st.floats(0.5, 0.99), st.floats(1.01, 2.0)))
+def test_kernel_rank_and_verdict_are_basis_invariant(n, seed, levels, near):
+    # a spectrum with at most `levels` distinct energies; `near` scales it so
+    # that ||H0||_F is that multiple of the zero bound 1e-9
+    g = np.random.default_rng(seed)
+    spectrum = g.standard_normal(levels)[g.integers(0, levels, n)]
+    flat = spectrum.min() == spectrum.max()  # H0 = 0
+    if near is not None and not flat:
+        spectrum *= near * 1e-9 / np.linalg.norm(spectrum - spectrum.mean())
+    full = (n * n - 1) ** 2
+    expected = full if flat or (near is not None and near < 1) else full - n * n
+    basis = gks.gell_mann_basis(n)
+    u = random_unitary(g, n)
+    # a jump operator diagonal in H's eigenbasis commutes with H: dispersive
+    jump = np.diag(g.standard_normal(n))
+    for w in (np.eye(n), u):
+        h = w @ np.diag(spectrum) @ w.conj().T
+        kernel = gks.dispersive_kossakowski_kernel(h, basis, samples=0)
+        assert kernel.dimension == expected
+        if expected < full:
+            h0 = linalg.frobenius(h - np.trace(h).real / n * np.eye(n))
+            s_min = np.linalg.svd(kernel.map_matrix, compute_uv=False)[-1]
+            assert s_min >= h0 / math.sqrt(2.0) * (1.0 - 1e-12)
+        v = w @ jump @ w.conj().T
+        c = np.array([np.trace(f.conj().T @ v) for f in basis.traceless])
+        liou = GKSLiouvillian(h, KossakowskiMatrix(n, np.outer(c, c.conj())), basis)
+        assert gks.is_dispersive(liou).dispersive
+
+
 def kernel_hamiltonians(rng):
     """Random H at N = 2, 3, 4, a rotated nondegenerate qubit H and the
     degenerate and diagonal special cases: 19 Hamiltonians."""
@@ -546,7 +605,7 @@ def test_lindblad_reconstruction_matches_dissipator(rng):
             a = random_psd(rng, n * n - 1, trace=rng.uniform(0.2, 2.0))
             ops = gks.lindblad_operators(a, basis)
             s = random_hermitian(rng, n, scale=1.5)
-            direct = gks.dissipator_apply(a, basis, s)
+            direct = reference_dissipator(a, basis, s)
             rebuilt = np.zeros((n, n), dtype=complex)
             for v in ops:
                 vdv = v.conj().T @ v
