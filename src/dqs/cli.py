@@ -21,9 +21,7 @@ gives one ``error:`` line on stderr and exit code 2: the library's
 ``ValueError``, the CLI's own ``CliError`` and a ``MemoryError`` all reach
 ``main``, the only place that reports them (``check`` alone reports a model
 it cannot build on stdout, as ``valid=false`` and ``error=...``).  Floats print with 17
-significant digits so identical inputs give byte-identical output.  The
-``DQS_TOL`` environment variable overrides the default tolerance of
-tolerance-taking commands.
+significant digits so identical inputs give byte-identical output.
 """
 
 from __future__ import annotations
@@ -59,22 +57,6 @@ def _fmt(x: float) -> str:
 
 def _fmt_bool(flag: bool) -> str:
     return "true" if flag else "false"
-
-
-def _resolve_tol(explicit: Optional[float]) -> float:
-    if explicit is not None:
-        value = explicit
-    else:
-        raw = os.environ.get("DQS_TOL")
-        if raw is None:
-            return DEFAULT_TOL
-        try:
-            value = float(raw)
-        except ValueError:
-            raise CliError(f"DQS_TOL is not a number: {raw!r}") from None
-    if not (math.isfinite(value) and value > 0.0):
-        raise CliError(f"tolerance must be a positive number, got {value!r}")
-    return value
 
 
 # ------------------------------------------------------------------ model files
@@ -161,7 +143,9 @@ def build_liouvillian(model: Model) -> gks.GKSLiouvillian:
 # ------------------------------------------------------------------ subcommands
 
 def cmd_check(args) -> int:
-    tol = _resolve_tol(args.tol)
+    tol = args.tol
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise CliError(f"tolerance must be a positive number, got {tol!r}")
     model = load_model(args.model)
     h, a = model.hamiltonian, model.kossakowski
     w, _ = linalg.hermitian_eigen(linalg.hermitian_part(a))
@@ -426,8 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="validate a model file, report dispersiveness")
     p.add_argument("model", help="JSON model file")
-    p.add_argument("--tol", type=float, default=None,
-                   help="dissipation tolerance (default: DQS_TOL or 1e-9)")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                   help="dissipation tolerance (default: 1e-9)")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("evolve", help="propagate a state and emit a trajectory CSV")

@@ -203,11 +203,6 @@ def survival_probability(params: OscillationParams, baseline_km: float,
     return 1.0 - damped * params.sin2_2theta
 
 
-def transition_probability(params: OscillationParams, baseline_km: float,
-                           energy_gev: float) -> float:
-    return 1.0 - survival_probability(params, baseline_km, energy_gev)
-
-
 def survival_at_l_over_e(params: OscillationParams, l_over_e):
     """Survival on an L/E grid, realising x as (L, E) = (x km, 1 GeV).
 

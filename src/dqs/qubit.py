@@ -124,13 +124,6 @@ def surviving_probability(params: DispersiveQubitParams, theta: float, t: float)
     return 1.0 - transition_probability(params, theta, t)
 
 
-def expectation_value(params: DispersiveQubitParams, obs: AngleObservable,
-                      state: QubitBloch, t: float) -> float:
-    """tr(X rho(t)) along the closed-form trajectory."""
-    rho = evolve_closed_form(params, state, t)
-    return float(np.trace(observable_matrix(obs) @ rho.matrix).real)
-
-
 def positivity_horizon(state: QubitBloch, lam: float) -> Optional[float]:
     """How far the dephasing flow extends backward before positivity fails.
 

@@ -206,21 +206,31 @@ def test_check_rejects_non_finite_entries(capsys, tmp_path, key, value):
 
 
 def test_dqs_tol_environment_override(capsys, monkeypatch):
-    monkeypatch.setenv("DQS_TOL", "10.0")
-    code, out, _ = run_cli(capsys, "check", DAMPED_X)
-    assert code == 0
-    assert parse_kv(out)["dispersive"] == "true"
-
-    monkeypatch.setenv("DQS_TOL", "pretty small")
-    code, _, err = run_cli(capsys, "check", DAMPED_X)
-    assert code == 2
-    assert "DQS_TOL" in err
+    # DQS_TOL is not read: setting it overrides nothing
+    monkeypatch.delenv("DQS_TOL", raising=False)
+    unset = run_cli(capsys, "check", DAMPED_X)
+    assert unset[0] == 1 and unset[2] == ""
+    for value in ("10", "pretty small"):
+        monkeypatch.setenv("DQS_TOL", value)
+        assert run_cli(capsys, "check", DAMPED_X) == unset, value
 
 
 def test_explicit_tol_beats_environment(capsys, monkeypatch):
-    monkeypatch.setenv("DQS_TOL", "10.0")
-    code, out, _ = run_cli(capsys, "check", DAMPED_X, "--tol", "1e-9")
-    assert code == 1
+    # --tol alone sets the tolerance, whatever DQS_TOL holds
+    for value in ("1e-300", "pretty small"):
+        monkeypatch.setenv("DQS_TOL", value)
+        code, out, err = run_cli(capsys, "check", DAMPED_X, "--tol", "10")
+        assert (code, err) == (0, ""), value
+        assert parse_kv(out)["dispersive"] == "true"
+    monkeypatch.setenv("DQS_TOL", "10")
+    assert run_cli(capsys, "check", DAMPED_X, "--tol", "1e-9")[0] == 1
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-9", "nan", "inf"])
+def test_check_rejects_a_bad_tolerance(capsys, tol):
+    code, out, err = run_cli(capsys, "check", DAMPED_X, f"--tol={tol}")
+    assert (code, out) == (2, "")
+    assert err == f"error: tolerance must be a positive number, got {float(tol)!r}\n"
 
 
 # ------------------------------------------------------------------ evolve
@@ -482,6 +492,18 @@ def test_probabilities_overflowing_phase_is_one_error(capsys, argv):
     assert (code, out, err) == (2, "", "error: oscillation phase overflows\n")
 
 
+def test_probabilities_grid_near_the_float_maximum_stays_finite(capsys):
+    # k * t_max / steps would overflow to inf before the division
+    code, out, err = run_cli(capsys, "probabilities", "--delta", "1e-10",
+                             "--t-max", "1e308", "--steps", "4")
+    assert (code, err) == (0, "")
+    _, rows = parse_csv(out)
+    times = [row[0] for row in rows]
+    assert len(times) == 5 and times[-1] == 1e308
+    assert all(math.isfinite(t) for t in times)
+    assert all(a < b for a, b in zip(times, times[1:]))
+
+
 # ------------------------------------------------------------------ nu
 
 def test_nu_sweep_matches_formula(capsys):
@@ -590,6 +612,23 @@ def test_nu_fit_recovers_truth(capsys, tmp_path):
     assert float(kv["lambda_km"]) <= 1e-6
     assert int(kv["cycles"]) >= 1
     assert float(kv["grid_sse"]) >= float(kv["sse"])
+
+
+def test_nu_sweep_fits_back_to_the_planted_parameters(capsys, tmp_path):
+    # the spectrum `nu` prints, cut to its first two columns, is a nu-fit input
+    code, out, _ = run_cli(capsys, "nu", "--dm2", "7.9e-5", "--tan2theta", "0.4",
+                           "--lambda-km", "5e-5", "--loe-range", "0:36000:50")
+    assert code == 0
+    data = tmp_path / "spectrum.csv"
+    data.write_text("".join(",".join(line.split(",")[:2]) + "\n"
+                            for line in out.splitlines()))
+    code, out, _ = run_cli(capsys, "nu-fit", str(data), "--bounds", f"theta=0:{math.pi / 4}")
+    assert code == 0
+    kv = parse_kv(out)
+    assert kv["converged"] == "true" and kv["points"] == "50"
+    planted = {"dm2": 7.9e-5, "theta": math.atan(math.sqrt(0.4)), "lambda_km": 5e-5}
+    for name, value in planted.items():
+        assert float(kv[name]) == pytest.approx(value, rel=1e-5), name
 
 
 def test_nu_fit_respects_fix(capsys, tmp_path):

@@ -52,14 +52,6 @@ def test_undamped_survival_formula():
             expected, abs=1e-15)
 
 
-def test_transition_complements_survival():
-    params = OscillationParams(7.9e-5, 0.6, 5e-5)
-    for L, E in ((180.0, 0.004), (1000.0, 1.0)):
-        total = (neutrino.survival_probability(params, L, E)
-                 + neutrino.transition_probability(params, L, E))
-        assert total == pytest.approx(1.0, abs=1e-15)
-
-
 def test_damped_limit_is_incoherent_average():
     params = OscillationParams(7.9e-5, THETA_04, 1e-2)
     value = neutrino.survival_probability(params, 5e4, 1.0)

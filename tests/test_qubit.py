@@ -155,35 +155,19 @@ def test_transition_probability_bounds(lam, delta, theta, t):
     assert -1e-15 <= value <= 0.5 * np.sin(2 * theta) ** 2 * (1 + np.exp(-lam * t)) + 1e-12
 
 
-def test_expectation_value_matches_matrix_route(rng):
-    p = params(0.5, 3.0)
-    obs = AngleObservable(2.0, -1.0, 0.6)
-    x = qubit.observable_matrix(obs)
-    for _ in range(10):
-        a = rng.uniform(0.0, 1.0)
-        r = np.sqrt(a * (1.0 - a)) * rng.uniform(0.0, 1.0)
-        b = r * np.exp(2j * np.pi * rng.uniform())
-        t = rng.uniform(0.0, 5.0)
-        state = QubitBloch(a, b)
-        rho_t = qubit.evolve_closed_form(p, state, t).matrix
-        oracle = np.trace(x @ rho_t).real
-        assert qubit.expectation_value(p, obs, state, t) == pytest.approx(oracle, abs=1e-12)
-
-
 def test_expectation_constant_for_diagonal_observable():
     p = params(1.0, 5.0)
-    obs = AngleObservable(1.0, -1.0, 0.0)
+    x = qubit.observable_matrix(AngleObservable(1.0, -1.0, 0.0))
     state = QubitBloch(0.5, 0.5)
-    values = [qubit.expectation_value(p, obs, state, t) for t in (0.0, 1.0, 4.0)]
+    values = [np.trace(x @ qubit.evolve_closed_form(p, state, t).matrix).real
+              for t in (0.0, 1.0, 4.0)]
     assert np.ptp(values) <= 1e-14
 
 
 def test_expectation_decays_to_diagonal_limit():
     p = params(1.0, 5.0)
-    obs = AngleObservable(1.0, -1.0, np.pi / 4)
-    state = QubitBloch(0.3, 0.25)
-    late = qubit.expectation_value(p, obs, state, 40.0)
-    x = qubit.observable_matrix(obs)
+    x = qubit.observable_matrix(AngleObservable(1.0, -1.0, np.pi / 4))
+    late = np.trace(x @ qubit.evolve_closed_form(p, QubitBloch(0.3, 0.25), 40.0).matrix).real
     limit = np.trace(x @ np.diag([0.3, 0.7])).real
     assert late == pytest.approx(limit, abs=1e-12)
 
