@@ -459,9 +459,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "--bounds given for it (repeatable)")
     p.add_argument("--grid-points", type=int, default=41)
     p.add_argument("--max-cycles", type=int, default=60,
-                   help="cap on the polish: Levenberg-Marquardt iterations when "
-                        "dm2 and lambda_km are both free, Brent cycles when one "
-                        "is; exit 3 when it is reached unconverged")
+                   help="cap on the polish's Levenberg-Marquardt iterations, "
+                        "run whenever dm2 or lambda_km is free; exit 3 when it "
+                        "is reached unconverged")
     p.set_defaults(func=cmd_nu_fit)
 
     p = sub.add_parser("basis", help="dump the trace-orthonormal Hermitian basis")

@@ -23,7 +23,6 @@ should rescale its rate accordingly or go through ``survival_probability``.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
@@ -42,10 +41,6 @@ DEFAULT_BOUNDS: Mapping[str, Tuple[float, float]] = {
 }
 
 SPECTRUM_COLUMNS = ("L_over_E_km_per_GeV", "P_survival")
-
-# the golden-section fraction (3 - sqrt 5)/2 of a bracket
-_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
-_EPS = sys.float_info.epsilon
 
 # the least Levenberg-Marquardt damping, which keeps the step's system
 # regular when the Jacobian's columns are parallel
@@ -314,12 +309,12 @@ class FitResult:
     onto an aliased minimum.  Only dm2 and lambda_km are grid nodes;
     ``grid_params.theta`` is the angle solved in closed form there.
 
-    ``cycles`` counts the polish's iterations: Levenberg-Marquardt steps
-    proposed when dm2 and lambda_km are both free, Brent slice cycles when
-    one of them is, and 0 when both are pinned.  ``jtj_cond`` is cond(J^T J)
-    of the profiled residual at the returned point, in coordinates scaled
-    by the bound widths; inf when J^T J is singular or out of float range,
-    and None unless dm2 and lambda_km are both free.
+    ``cycles`` counts the polish's iterations, the Levenberg-Marquardt
+    steps proposed, and is 0 when dm2 and lambda_km are both pinned.
+    ``jtj_cond`` is cond(J^T J) of the profiled residual at the returned
+    point, in coordinates scaled by the bound widths; inf when J^T J is
+    singular or out of float range, and None unless dm2 and lambda_km are
+    both free.
     """
 
     params: OscillationParams
@@ -329,73 +324,6 @@ class FitResult:
     grid_params: OscillationParams
     grid_sse: float
     jtj_cond: Optional[float] = None
-
-
-def _brent_min(f: Callable[[float], tuple], lo: float, hi: float,
-               tol: float) -> Tuple[float, tuple]:
-    """Brent's bounded minimiser on [lo, hi]; assumes a unimodal slice.
-
-    f returns a tuple whose first item is the value minimised; the best
-    point is returned together with f's tuple there.
-
-    Each step goes to the vertex of the parabola through the three best
-    points so far.  When that vertex leaves the bracket, or the step is not
-    less than half the step before last, a golden-section step into the
-    larger part of the bracket is taken instead (R. P. Brent, *Algorithms
-    for Minimization without Derivatives*, 1973, ch. 5).  The search stops
-    once both ends of the bracket lie within 2/3 ``tol`` of the best point,
-    plus a few ulps of it; a bracket no wider than ``tol`` returns its midpoint.
-    """
-    a, b = lo, hi
-    if b - a <= tol:
-        x = 0.5 * (a + b)
-        return x, f(x)
-    x = w = v = a + _CGOLD * (b - a)
-    best = f(x)
-    fx = fw = fv = best[0]
-    d = e = 0.0
-    while True:
-        m = 0.5 * (a + b)
-        # at least one ulp of x, so that every step moves
-        tol1 = _EPS * abs(x) + tol / 3.0
-        tol2 = 2.0 * tol1
-        if abs(x - m) <= tol2 - 0.5 * (b - a):
-            return x, best
-        golden = True
-        if abs(e) > tol1:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
-                e, d = d, p / q
-                if x + d - a < tol2 or b - (x + d) < tol2:
-                    d = tol1 if x < m else -tol1
-                golden = False
-        if golden:
-            e = (a if x >= m else b) - x
-            d = _CGOLD * e
-        u = x + d if abs(d) >= tol1 else x + math.copysign(tol1, d)
-        out = f(u)
-        fu = out[0]
-        if fu <= fx:
-            if u < x:
-                b = x
-            else:
-                a = x
-            v, fv, w, fw, x, fx, best = w, fw, x, fx, u, fu, out
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
 
 
 def _lm_min(f: Callable[[np.ndarray], tuple], start: np.ndarray, at_start: tuple,
@@ -408,13 +336,26 @@ def _lm_min(f: Callable[[np.ndarray], tuple], start: np.ndarray, at_start: tuple
     and for a residual r whose sum of squares it is, up to a constant
     factor and rounding, the gradient g = J^T r, m = J^T J and rss = r^T r;
     ``at_start`` is f's tuple at ``start``.  Each iteration solves
-    (J^T J + mu diag(J^T J)) step = -g (Marquardt's scaling, so the step
-    does not depend on the units of beta) over the free coordinates: a
-    coordinate on a bound whose gradient points out of the box stays there,
-    and so does one along which J vanishes.  The trial point is beta + step
-    clipped to [lo, hi].  A trial with a lower value is taken and mu
-    shrinks; any other, a non-finite value included, is rejected and mu
+    kappa (J^T J + mu diag(J^T J)) step = -g (Marquardt's scaling, so the
+    step does not depend on the units of beta) over the free coordinates:
+    one pinned by degenerate bounds (lo == hi), one on a bound whose
+    gradient points out of the box and one along which J vanishes all stay
+    where they are.  The trial point is beta + step clipped to [lo, hi].
+
+    A trial that lowers rss, and does not raise the value, is taken.  mu
+    then follows the gain ratio rho, rss's actual decrease over the
+    decrease that the model promised for the unclipped step: mu is
+    multiplied by max(1/3, 1 - (2 rho - 1)^3) (H. B. Nielsen,
+    IMM-REP-1999-05), so that a step the model overrates shortens the next
+    one.  Any other trial, a non-finite one included, is rejected and mu
     grows, faster with each rejection in a row.
+
+    With a large residual, J^T J can overrate the curvature of rss, and
+    each Gauss-Newton step then falls short of the minimum by the same
+    fraction.  So after a step taken along one coordinate, where the
+    secant is the curvature, kappa becomes the curvature that step met,
+    step^T (g' - g), over the curvature J^T J gave it, clipped to [0.1, 1];
+    after any other step taken it is 1, as at the start.
 
     The search stops, converged, once a step would move every coordinate
     by at most its ``tol``, or once the full Gauss-Newton step
@@ -424,13 +365,13 @@ def _lm_min(f: Callable[[np.ndarray], tuple], start: np.ndarray, at_start: tuple
     iterations and whether it converged within ``max_iterations``.
     """
     beta, best = start, at_start
-    mu, grow = 1e-3, 2.0
+    mu, grow, kappa = 1e-3, 2.0, 1.0
     iterations = 0
     while iterations < max_iterations:
         iterations += 1
         value, g, m, rss = best[:4]
         scale = np.sqrt(np.diag(m))
-        free = ((scale > 0.0) & np.isfinite(scale)
+        free = ((lo < hi) & (scale > 0.0) & np.isfinite(scale)
                 & ~(((beta <= lo) & (g > 0.0)) | ((beta >= hi) & (g < 0.0))))
         # in units of the columns of J, J^T J has unit diagonal and the
         # off-diagonal c; a fixed coordinate has c = 0 and no gradient
@@ -444,13 +385,23 @@ def _lm_min(f: Callable[[np.ndarray], tuple], start: np.ndarray, at_start: tuple
 
         if gs @ solve(1.0 + _MU_MIN) <= 1e-13 * rss:
             return beta, best, iterations, True
-        trial = np.clip(beta - solve(1.0 + mu) / s, lo, hi)
+        step = solve(1.0 + mu) / kappa
+        trial = np.clip(beta - step / s, lo, hi)
         if (np.abs(trial - beta) <= tol).all():
             return beta, best, iterations, True
         out = f(trial)
-        if out[0] < value:
+        if out[3] < rss and out[0] <= value:
+            # the model promises 2 step.gs - kappa step^T C step, C being the
+            # scaled J^T J, which (C + mu) kappa step = gs turns into this sum
+            drop, promised = rss - out[3], step @ gs + kappa * mu * (step @ step)
+            rho = drop / promised if drop < promised else 1.0
+            h = trial - beta
+            met, modelled = h @ (out[1] - g), h @ m @ h
+            one_axis = np.count_nonzero(h) == 1
+            kappa = (max(met, 0.1 * modelled) / modelled
+                     if one_axis and 0.0 < modelled and met < modelled else 1.0)
             beta, best = trial, out
-            mu, grow = max(mu / 3.0, _MU_MIN), 2.0
+            mu, grow = max(mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), _MU_MIN), 2.0
         else:
             mu, grow = mu * grow, grow * 2.0
     return beta, best, iterations, False
@@ -528,19 +479,17 @@ def fit_parameters(data: Union[Spectrum, Iterable[SpectrumPoint]],
     full grid over the free ones by two matrix products, and the best
     finite node is polished.
 
-    With dm2 and lambda_km both free, the polish is ``_lm_min``:
-    box-projected Levenberg-Marquardt steps on the profiled residual
-    D T* - q.  Its Jacobian (``_profiled_residual``) is exact: with one
-    linear parameter the residual term that Kaufman's approximation (BIT 15,
-    1975) drops costs two dot products.  It stops once a step would move
-    each parameter by at most 1e-10 of its bound width, or once the
-    Gauss-Newton step promises no more than rounding, or after
-    ``max_cycles`` iterations.  With one of them free, the polish is
-    coordinate-wise: Brent's bounded minimiser over a bracket of one grid
-    spacing either side.  A slice minimum that lowers the SSE is taken; one
-    that lies farther away but does not lower it halves that bracket.  It
-    cycles until the slice minimum lies within 1e-6 of the bound width of
-    the current value, or ``max_cycles`` is exhausted.  The reported SSE is
+    The polish is ``_lm_min``: box-projected Levenberg-Marquardt steps on
+    the profiled residual D T* - q over dm2 and lambda_km, with a pinned
+    one held where it is.  Its Jacobian (``_profiled_residual``) is exact:
+    with one linear parameter the residual term that Kaufman's
+    approximation (BIT 15, 1975) drops costs two dot products.  It stops
+    once a step would move each free parameter by at most 1e-10 of its
+    bound width, or once the Gauss-Newton step promises no more than
+    rounding, or after ``max_cycles`` iterations.  A step is taken when it
+    lowers the profiled SSE with the weights scaled to a maximum of 1 and
+    does not raise the SSE with the caller's, which underflows to 0 when
+    every weight is subnormal.  The reported SSE is
     always sum w (p - P)^2 at the returned parameters, and never above the
     grid node's.  Degenerate bounds (lo == hi) pin a parameter, and an
     entry v in ``fixed`` is the bound (v, v): it must lie inside any bounds
@@ -612,11 +561,6 @@ def fit_parameters(data: Union[Spectrum, Iterable[SpectrumPoint]],
         r = 1.0 - d * np.sin(2.0 * theta) ** 2 - p
         return float(np.dot(w * r, r)), theta
 
-    def slice_profile(at: Mapping[str, float]) -> Tuple[float, float]:
-        """(SSE, theta) at the best theta for the point's dm2 and lambda_km."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return profile(_damped(x, at["dm2"], at["lambda_km"]))
-
     def profiled(beta: np.ndarray) -> tuple:
         """``profile``'s SSE at (dm2, lambda_km) = beta, with J^T r, J^T J and
         r^T r of the profiled residual r weighted by ws, and ``profile``'s theta."""
@@ -648,47 +592,18 @@ def fit_parameters(data: Union[Spectrum, Iterable[SpectrumPoint]],
     values["dm2"] = float(levels["dm2"][i])
     values["lambda_km"] = float(levels["lambda_km"][j])
 
-    converged = not free
-    cycles = 0
-    jtj_cond = None
-    if len(free) == 2:
-        lo, hi = (np.array([merged[n][k] for n in free]) for k in (0, 1))
-        beta = np.array([values[n] for n in free])
-        at_grid = profiled(beta)
-        grid_sse, values["theta"] = at_grid[0], at_grid[4]
-        grid_params = OscillationParams(**values)
+    lo, hi = (np.array([merged[n][k] for n in ("dm2", "lambda_km")]) for k in (0, 1))
+    beta = np.array([values["dm2"], values["lambda_km"]])
+    at_grid = profiled(beta)
+    grid_sse, values["theta"] = at_grid[0], at_grid[4]
+    grid_params = OscillationParams(**values)
+    cur_sse, cycles, converged, jtj_cond = grid_sse, 0, True, None
+    if free:
         beta, (cur_sse, _, jtj, _, values["theta"]), cycles, converged = _lm_min(
             profiled, beta, at_grid, lo, hi, 1e-10 * (hi - lo), max_cycles)
-        values.update(zip(free, map(float, beta)))
-        jtj_cond = _jtj_condition(jtj, hi - lo)
-    else:
-        cur_sse, values["theta"] = slice_profile(values)
-        grid_params = OscillationParams(**values)
-        grid_sse = cur_sse
-    if len(free) == 1:
-        name = free[0]
-        bound_lo, bound_hi = merged[name]
-        spacing = (bound_hi - bound_lo) / (grid_points - 1)
-        tol = 1e-10 * (bound_hi - bound_lo)
-        threshold = 1e-6 * (bound_hi - bound_lo)
-        while cycles < max_cycles:
-            cycles += 1
-            lo = max(bound_lo, values[name] - spacing)
-            hi = min(bound_hi, values[name] + spacing)
-            candidate, (candidate_sse, candidate_theta) = _brent_min(
-                lambda v: slice_profile({**values, name: v}), lo, hi, tol)
-            move = abs(candidate - values[name])
-            if candidate_sse < cur_sse:
-                values[name] = candidate
-                values["theta"] = candidate_theta
-                cur_sse = candidate_sse
-            elif move >= threshold:
-                # the bracket reached a worse valley; the current point need
-                # not be a minimum of this slice, so look closer to it
-                spacing *= 0.5
-            if move < threshold:
-                converged = True
-                break
+        values.update(dm2=float(beta[0]), lambda_km=float(beta[1]))
+        if len(free) == 2:
+            jtj_cond = _jtj_condition(jtj, hi - lo)
 
     return FitResult(params=OscillationParams(**values), sse=cur_sse,
                      converged=converged, cycles=cycles,

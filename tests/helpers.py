@@ -138,7 +138,7 @@ def reference_grid(x, p, w, merged, values, free, grid_points):
 
 
 def reference_golden_min(f, lo, hi, tol):
-    """Golden-section slice minimiser, the reference for ``neutrino._brent_min``.
+    """Golden-section slice minimiser, ``reference_coordinate_polish``'s default.
 
     Each evaluation shrinks the bracket by 1/phi until it is no wider than
     ``tol``; the better of the two inner points is returned with f's tuple
@@ -170,14 +170,14 @@ def reference_golden_min(f, lo, hi, tol):
 
 
 def reference_coordinate_polish(points, bounds, start, grid_points=41, max_cycles=60,
-                                minimiser=None):
-    """The coordinate-wise polish of free dm2 and lambda_km, as a reference.
+                                minimiser=reference_golden_min):
+    """The coordinate-wise polish of dm2 and lambda_km, as a reference.
 
     ``bounds`` holds all three parameters' (lo, hi), a pinned one as (v, v);
     ``start`` is the grid node (an ``OscillationParams``; its theta is not
     read).  Theta is profiled as ``neutrino.fit_parameters`` profiles it.
-    Each cycle minimises the SSE along dm2 and then along lambda_km with
-    ``minimiser`` (``neutrino._brent_min`` by default) over a bracket of one
+    Each cycle minimises the SSE along dm2 and then along lambda_km, those
+    of them that are not pinned, with ``minimiser`` over a bracket of one
     grid spacing either side.  A slice minimum that lowers the SSE is taken;
     one that lies farther away but does not lower it halves that bracket.
     The polish stops once every slice minimum lies within 1e-6 of its bound
@@ -189,7 +189,6 @@ def reference_coordinate_polish(points, bounds, start, grid_points=41, max_cycle
 
     from dqs import neutrino
 
-    minimiser = minimiser or neutrino._brent_min
     x = np.array([pt.l_over_e for pt in points])
     p = np.array([pt.p for pt in points])
     w = np.array([pt.weight for pt in points])
@@ -212,7 +211,7 @@ def reference_coordinate_polish(points, bounds, start, grid_points=41, max_cycle
             r = 1.0 - d * np.sin(2.0 * theta) ** 2 - p
             return float(np.dot(w * r, r)), theta
 
-    free = ("dm2", "lambda_km")
+    free = [n for n in ("dm2", "lambda_km") if bounds[n][0] < bounds[n][1]]
     values = {"dm2": start.dm2, "lambda_km": start.lambda_km}
     cur_sse, values["theta"] = profile(values)
     grid_params, grid_sse = neutrino.OscillationParams(**values), cur_sse
