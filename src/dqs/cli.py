@@ -32,6 +32,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
 
@@ -39,7 +40,6 @@ import numpy as np
 
 from . import dynamics, gks, linalg, neutrino, qubit
 
-DEFAULT_TOL = linalg.KERNEL_TOL
 #: Rows of an ``evolve`` trajectory validated, decomposed and printed together.
 EVOLVE_CHUNK = 256
 
@@ -400,9 +400,19 @@ def cmd_lindblad(args) -> int:
 
 # ------------------------------------------------------------------ wiring
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and its subparsers, reading -1e-9 or -inf as a value, not an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's pattern, ^-\d+$|^-\d*\.\d+$, knows no exponent and no inf;
+        # this one takes any '-' before a digit for a value, "-1:2:3" included
+        self._negative_number_matcher = re.compile(r"-\.?\d|-inf|-nan", re.IGNORECASE)
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dqs",
         description="Dispersive quantum systems: model checks, propagation, "
                     "dephasing-qubit curves, and two-flavor survival spectra.")
@@ -410,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="validate a model file, report dispersiveness")
     p.add_argument("model", help="JSON model file")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+    p.add_argument("--tol", type=float, default=linalg.KERNEL_TOL,
                    help="dissipation tolerance (default: 1e-9)")
     p.set_defaults(func=cmd_check)
 

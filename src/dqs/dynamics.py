@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import gks, linalg
-from .linalg import KERNEL_TOL, DensityMatrix, unvec, vec
+from .linalg import DensityMatrix, unvec, vec
 
 #: Spectral weights at or below this are dropped from entropy sums.
 ENTROPY_CUTOFF = 1e-14
@@ -202,8 +202,7 @@ class StationaryFamily:
     density_matrices: tuple
 
 
-def stationary_states(liouvillian: gks.GKSLiouvillian,
-                      tol: float = KERNEL_TOL) -> StationaryFamily:
+def stationary_states(liouvillian: gks.GKSLiouvillian) -> StationaryFamily:
     """Stationary subspace of the flow and the stationary state reached from I/N.
 
     The kernel of the generator matrix L is returned as matrices.  With V a
@@ -214,40 +213,35 @@ def stationary_states(liouvillian: gks.GKSLiouvillian,
     Phys. 2, 1977).  The one density matrix returned is P0(I/N).
     """
     n = liouvillian.dim
-    null, left = linalg.null_spaces(liouvillian.superop, tol)
+    null, left = linalg.null_spaces(liouvillian.superop)
     co = linalg.dagger(left)  # W^+
     rho = unvec(null @ np.linalg.solve(co @ null, co @ vec(np.eye(n) / n)), n)
     mats = null.T.reshape(-1, n, n).swapaxes(1, 2)  # unvec of each column
     return StationaryFamily(tuple(mats), (DensityMatrix(rho),))
 
 
-def spectrum_entropy(spectrum, cutoff: float = ENTROPY_CUTOFF) -> float:
-    """-sum p ln p over the eigenvalues p of a state, dropping those at or below cutoff."""
+def spectrum_entropy(spectrum) -> float:
+    """-sum p ln p over the eigenvalues p of a state, dropping those at or below ENTROPY_CUTOFF."""
     total = 0.0
     for p in spectrum:
-        if p > cutoff:
+        if p > ENTROPY_CUTOFF:
             total -= p * math.log(p)
     return total
 
 
-def von_neumann_entropy(rho, cutoff: float = ENTROPY_CUTOFF) -> float:
-    """-sum p ln p over the spectrum, dropping weights at or below cutoff."""
-    return spectrum_entropy(_density(rho).spectrum, cutoff)
+def von_neumann_entropy(rho) -> float:
+    """-sum p ln p over the spectrum, dropping weights at or below ENTROPY_CUTOFF."""
+    return spectrum_entropy(_density(rho).spectrum)
 
 
-def energy_flow_residual(liouvillian: gks.GKSLiouvillian, rho,
-                         dt: Optional[float] = None) -> float:
+def energy_flow_residual(liouvillian: gks.GKSLiouvillian, rho) -> float:
     """Gap between the finite-difference d<H>/dt and tr(rho D_H).
 
-    The derivative is a central difference of tr(H rho(t)) at t = 0; the
-    default step is 1e-3 scaled down for stiff generators.
+    The derivative is a central difference of tr(H rho(t)) at t = 0 with
+    step 1e-3 * min(1, 1/||L||_F), scaled down for stiff generators.
     """
     m = _density(rho).matrix
-    if dt is None:
-        norm = linalg.frobenius(liouvillian.superop)
-        dt = 1e-3 * min(1.0, 1.0 / norm) if norm > 0 else 1e-3
-    if not (dt > 0.0):
-        raise ValueError("dt must be positive")
+    dt = 1e-3 / max(1.0, linalg.frobenius(liouvillian.superop))
     h = liouvillian.hamiltonian
     forward = unvec(channel_matrix(liouvillian, dt) @ vec(m), liouvillian.dim)
     backward = unvec(channel_matrix(liouvillian, -dt) @ vec(m), liouvillian.dim)
@@ -261,12 +255,12 @@ class TimeReversalWitness(NamedTuple):
     choi_min_eigenvalue: float
 
 
-def time_reversal_witness(liouvillian: gks.GKSLiouvillian, t_grid,
-                          tol: float = 1e-9) -> Optional[TimeReversalWitness]:
+def time_reversal_witness(liouvillian: gks.GKSLiouvillian,
+                          t_grid) -> Optional[TimeReversalWitness]:
     """Search for a time where the inverse flow stops being positive.
 
     For each t in the grid the Choi matrix of exp(-t L) is examined; a
-    minimum eigenvalue below -tol certifies that exp(t L) has no completely
+    minimum eigenvalue below -1e-9 certifies that exp(t L) has no completely
     positive inverse, hence the dynamics is not reversible.  Returns the
     worst violation, or None if every probe stays positive.  This is a
     sufficient certificate only: a reversible-looking grid proves nothing
@@ -279,6 +273,6 @@ def time_reversal_witness(liouvillian: gks.GKSLiouvillian, t_grid,
         if t < 0:
             raise ValueError("probe times must be nonnegative")
         low = _min_eigenvalue(_choi_of_matrix(channel_matrix(liouvillian, -t), n))
-        if low < -tol and (worst is None or low < worst.choi_min_eigenvalue):
+        if low < -1e-9 and (worst is None or low < worst.choi_min_eigenvalue):
             worst = TimeReversalWitness(t, low)
     return worst

@@ -333,8 +333,6 @@ class DispersionKernel:
 
 
 def dispersive_kossakowski_kernel(hamiltonian, basis: OperatorBasis,
-                                  tol: float = KERNEL_TOL,
-                                  psd_tol: float = 1e-8,
                                   samples: int = 200,
                                   seed: int = 0) -> DispersionKernel:
     """All Hermitian coefficient matrices making the given H dispersive.
@@ -350,8 +348,8 @@ def dispersive_kossakowski_kernel(hamiltonian, basis: OperatorBasis,
     and each bracket is at least ||H0||_F^2 / 2, so phi's smallest singular
     value is at least ||H0||_F / sqrt(2), with equality at N = 2.  The rank
     is decided once, not value by value: 0 (the kernel is everything) when
-    ||H0||_F is at or below tol * max(1, ||H||_F), the bound is_dispersive
-    applies to D_H, and N^2 otherwise.  An overflowing map is a ValueError.
+    ||H0||_F is at or below KERNEL_TOL * max(1, ||H||_F), is_dispersive's
+    default bound on D_H, and N^2 otherwise.  An overflowing map is a ValueError.
 
     Valid dissipators in the kernel are its PSD elements; since PSD-ness is
     not a linear condition, it is reported by inspection: each kernel basis
@@ -380,7 +378,7 @@ def dispersive_kossakowski_kernel(hamiltonian, basis: OperatorBasis,
         h0 = h - (h.diagonal().real / n).sum() * np.eye(n)
     if not np.isfinite(phi).all():
         raise ValueError("dispersion map overflows")
-    rank = 0 if linalg.frobenius(h0) <= _zero_bound(h, tol) else n * n
+    rank = 0 if linalg.frobenius(h0) <= _zero_bound(h, KERNEL_TOL) else n * n
     coords = np.linalg.svd(phi)[2][rank:]
     dim = len(coords)
     coeffs = np.random.default_rng(seed).standard_normal((max(samples, 0), dim))
@@ -391,7 +389,7 @@ def dispersive_kossakowski_kernel(hamiltonian, basis: OperatorBasis,
     # is at most the bound, so one spectrum flags both signs
     mats = coords_to_hermitian(np.concatenate([coords, coeffs @ coords]), k)
     w = np.linalg.eigvalsh(mats)
-    bound = linalg.psd_bound(w, psd_tol)
+    bound = linalg.psd_bound(w, 1e-8)
     psd = (w[:, 0] >= -bound).tolist()
     drawn = tuple(map(KernelSample, coeffs, mats[dim:], psd[dim:]))
     return DispersionKernel(tuple(mats[:dim]), tuple(psd[:dim]),

@@ -212,21 +212,21 @@ def trace_norm(a) -> float:
     return float(singular_values(m).sum())
 
 
-def null_spaces(m, tol: float = KERNEL_TOL) -> tuple[np.ndarray, np.ndarray]:
+def null_spaces(m) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal bases (as columns) of the numerical null spaces of m and of m^+.
 
     Both come from one SVD of m: the right and the left singular vectors
-    past the numerical rank, which counts singular values above tol times
-    the largest.  The two bases of a square m therefore have equally many
-    columns.  A zero map returns bases of the whole domain and codomain.
+    past the numerical rank, which counts singular values above KERNEL_TOL
+    times the largest.  The two bases of a square m therefore have equally
+    many columns.  A zero map returns bases of the whole domain and codomain.
     """
     u, s, vh = np.linalg.svd(as_matrix(m))
     smax = float(s[0]) if s.size else 0.0
-    rank = int(np.count_nonzero(s > tol * smax))
+    rank = int(np.count_nonzero(s > KERNEL_TOL * smax))
     return dagger(vh[rank:]), u[:, rank:]
 
 
-def kernel_basis(m, tol: float = KERNEL_TOL) -> np.ndarray:
+def kernel_basis(m) -> np.ndarray:
     """Orthonormal basis (as columns) of the numerical null space of m.
 
     The basis is that of ``null_spaces``.  A zero map returns a basis of
@@ -235,7 +235,7 @@ def kernel_basis(m, tol: float = KERNEL_TOL) -> np.ndarray:
     a = as_matrix(m)
     if a.shape[1] == 0:
         return np.zeros((0, 0), dtype=complex)
-    return null_spaces(a, tol)[0]
+    return null_spaces(a)[0]
 
 
 def psd_bound(w: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:

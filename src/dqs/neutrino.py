@@ -552,23 +552,15 @@ def fit_parameters(data: Union[Spectrum, Iterable[SpectrumPoint]],
     ws = w / w.max()
     wsq = ws * q
 
-    def profile(d) -> Tuple[float, float]:
-        """(SSE, theta) at the best theta for the damping column d."""
-        if theta_lo == theta_hi:
-            theta = theta_lo
-        else:
-            theta = _theta_for(_best_t(d, ws, wsq, t_range)[0], theta_lo, theta_hi)
-        r = 1.0 - d * np.sin(2.0 * theta) ** 2 - p
-        return float(np.dot(w * r, r)), theta
-
     def profiled(beta: np.ndarray) -> tuple:
-        """``profile``'s SSE at (dm2, lambda_km) = beta, with J^T r, J^T J and
-        r^T r of the profiled residual r weighted by ws, and ``profile``'s theta."""
+        """The SSE at (dm2, lambda_km) = beta and its best theta, with J^T r,
+        J^T J and r^T r of the profiled residual r weighted by ws."""
         with np.errstate(over="ignore", invalid="ignore"):
-            d, _, r, jac = _profiled_residual(x, q, ws, wsq, t_range, beta[0], beta[1])
+            d, t, r, jac = _profiled_residual(x, q, ws, wsq, t_range, beta[0], beta[1])
             wr = ws * r
-            sse, theta = profile(d)
-            return sse, jac @ wr, (jac * ws) @ jac.T, np.dot(wr, r), theta
+            theta = _theta_for(t, theta_lo, theta_hi)
+            res = 1.0 - d * np.sin(2.0 * theta) ** 2 - p
+            return float(np.dot(w * res, res)), jac @ wr, (jac * ws) @ jac.T, np.dot(wr, r), theta
 
     # SSE(T) = sum w q^2 - 2 T A + T^2 B at every (dm2, lambda_km) node, with
     # S = 1/2 - sin^2 phase and E = exp(-lambda_km x) so that D = 1/2 - E S:

@@ -765,6 +765,73 @@ def test_nu_fit_rejects_a_repeated_name(capsys, tmp_path, flag, first, again):
     assert (code, out, err) == (2, "", f"error: {flag} names theta twice\n")
 
 
+# ------------------------------------------------------------------ invalid input
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: [], "{path}: model file must hold a JSON object"),
+    (lambda doc: {k: v for k, v in doc.items() if k != "kossakowski"},
+     "{path}: missing key 'kossakowski'"),
+    (lambda doc: {**doc, "basis": "pauli"}, "unsupported basis 'pauli'"),
+    (lambda doc: {**doc, "dimension": 1}, "dimension must be an integer >= 2, got 1"),
+    (lambda doc: {**doc, "hamiltonian": "abc"}, "hamiltonian: expected nested [re, im] pairs"),
+], ids=["list", "no-kossakowski", "pauli", "dimension-1", "hamiltonian-string"])
+def test_malformed_model_file_is_one_error(capsys, tmp_path, edit, message):
+    with open(DISPERSIVE, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    path = tmp_path / "bad.model"
+    path.write_text(json.dumps(edit(doc)))
+    assert run_cli(capsys, "check", str(path)) == (2, "", f"error: {message.format(path=path)}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["evolve", DISPERSIVE, "--state", "0.5,abc"], "--state: complex() arg is a malformed string"),
+    (["evolve", DISPERSIVE, "--state", "0.5,0.5", "--steps", "0"],
+     "--steps must be at least 1, got 0"),
+    (["evolve", DISPERSIVE, "--state", "0.5,0.5", "--state-file", "{tmp}/state.json"],
+     "give either --state or --state-file, not both"),
+    (["evolve", DISPERSIVE], "an initial state is required: --state or --state-file"),
+    (["nu", "--dm2", "7.9e-5", "--tan2theta", "-1", "--L", "1", "--E", "1"],
+     "--tan2theta must be nonnegative, got -1.0"),
+    (["nu", "--dm2", "7.9e-5", "--theta", "0.5", "--loe-range", "1:2"],
+     "--loe-range wants lo:hi:points, got '1:2'"),
+    (["nu", "--dm2", "7.9e-5", "--theta", "0.5", "--loe-range", "a:2:3"],
+     "--loe-range: could not convert string to float: 'a'"),
+    (["nu", "--dm2", "7.9e-5", "--theta", "0.5", "--loe-range", "0:1:1"],
+     "--loe-range needs at least 2 points for lo < hi"),
+    (["nu-fit", "{tmp}/absent.csv"],
+     "cannot read spectrum: [Errno 2] No such file or directory: '{tmp}/absent.csv'"),
+    (["basis", "--dimension", "1"], "--dimension must be at least 2, got 1"),
+], ids=["inline-state", "steps-0", "both-states", "no-state", "tan2theta", "loe-two-fields",
+        "loe-not-a-number", "loe-one-point", "nu-fit-unreadable", "basis-dimension-1"])
+def test_bad_argument_is_one_error(capsys, tmp_path, argv, message):
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message.format(tmp=tmp_path)}\n")
+
+
+@pytest.mark.parametrize("value", ["-1e-9", "-inf"])
+@pytest.mark.parametrize("argv", [
+    ["check", DAMPED_X, "--tol"],
+    ["nu", "--theta", "0.5", "--L", "1", "--E", "1", "--dm2"],
+    ["nu", "--dm2", "7.9e-5", "--theta", "0.5", "--L", "1", "--E", "1", "--lambda-km"],
+    ["nu", "--dm2", "7.9e-5", "--theta", "0.5", "--E", "1", "--L"],
+    ["nu", "--dm2", "7.9e-5", "--theta", "0.5", "--L", "1", "--E"],
+    ["evolve", DISPERSIVE, "--state", "0.5,0.5", "--t-max"],
+    ["probabilities", "--delta"],
+    ["probabilities", "--lam"],
+    ["probabilities", "--t-max"],
+    ["nu", "--dm2", "7.9e-5", "--theta", "0.5", "--loe-range"],
+    ["evolve", DISPERSIVE, "--state"],
+], ids=lambda argv: f"{argv[0]} {argv[-1]}")
+def test_negative_value_reads_alike_in_either_spelling(capsys, argv, value):
+    # argparse's own negative-number pattern knows no exponent and no inf:
+    # "--tol -1e-9" used to be a usage error where "--tol=-1e-9" is a range error
+    spaced = run_cli(capsys, *argv, value)
+    joined = run_cli(capsys, *argv[:-1], f"{argv[-1]}={value}")
+    assert spaced == joined
+    assert (spaced[0], spaced[1]) == (2, "")
+    assert spaced[2].startswith("error: ") and spaced[2].count("\n") == 1
+
+
 # ------------------------------------------------------------------ basis, lindblad
 
 def test_basis_dump(capsys):

@@ -496,10 +496,9 @@ def kernel_hamiltonians(rng):
 
 
 def test_kernel_flags_match_is_psd(rng):
-    tol = 1e-8
+    tol = 1e-8  # the kernel's fixed PSD tolerance
     for h in kernel_hamiltonians(rng):
-        report = gks.dispersive_kossakowski_kernel(h, gks.gell_mann_basis(h.shape[0]),
-                                                   psd_tol=tol)
+        report = gks.dispersive_kossakowski_kernel(h, gks.gell_mann_basis(h.shape[0]))
         kernel = np.array(report.kernel)
         assert report.element_psd == tuple(linalg.is_psd(m, tol) for m in kernel)
         assert report.negation_psd == tuple(linalg.is_psd(-m, tol) for m in kernel)
