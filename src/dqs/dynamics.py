@@ -1,20 +1,20 @@
 """Propagation through the quantum dynamical semigroup and its diagnostics.
 
-States evolve by exact exponentiation of the generator, one matrix
-exponential per time and no ODE stepper: in real Bloch coordinates
-(``propagate_many``), where the trace coordinate is preserved exactly and
-every state is rebuilt Hermitian.  Channels, the Choi matrix and the
-semigroup checks use the complex generator matrix on column-stacked states
-instead.  The checks collected here probe the semigroup laws that a valid
-generator must satisfy: trace preservation and complete positivity along
-the flow (through the Choi matrix), the semigroup composition law, recovery
-of the generator from short-time propagators, and the energy-flow identity
-d<H>/dt = tr(rho D_H).  Positivity of the *inverse* flow is the one property
-that may legitimately fail: its failure certifies that the dynamics is not
-reversible in time.  The stationary state is not
-searched for: it is the spectral projection at eigenvalue 0 (the ergodic
-projection, built from the null spaces of the generator and its adjoint)
-applied to the maximally mixed state.
+One matrix is exponentiated, once per time and with no ODE stepper: the
+real Bloch generator R (``GKSLiouvillian.bloch``).  States evolve in its
+coordinates (``propagate_many``), where the trace coordinate is preserved
+exactly and every state is rebuilt Hermitian.  A channel on column-stacked
+states is V^T exp(tR) conj(V), V the unitary with rows vec(G_j), and its Choi
+matrix is an index permutation of that.  The checks probe the semigroup laws
+of a valid generator: trace preservation and complete positivity along the
+flow (through the Choi matrix), the composition law, recovery of the
+generator from short-time propagators (both compared on R, whose Frobenius
+norms equal L's), and the energy-flow identity d<H>/dt = tr(rho D_H).
+Positivity of the *inverse* flow is the one property that may legitimately
+fail: its failure certifies that the dynamics is not reversible in time.
+The stationary state is not searched for: it is the spectral projection at
+eigenvalue 0, built from the null spaces of R and R^T from one real SVD of
+R, applied to the maximally mixed state.
 """
 
 from __future__ import annotations
@@ -43,8 +43,9 @@ class Propagator:
 
 
 def channel_matrix(liouvillian: gks.GKSLiouvillian, t: float) -> np.ndarray:
-    """exp(t L) without the nonnegativity restriction; t < 0 probes backward."""
-    return linalg.expm(liouvillian.superop, scale=t)
+    """exp(t L) = V^T exp(t R) conj(V), any sign of t; t < 0 probes backward."""
+    v = gks.gell_mann_rows(liouvillian.dim)
+    return v.T @ linalg.expm(liouvillian.bloch, scale=t) @ v.conj()
 
 
 def propagator(liouvillian: gks.GKSLiouvillian, t: float) -> Propagator:
@@ -134,29 +135,27 @@ def propagate(liouvillian: gks.GKSLiouvillian, rho, t: float) -> DensityMatrix:
 
 
 def semigroup_residual(liouvillian: gks.GKSLiouvillian, t1: float, t2: float) -> float:
-    """|| exp((t1+t2) L) - exp(t2 L) exp(t1 L) ||_F."""
+    """|| exp((t1+t2) L) - exp(t2 L) exp(t1 L) ||_F, taken of R."""
     if t1 < 0 or t2 < 0:
         raise ValueError("semigroup times must be nonnegative")
-    m = liouvillian.superop
+    m = liouvillian.bloch
     whole = linalg.expm(m, scale=t1 + t2)
     stepped = linalg.expm(m, scale=t2) @ linalg.expm(m, scale=t1)
     return linalg.frobenius(whole - stepped)
 
 
 def _choi_of_matrix(matrix: np.ndarray, n: int) -> np.ndarray:
-    # C[(i,k),(j,l)] = channel(E_ij)[k,l] = matrix[k + l n, i + j n]: an index
-    # permutation of the column-stacked superoperator.
+    """C = sum_ij E_ij (x) channel(E_ij); PSD iff the channel is CP.
+
+    C[(i,k),(j,l)] = channel(E_ij)[k,l] = matrix[k + l n, i + j n]: an index
+    permutation of the channel's matrix on column-stacked states.
+    """
     return matrix.reshape(n, n, n, n).transpose(3, 1, 2, 0).reshape(n * n, n * n)
 
 
 def _min_eigenvalue(choi: np.ndarray) -> float:
     w, _ = linalg.hermitian_eigen(choi, tol=1.0)
     return float(w[0])
-
-
-def choi_matrix(prop: Propagator) -> np.ndarray:
-    """C = sum_ij E_ij (x) channel(E_ij); PSD iff the channel is CP."""
-    return _choi_of_matrix(prop.matrix, prop.dim)
 
 
 @dataclass(frozen=True)
@@ -173,7 +172,7 @@ def cptp_report(prop: Propagator) -> CptpReport:
     deviation of the Choi partial trace from the identity.
     """
     n = prop.dim
-    c = choi_matrix(prop)
+    c = _choi_of_matrix(prop.matrix, n)
     tr2 = np.einsum("ikjk->ij", c.reshape(n, n, n, n))
     trace_residual = float(np.abs(tr2 - np.eye(n)).max())
     herm_residual = linalg.hermiticity_defect(c)
@@ -181,21 +180,20 @@ def cptp_report(prop: Propagator) -> CptpReport:
 
 
 def generator_recovery_residual(liouvillian: gks.GKSLiouvillian, eps: float) -> float:
-    """|| (exp(eps L) - I)/eps - L ||_F; decays linearly in eps."""
+    """|| (exp(eps L) - I)/eps - L ||_F, taken of R; decays linearly in eps."""
     if not (eps > 0.0):
         raise ValueError("eps must be positive")
-    m = liouvillian.superop
-    eye = np.eye(m.shape[0], dtype=complex)
-    return linalg.frobenius((linalg.expm(m, scale=eps) - eye) / eps - m)
+    m = liouvillian.bloch
+    return linalg.frobenius((linalg.expm(m, scale=eps) - np.eye(len(m))) / eps - m)
 
 
 @dataclass(frozen=True, eq=False)
 class StationaryFamily:
     """Null space of the generator and the stationary state P0(I/N).
 
-    kernel holds an orthonormal basis of the null space of the generator
-    matrix, each element unvec'd to a matrix; density_matrices holds the one
-    state P0(I/N), the time average of exp(t L)(I/N) as t grows.
+    kernel holds a trace-orthonormal basis of Hermitian matrices sum_j y_j G_j
+    for the null space of R; density_matrices holds the one state P0(I/N),
+    the time average of exp(t L)(I/N) as t grows.
     """
 
     kernel: tuple
@@ -205,19 +203,19 @@ class StationaryFamily:
 def stationary_states(liouvillian: gks.GKSLiouvillian) -> StationaryFamily:
     """Stationary subspace of the flow and the stationary state reached from I/N.
 
-    The kernel of the generator matrix L is returned as matrices.  With V a
-    basis of the kernel of L and W one of the kernel of L^+, both from one
-    SVD of L so that W^+ V is square, P0 = V (W^+ V)^-1 W^+ is the spectral
-    projection at eigenvalue 0; for a bounded semigroup 0 is semisimple, so
-    P0 is the Cesaro limit of exp(t L), a CPTP map (Spohn, Lett. Math.
-    Phys. 2, 1977).  The one density matrix returned is P0(I/N).
+    With K a basis of the kernel of R and W one of the kernel of R^T, both
+    from one real SVD of R so that W^T K is square, P0 = K (W^T K)^-1 W^T is
+    the spectral projection at eigenvalue 0; for a bounded semigroup 0 is
+    semisimple, so P0 is the Cesaro limit of exp(t R), a CPTP map (Spohn,
+    Lett. Math. Phys. 2, 1977).  The one density matrix returned is P0(I/N),
+    whose one nonzero coordinate is 1/sqrt(N), on G_{N^2}.
     """
     n = liouvillian.dim
-    null, left = linalg.null_spaces(liouvillian.superop)
-    co = linalg.dagger(left)  # W^+
-    rho = unvec(null @ np.linalg.solve(co @ null, co @ vec(np.eye(n) / n)), n)
-    mats = null.T.reshape(-1, n, n).swapaxes(1, 2)  # unvec of each column
-    return StationaryFamily(tuple(mats), (DensityMatrix(rho),))
+    null, left = linalg.null_spaces(liouvillian.bloch)
+    y = null @ np.linalg.solve(left.T @ null, left[-1] / math.sqrt(n))
+    # sum_j y_j G_j is unvec(V^T y) for each column y of K and for P0(I/N)
+    mats = (np.vstack([null.T, y]) @ gks.gell_mann_rows(n)).reshape(-1, n, n).swapaxes(1, 2)
+    return StationaryFamily(tuple(mats[:-1]), (DensityMatrix(mats[-1]),))
 
 
 def spectrum_entropy(spectrum) -> float:
@@ -238,10 +236,10 @@ def energy_flow_residual(liouvillian: gks.GKSLiouvillian, rho) -> float:
     """Gap between the finite-difference d<H>/dt and tr(rho D_H).
 
     The derivative is a central difference of tr(H rho(t)) at t = 0 with
-    step 1e-3 * min(1, 1/||L||_F), scaled down for stiff generators.
+    step 1e-3 * min(1, 1/||R||_F), scaled down for stiff generators.
     """
     m = _density(rho).matrix
-    dt = 1e-3 / max(1.0, linalg.frobenius(liouvillian.superop))
+    dt = 1e-3 / max(1.0, linalg.frobenius(liouvillian.bloch))
     h = liouvillian.hamiltonian
     forward = unvec(channel_matrix(liouvillian, dt) @ vec(m), liouvillian.dim)
     backward = unvec(channel_matrix(liouvillian, -dt) @ vec(m), liouvillian.dim)

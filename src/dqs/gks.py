@@ -123,6 +123,14 @@ def gell_mann_basis(dim: int) -> OperatorBasis:
     return OperatorBasis(dim, tuple(elems))
 
 
+@lru_cache(maxsize=None)
+def gell_mann_rows(n: int) -> np.ndarray:
+    """The unitary V whose row j is vec(G_j): R = conj(V) L V^T, L = V^T R conj(V)."""
+    v = np.stack(gell_mann_basis(n).elements).swapaxes(1, 2).reshape(n * n, n * n)
+    v.flags.writeable = False
+    return v
+
+
 @dataclass(frozen=True, eq=False)
 class KossakowskiMatrix:
     """Hermitian PSD coefficient matrix of a dissipator, shape (N^2-1)^2."""
@@ -211,9 +219,7 @@ class GKSLiouvillian:
         the imaginary round-off of the basis change is dropped, and the last
         row, tr(L(.)) / sqrt(N), is set to exactly zero.
         """
-        n = self.dim
-        g = np.stack(gell_mann_basis(n).elements)
-        v = g.swapaxes(1, 2).reshape(n * n, n * n)  # row j is vec(G_j)
+        v = gell_mann_rows(self.dim)
         with np.errstate(over="ignore", invalid="ignore"):
             r = (v.conj() @ self.superop @ v.T).real.copy()
         if not np.isfinite(r).all():

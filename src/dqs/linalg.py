@@ -29,9 +29,9 @@ KERNEL_TOL = 1e-9
 TRACE_TOL = 1e-12
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a 2-d complex128 array, rejecting non-finite entries."""
-    m = np.asarray(a, dtype=complex)
+def as_matrix(a, dtype=complex) -> np.ndarray:
+    """Coerce to a 2-d array of dtype (complex128 by default), rejecting non-finite entries."""
+    m = np.asarray(a, dtype=dtype)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
     if m.size and not np.isfinite(m).all():
@@ -219,8 +219,10 @@ def null_spaces(m) -> tuple[np.ndarray, np.ndarray]:
     past the numerical rank, which counts singular values above KERNEL_TOL
     times the largest.  The two bases of a square m therefore have equally
     many columns.  A zero map returns bases of the whole domain and codomain.
+    As in ``expm``, a real m gives a real SVD and float64 bases.
     """
-    u, s, vh = np.linalg.svd(as_matrix(m))
+    a = np.asarray(m)
+    u, s, vh = np.linalg.svd(as_matrix(a, float if a.dtype.kind in "biuf" else complex))
     smax = float(s[0]) if s.size else 0.0
     rank = int(np.count_nonzero(s > KERNEL_TOL * smax))
     return dagger(vh[rank:]), u[:, rank:]
@@ -229,13 +231,10 @@ def null_spaces(m) -> tuple[np.ndarray, np.ndarray]:
 def kernel_basis(m) -> np.ndarray:
     """Orthonormal basis (as columns) of the numerical null space of m.
 
-    The basis is that of ``null_spaces``.  A zero map returns a basis of
-    the whole domain.
+    The basis is that of ``null_spaces``, float64 for a real m.  A zero map
+    returns a basis of the whole domain.
     """
-    a = as_matrix(m)
-    if a.shape[1] == 0:
-        return np.zeros((0, 0), dtype=complex)
-    return null_spaces(a)[0]
+    return null_spaces(m)[0]
 
 
 def psd_bound(w: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:

@@ -57,8 +57,8 @@ class QubitBloch:
     def __post_init__(self):
         if not (0.0 <= self.a <= 1.0):
             raise ValueError(f"population must lie in [0, 1], got {self.a!r}")
-        if abs(self.b) ** 2 > self.a * (1.0 - self.a) + 1e-12:
-            raise ValueError("coherence too large: |b|^2 must not exceed a(1-a)")
+        if not abs(self.b) ** 2 <= self.a * (1.0 - self.a) + 1e-12:
+            raise ValueError("coherence too large or not finite: |b|^2 must not exceed a(1-a)")
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,8 @@ class AngleObservable:
     theta: float
 
     def __post_init__(self):
+        if not np.isfinite([self.x1, self.x2]).all():
+            raise ValueError("eigenvalues must be finite")
         if self.x1 < self.x2:
             raise ValueError("eigenvalues must satisfy x1 >= x2")
         check_angle(self.theta)
@@ -135,8 +137,8 @@ def positivity_horizon(state: QubitBloch, lam: float) -> Optional[float]:
     Returns None when the backward flow stays a state forever (diagonal
     states, pure populations, or lam = 0).
     """
-    if lam < 0:
-        raise ValueError("dephasing rate must be nonnegative")
+    if not (0.0 <= lam < math.inf):
+        raise ValueError(f"dephasing rate must be finite and nonnegative, got {lam!r}")
     det = state.a * (1.0 - state.a)
     b2 = abs(state.b) ** 2
     if b2 == 0.0 or det == 0.0 or lam == 0.0:

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dqs import dynamics, gks, linalg
 from dqs.gks import KossakowskiMatrix
 from dqs.linalg import KERNEL_TOL, DensityMatrix
 
-from helpers import random_density, random_hermitian, random_liouvillian
+from helpers import (random_complex, random_density, random_hermitian, random_liouvillian,
+                     random_unitary)
 
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -150,10 +153,30 @@ def test_semigroup_residual_small(rng):
             assert dynamics.semigroup_residual(liou, t1, t2) <= 1e-9
 
 
+def test_semigroup_checks_exponentiate_the_real_generator(monkeypatch, rng):
+    # channels, Choi matrices and the semigroup checks all exponentiate the
+    # real Bloch generator, the matrix propagate_many exponentiates
+    fields = []
+    expm = linalg.expm
+
+    def spying(a, scale=1.0):
+        fields.append(np.asarray(a).dtype)
+        return expm(a, scale)
+
+    monkeypatch.setattr(linalg, "expm", spying)
+    liou = random_liouvillian(rng, 3)
+    dynamics.cptp_report(dynamics.propagator(liou, 0.7))
+    dynamics.time_reversal_witness(liou, [0.5, 1.0])
+    dynamics.semigroup_residual(liou, 0.3, 0.4)
+    dynamics.generator_recovery_residual(liou, 1e-3)
+    dynamics.energy_flow_residual(liou, random_density(rng, 3))
+    assert fields == [np.dtype(np.float64)] * 9
+
+
 def test_choi_of_identity_channel():
     liou = dispersive_qubit(0.0, 1.0)
     prop = dynamics.propagator(liou, 0.0)
-    c = dynamics.choi_matrix(prop)
+    c = dynamics._choi_of_matrix(prop.matrix, prop.dim)
     vec_eye = linalg.vec(np.eye(2))
     assert np.abs(c - np.outer(vec_eye, vec_eye.conj())).max() <= 1e-14
     report = dynamics.cptp_report(prop)
@@ -171,7 +194,7 @@ def test_choi_matches_kron_definition(rng):
                 e = np.zeros((n, n), dtype=complex)
                 e[i, j] = 1.0
                 ref += np.kron(e, linalg.unvec(prop.matrix @ linalg.vec(e), n))
-        assert np.array_equal(dynamics.choi_matrix(prop), ref)
+        assert np.array_equal(dynamics._choi_of_matrix(prop.matrix, n), ref)
 
 
 def test_cptp_along_flow(rng):
@@ -305,6 +328,24 @@ def test_unital_models_keep_the_maximally_mixed_state():
     for liou in (dispersive_qubit(0.7, 2.0), dispersive_qubit(0.0, 3.0), zero):
         n = liou.dim
         assert np.abs(the_stationary_state(liou) - np.eye(n) / n).max() <= 1e-12
+
+
+def test_stationary_kernel_is_a_hermitian_orthonormal_basis():
+    # a zero generator's kernel is every matrix; its basis is still Hermitian
+    zero = gks.GKSLiouvillian(np.zeros((3, 3)), KossakowskiMatrix(3, np.zeros((8, 8))),
+                              gks.gell_mann_basis(3))
+    rng = np.random.default_rng(7)
+    h = random_hermitian(rng, 4)
+    _, u = np.linalg.eigh(h)
+    planted = single_jump_liouvillian(h, u @ np.diag([1.0, -0.5, 0.2, -0.7]) @ u.conj().T)
+    for liou in (zero, dispersive_qubit(0.7, 2.0), dispersive_qubit(0.0, 3.0),
+                 random_liouvillian(rng, 3), planted):
+        kernel = np.array(dynamics.stationary_states(liou).kernel)
+        assert max(map(linalg.hermiticity_defect, kernel)) <= 1e-15
+        gram = np.einsum("iab,jab->ij", kernel.conj(), kernel)  # tr(m_i^+ m_j)
+        assert np.abs(gram - np.eye(len(kernel))).max() <= 1e-12
+        for m in kernel:
+            assert np.abs(liou.superop @ linalg.vec(m)).max() <= 1e-12
 
 
 def test_zero_generator_kernel_is_everything():
@@ -441,3 +482,51 @@ def test_time_reversal_witness_clears_unitary_flow():
 def test_time_reversal_witness_rejects_negative_times():
     with pytest.raises(ValueError, match="nonnegative"):
         dynamics.time_reversal_witness(dispersive_qubit(), [-1.0])
+
+
+# ---------------------------------------------------------------- unitary covariance
+
+def rotated_model(liou, u):
+    """The model with H -> U H U^+ and a -> O a O^T, O_ij = tr(G_i U G_j U^+)."""
+    g = np.stack(liou.basis.traceless)
+    o = np.einsum("iab,jba->ij", g, u @ g @ u.conj().T).real
+    a = liou.kossakowski.matrix
+    return gks.GKSLiouvillian(u @ liou.hamiltonian @ u.conj().T,
+                              KossakowskiMatrix(liou.dim, o @ a @ o.T), liou.basis)
+
+
+def assert_invariant(value, rotated):
+    assert abs(rotated - value) <= 1e-12 * max(1.0, abs(value))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(0, 3))
+def test_flow_and_verdicts_are_unitarily_covariant(n, seed, levels, rank):
+    # H has at most `levels` distinct energies and a = X X^+ has rank at most
+    # `rank` (0: a unitary flow); the rotated model L'(s) = U L(U^+ s U) U^+
+    # must carry every state along and leave every spectrum alone
+    g = np.random.default_rng(seed)
+    k = n * n - 1
+    h = np.diag(g.standard_normal(levels)[g.integers(0, levels, n)])
+    x = random_complex(g, (k, rank))
+    a = x @ x.conj().T
+    a *= 0.5 / a.trace().real if rank else 1.0
+    liou = gks.GKSLiouvillian(h, KossakowskiMatrix(n, a), gks.gell_mann_basis(n))
+    u = random_unitary(g, n)
+    turned = rotated_model(liou, u)
+    rho = random_density(g, n)
+    turned_rho = u @ rho.matrix @ u.conj().T
+    for t in (0.3, 2.0):
+        out = u @ dynamics.propagate(liou, rho, t).matrix @ u.conj().T
+        assert np.abs(dynamics.propagate(turned, turned_rho, t).matrix - out).max() <= 1e-12
+        assert_invariant(dynamics.cptp_report(dynamics.propagator(liou, t)).choi_min_eigenvalue,
+                         dynamics.cptp_report(dynamics.propagator(turned, t)).choi_min_eigenvalue)
+    family, turned_family = map(dynamics.stationary_states, (liou, turned))
+    state = u @ family.density_matrices[0].matrix @ u.conj().T
+    assert np.abs(turned_family.density_matrices[0].matrix - state).max() <= 1e-12
+    grid = (0.5, 1.0, 2.0)
+    witness, turned_witness = (dynamics.time_reversal_witness(m, grid) for m in (liou, turned))
+    assert (witness is None) == (turned_witness is None) == (rank == 0)
+    if witness is not None:
+        assert witness.t == turned_witness.t
+        assert_invariant(witness.choi_min_eigenvalue, turned_witness.choi_min_eigenvalue)

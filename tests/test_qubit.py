@@ -38,6 +38,26 @@ def test_observable_validation():
         AngleObservable(1.0, 0.0, 2.0)
 
 
+@pytest.mark.parametrize("a, b", [(0.5, complex("nan")), (0.5, complex(0.0, float("nan"))),
+                                  (0.5, float("nan")), (float("inf"), 0.0)])
+def test_bloch_rejects_non_finite_coordinates(a, b):
+    with pytest.raises(ValueError, match="population|not finite"):
+        QubitBloch(a, b)
+
+
+@pytest.mark.parametrize("x1, x2", [(float("nan"), 0.0), (1.0, float("nan")),
+                                    (float("inf"), 0.0), (1.0, -float("inf"))])
+def test_observable_rejects_non_finite_eigenvalues(x1, x2):
+    with pytest.raises(ValueError, match="must be finite"):
+        AngleObservable(x1, x2, 0.3)
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+def test_horizon_rejects_a_non_finite_rate(lam):
+    with pytest.raises(ValueError, match="dephasing rate must be finite and nonnegative"):
+        qubit.positivity_horizon(QubitBloch(0.5, 0.25), lam)
+
+
 # ---------------------------------------------------------------- evolution
 
 def test_evolution_matches_generator_route(rng):
