@@ -37,7 +37,6 @@ from .linalg import (
 from .neutrino import (
     OscillationParams,
     Spectrum,
-    SpectrumPoint,
     fit_parameters,
     read_spectrum_csv,
     survival_at_l_over_e,
@@ -62,7 +61,6 @@ __all__ = [
     "OscillationParams",
     "QubitBloch",
     "Spectrum",
-    "SpectrumPoint",
     "cptp_report",
     "dispersive_kossakowski_kernel",
     "dissipation_operator",

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -58,11 +58,13 @@ _RANGE_CHECKS = {
     "dm2": (lambda v: v > 0.0, "positive"),
     "theta": (lambda v: 0.0 <= v <= math.pi / 2.0, "in [0, pi/2]"),
     "lambda_km": (lambda v: v >= 0.0, "nonnegative"),
+    "baseline": (lambda v: v >= 0.0, "nonnegative"),
+    "energy": (lambda v: v > 0.0, "positive"),
 }
 
 
 def _check_range(name: str, value: float) -> None:
-    """Raise ValueError unless value is finite and legal for the named parameter."""
+    """Raise ValueError unless value is finite and legal for the named quantity."""
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     ok, phrase = _RANGE_CHECKS[name]
@@ -109,38 +111,15 @@ def _first_fault(x: np.ndarray, p: np.ndarray, w: np.ndarray) -> Optional[Tuple[
     return point, int(bad[point].argmax())
 
 
-@dataclass(frozen=True)
-class SpectrumPoint:
-    """One sample of a survival spectrum: x = L/E in km/GeV, probability, weight.
-
-    Validation is ``_first_fault`` on a spectrum of one point.
-    """
-
-    l_over_e: float
-    p: float
-    weight: float = 1.0
-
-    def __post_init__(self) -> None:
-        values = (self.l_over_e, self.p, self.weight)
-        fault = _first_fault(*(np.array([v], dtype=float) for v in values))
-        if fault is not None:
-            col = fault[1]
-            raise ValueError(f"{_POINT_RULE[col]}, got {values[col]!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """A survival spectrum as three read-only float64 columns of equal length.
 
     ``l_over_e`` holds x = L/E in km/GeV, ``p`` the survival probabilities
     and ``weight`` the fit weights.  Every point is validated at
-    construction by ``_first_fault``, the rule ``SpectrumPoint`` applies to
-    one point; the ValueError names the first bad point by its index.
-    Columns are copied, so the caller's arrays stay writable.
-
-    ``len``, integer indexing (which yields a ``SpectrumPoint``) and
-    iteration behave as on a list of points; two spectra are equal when
-    their columns are.
+    construction by ``_first_fault``; the ValueError names the first bad
+    point by its index.  Columns are copied, so the caller's arrays stay
+    writable.  ``len`` is the number of points.
     """
 
     l_over_e: np.ndarray
@@ -159,33 +138,14 @@ class Spectrum:
             c.flags.writeable = False
             object.__setattr__(self, name, c)
 
-    @classmethod
-    def from_points(cls, points: Iterable[SpectrumPoint]) -> "Spectrum":
-        """The spectrum of the given points, in order."""
-        pts = list(points)
-        return cls([pt.l_over_e for pt in pts], [pt.p for pt in pts],
-                   [pt.weight for pt in pts])
-
     def __len__(self) -> int:
         return self.p.size
-
-    def __getitem__(self, k: int) -> SpectrumPoint:
-        return SpectrumPoint(float(self.l_over_e[k]), float(self.p[k]), float(self.weight[k]))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Spectrum):
-            return NotImplemented
-        return all(np.array_equal(a, b) for a, b in ((self.l_over_e, other.l_over_e),
-                                                      (self.p, other.p),
-                                                      (self.weight, other.weight)))
 
 
 def oscillation_phase(dm2: float, baseline_km: float, energy_gev: float) -> float:
     """PHASE_CONSTANT * dm2 * L / E, the argument of the oscillating sine."""
-    if not energy_gev > 0.0:
-        raise ValueError(f"energy must be positive, got {energy_gev!r}")
-    if baseline_km < 0.0:
-        raise ValueError(f"baseline must be nonnegative, got {baseline_km!r}")
+    _check_range("energy", energy_gev)
+    _check_range("baseline", baseline_km)
     return PHASE_CONSTANT * dm2 * baseline_km / energy_gev
 
 
@@ -204,6 +164,9 @@ def survival_at_l_over_e(params: OscillationParams, l_over_e):
     Accepts a scalar or an array; returns a matching float or ndarray.
     """
     x = np.asarray(l_over_e, dtype=float)
+    bad = x[~np.isfinite(x)]
+    if bad.size:
+        raise ValueError(f"L/E must be finite, got {float(bad[0])!r}")
     if np.any(x < 0.0):
         raise ValueError("L/E must be nonnegative")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -250,7 +213,7 @@ def read_spectrum_csv(path) -> Spectrum:
     mark, which spreadsheet exports often write.  Each field is converted by
     ``float``.  A malformed row raises ValueError naming the first bad line
     in file order, whatever its fault: a wrong field count, a field that is
-    not a number, or a point that breaks the ``SpectrumPoint`` rule.
+    not a number, or a point that breaks the rule ``Spectrum`` applies.
 
     The rows are parsed in one pass and checked as columns; only a file
     that fails is gone through line by line, to find the line to name.
@@ -293,9 +256,14 @@ def _raise_at_first_bad_line(lines: List[str], start: int, ncols: int) -> None:
         if len(fields) != ncols:
             raise ValueError(f"line {lineno}: expected {ncols} fields, got {len(fields)}")
         try:
-            SpectrumPoint(*[float(f) for f in fields])
+            values = [float(f) for f in fields]
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
+        # a missing weight column is a weight of 1
+        point = (values + [1.0])[:3]
+        fault = _first_fault(*np.array([point]).T)
+        if fault is not None:
+            raise ValueError(f"line {lineno}: {_POINT_RULE[fault[1]]}, got {point[fault[1]]!r}")
 
 
 # ------------------------------------------------------------------ fitting
@@ -460,7 +428,7 @@ def _profiled_residual(x: np.ndarray, q: np.ndarray, ws: np.ndarray, wsq: np.nda
     return d, t, d * t - q, jac
 
 
-def fit_parameters(data: Union[Spectrum, Iterable[SpectrumPoint]],
+def fit_parameters(data: Spectrum,
                    bounds: Optional[Mapping[str, Tuple[float, float]]] = None,
                    fixed: Optional[Mapping[str, float]] = None,
                    grid_points: int = 41,
@@ -502,18 +470,18 @@ def fit_parameters(data: Union[Spectrum, Iterable[SpectrumPoint]],
     bounds the fit reports the first octant.  Restrict theta to
     (pi/4, pi/2) for the second.
 
-    ``data`` is a ``Spectrum``, whose columns are used as they are, or any
-    iterable of ``SpectrumPoint``, which is gathered into one first.
+    ``data`` must be a ``Spectrum``; its columns are used as they are.
     """
-    spectrum = data if isinstance(data, Spectrum) else Spectrum.from_points(data)
-    if not len(spectrum):
+    if not isinstance(data, Spectrum):
+        raise TypeError(f"data must be a Spectrum, got {type(data).__name__}")
+    if not len(data):
         raise ValueError("no spectrum points to fit")
     if grid_points < 2:
         raise ValueError("grid_points must be at least 2")
     if max_cycles < 1:
         raise ValueError("max_cycles must be at least 1")
 
-    x, p, w = spectrum.l_over_e, spectrum.p, spectrum.weight
+    x, p, w = data.l_over_e, data.p, data.weight
     if not w.max() > 0.0:
         raise ValueError("spectrum has zero total weight")
 
@@ -521,7 +489,10 @@ def fit_parameters(data: Union[Spectrum, Iterable[SpectrumPoint]],
     for name, pair in (bounds or {}).items():
         if name not in PARAMETER_NAMES:
             raise ValueError(f"unknown parameter {name!r}")
-        lo, hi = float(pair[0]), float(pair[1])
+        try:
+            lo, hi = map(float, pair)
+        except (TypeError, ValueError):
+            raise ValueError(f"bad bounds for {name}: {pair!r}") from None
         if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
             raise ValueError(f"bad bounds for {name}: {pair!r}")
         _check_range(name, lo)

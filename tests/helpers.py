@@ -169,9 +169,9 @@ def reference_golden_min(f, lo, hi, tol):
     return (c, fc) if fc[0] <= fd[0] else (d, fd)
 
 
-def reference_coordinate_polish(points, bounds, start, grid_points=41, max_cycles=60,
+def reference_coordinate_polish(spectrum, bounds, start, grid_points=41, max_cycles=60,
                                 minimiser=reference_golden_min):
-    """The coordinate-wise polish of dm2 and lambda_km, as a reference.
+    """The coordinate-wise polish of dm2 and lambda_km on a ``Spectrum``, as a reference.
 
     ``bounds`` holds all three parameters' (lo, hi), a pinned one as (v, v);
     ``start`` is the grid node (an ``OscillationParams``; its theta is not
@@ -189,9 +189,7 @@ def reference_coordinate_polish(points, bounds, start, grid_points=41, max_cycle
 
     from dqs import neutrino
 
-    x = np.array([pt.l_over_e for pt in points])
-    p = np.array([pt.p for pt in points])
-    w = np.array([pt.weight for pt in points])
+    x, p, w = spectrum.l_over_e, spectrum.p, spectrum.weight
     theta_lo, theta_hi = bounds["theta"]
     ends = (math.sin(2.0 * theta_lo) ** 2, math.sin(2.0 * theta_hi) ** 2)
     t_lo = min(ends)

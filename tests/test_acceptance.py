@@ -193,9 +193,8 @@ def test_criterion_9_neutrino_consistency_and_fits():
         for lam_true in (0.0, 5e-5):
             truth = neutrino.OscillationParams(7.9e-5, theta, lam_true)
             xs = np.linspace(0.0, 3.6e4, 50)
-            data = [neutrino.SpectrumPoint(float(x),
-                                           neutrino.survival_at_l_over_e(truth, float(x)))
-                    for x in xs]
+            data = neutrino.Spectrum(xs, neutrino.survival_at_l_over_e(truth, xs),
+                                     np.ones(xs.size))
             fit = neutrino.fit_parameters(data, bounds=first_octant)
             assert fit.converged
             width = neutrino.DEFAULT_BOUNDS["lambda_km"][1]

@@ -18,7 +18,6 @@ SIGNATURES = {
     "OscillationParams": ("dm2", "theta", "lambda_km"),
     "QubitBloch": ("a", "b"),
     "Spectrum": ("l_over_e", "p", "weight"),
-    "SpectrumPoint": ("l_over_e", "p", "weight"),
     "cptp_report": ("prop",),
     "dispersive_kossakowski_kernel": ("hamiltonian", "basis", "samples", "seed"),
     "dissipation_operator": ("liouvillian",),

@@ -530,3 +530,39 @@ def test_flow_and_verdicts_are_unitarily_covariant(n, seed, levels, rank):
     if witness is not None:
         assert witness.t == turned_witness.t
         assert_invariant(witness.choi_min_eigenvalue, turned_witness.choi_min_eigenvalue)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(0, 3))
+def test_mixing_the_operator_basis_changes_no_generator_or_verdict(n, seed, levels, rank):
+    # F'_i = sum_j W_ji F_j with a' = W^+ a W is the same dissipator for any
+    # unitary W on the traceless elements, so nothing derived from it may move
+    g = np.random.default_rng(seed)
+    k = n * n - 1
+    u = random_unitary(g, n)
+    h = u @ np.diag(g.standard_normal(levels)[g.integers(0, levels, n)]) @ u.conj().T
+    x = random_complex(g, (k, rank))
+    a = x @ x.conj().T
+    a *= 0.5 / a.trace().real if rank else 1.0
+    basis = gks.gell_mann_basis(n)
+    w = random_unitary(g, k)
+    mixed = gks.OperatorBasis(n, tuple(np.einsum("ji,jkl->ikl", w, np.stack(basis.traceless)))
+                              + (basis.elements[-1],))
+    models = [gks.GKSLiouvillian(h, KossakowskiMatrix(n, c), b)
+              for c, b in ((a, basis), (w.conj().T @ a @ w, mixed))]
+
+    def agree(quantity):
+        one, two = (np.asarray(quantity(m)) for m in models)
+        assert np.abs(one - two).max() <= 1e-12
+
+    agree(lambda m: m.superop)
+    agree(lambda m: m.bloch)
+    agree(gks.dissipation_operator)
+    agree(lambda m: gks.is_dispersive(m).residual)
+    assert len({gks.is_dispersive(m).dispersive for m in models}) == 1
+    assert len({gks.dispersive_kossakowski_kernel(h, m.basis, samples=0).dimension
+                for m in models}) == 1
+    agree(lambda m: dynamics.stationary_states(m).density_matrices[0].matrix)
+    # the channel rho -> sum_k V_k rho V_k^+ of the jump operators
+    agree(lambda m: sum(np.kron(v.conj(), v)
+                        for v in gks.lindblad_operators(m.kossakowski, m.basis)))

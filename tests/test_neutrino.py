@@ -1,13 +1,21 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dqs import neutrino, qubit
-from dqs.neutrino import OscillationParams, SpectrumPoint
+from dqs.neutrino import OscillationParams, Spectrum
 from helpers import reference_coordinate_polish, reference_grid
 
 THETA_04 = math.atan(math.sqrt(0.40))  # tan^2 theta = 0.40
+
+
+def make_spectrum(x, p, w=None):
+    """The spectrum of columns x and p, with weights w or else 1."""
+    return Spectrum(x, p, np.ones(np.shape(x)) if w is None else w)
 
 
 def test_phase_constant_against_hbar_c():
@@ -91,14 +99,21 @@ def test_octant_degeneracy_of_survival():
                   - neutrino.survival_at_l_over_e(hi, x)).max() <= 1e-15
 
 
-def test_spectrum_point_validation():
-    SpectrumPoint(0.0, 1.0)
-    with pytest.raises(ValueError, match="probability"):
-        SpectrumPoint(1.0, 1.5)
-    with pytest.raises(ValueError, match="L/E"):
-        SpectrumPoint(-1.0, 0.5)
-    with pytest.raises(ValueError, match="weight"):
-        SpectrumPoint(1.0, 0.5, -1.0)
+@pytest.mark.parametrize("function, args, message", [
+    ("survival_at_l_over_e", (math.nan,), "L/E must be finite, got nan"),
+    ("survival_at_l_over_e", ([1.0, -math.inf, math.nan],), "L/E must be finite, got -inf"),
+    ("survival_probability", (math.nan, 1.0), "baseline must be finite, got nan"),
+    ("survival_probability", (math.inf, 1.0), "baseline must be finite, got inf"),
+    ("survival_probability", (1.0, math.inf), "energy must be finite, got inf"),
+    ("survival_probability", (1.0, math.nan), "energy must be finite, got nan"),
+], ids=["loe-nan", "loe-array-inf", "baseline-nan", "baseline-inf", "energy-inf",
+        "energy-nan"])
+def test_non_finite_inputs_are_named(function, args, message):
+    # a non-finite input is named, before any range check and before the
+    # phase is formed
+    params = OscillationParams(7.9e-5, THETA_04, 5e-5)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        getattr(neutrino, function)(params, *args)
 
 
 # ------------------------------------------------------------------ CSV
@@ -112,17 +127,17 @@ def test_read_spectrum_csv(tmp_path):
         "0.0,1.0,1.0\n"
         "# mid-spectrum comment\n"
         "12000.0,0.55,2.0\n")
-    points = neutrino.read_spectrum_csv(path)
-    assert len(points) == 2
-    assert points[0] == SpectrumPoint(0.0, 1.0, 1.0)
-    assert points[1].weight == 2.0
+    spectrum = neutrino.read_spectrum_csv(path)
+    assert np.array_equal(spectrum.l_over_e, [0.0, 12000.0])
+    assert np.array_equal(spectrum.p, [1.0, 0.55])
+    assert np.array_equal(spectrum.weight, [1.0, 2.0])
 
 
 def test_read_spectrum_csv_without_weights(tmp_path):
     path = tmp_path / "spectrum.csv"
     path.write_text("L_over_E_km_per_GeV,P_survival\n100.0,0.9\n")
-    (point,) = neutrino.read_spectrum_csv(path)
-    assert point.weight == 1.0
+    spectrum = neutrino.read_spectrum_csv(path)
+    assert len(spectrum) == 1 and np.array_equal(spectrum.weight, [1.0])
 
 
 def test_read_spectrum_csv_errors(tmp_path):
@@ -145,6 +160,79 @@ def test_read_spectrum_csv_errors(tmp_path):
         path.write_text(text)
         with pytest.raises(ValueError, match=pattern):
             neutrino.read_spectrum_csv(path)
+
+
+def _point_fault(x, p, w):
+    """The column of the first value of (L/E, P, weight) that breaks the point
+    rule, or None: L/E finite and >= 0, P in [0, 1] up to 1e-9, weight
+    finite and >= 0."""
+    for col, ok in enumerate((math.isfinite(x) and x >= 0.0,
+                              -1e-9 <= p <= 1.0 + 1e-9,
+                              math.isfinite(w) and w >= 0.0)):
+        if not ok:
+            return col
+    return None
+
+
+# fields that pass the point rule in every column, and fields that fail
+# float() or the rule in some column
+GOOD_FIELDS = ["0", "0.5", " 0.25 ", "1", "1.0000000005", "-0.0", "1e-3", "1_0e-2"]
+BAD_FIELDS = ["12.5", "1_000", "spam", "nan", "inf", "-inf", "1e999", "-1", "-1e-10",
+              "1.000000002", "", "0x1"]
+SKIPPED_LINES = ["", "   ", "# note", "  #1,2"]
+
+
+@st.composite
+def spectrum_files(draw):
+    """A spectrum CSV text: comments, a header, and short good or bad rows."""
+    ncols = draw(st.sampled_from([2, 3]))
+    good = st.lists(st.sampled_from(GOOD_FIELDS), min_size=ncols, max_size=ncols)
+    mixed = st.lists(st.sampled_from(GOOD_FIELDS + BAD_FIELDS), min_size=1, max_size=4)
+    # good rows come twice as often as mixed ones, so that many files pass
+    line = st.one_of(good.map(",".join), good.map(",".join), mixed.map(",".join),
+                     st.sampled_from(SKIPPED_LINES))
+    header = ",".join(neutrino.SPECTRUM_COLUMNS + ("weight",) * (ncols - 2))
+    lines = (draw(st.lists(st.sampled_from(SKIPPED_LINES), max_size=2)) + [header]
+             + draw(st.lists(line, max_size=8)))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_read(text):
+    """(the columns, None) for a file whose every data line splits into the
+    header's field count, converts by float() and passes the point rule, or
+    (None, the number of the first line that does not)."""
+    lines = [line.strip() for line in text.split("\n")]
+    header = next(k for k, line in enumerate(lines) if line and not line.startswith("#"))
+    ncols = lines[header].count(",") + 1
+    rows = []
+    for lineno, line in enumerate(lines[header + 1:], start=header + 2):
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split(",")
+        try:
+            row = [float(f) for f in fields] + [1.0] * (3 - ncols)
+        except ValueError:
+            return None, lineno
+        if len(fields) != ncols or _point_fault(*row) is not None:
+            return None, lineno
+        rows.append(row)
+    return np.array(rows).reshape(-1, 3).T, None
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spectrum_files())
+def test_reader_agrees_with_a_line_by_line_reference(tmp_path, text):
+    path = tmp_path / "fuzz.csv"
+    path.write_text(text)
+    columns, bad_line = _reference_read(text)
+    if bad_line is not None:
+        with pytest.raises(ValueError, match=f"^line {bad_line}: "):
+            neutrino.read_spectrum_csv(path)
+        return
+    spectrum = neutrino.read_spectrum_csv(path)
+    for got, want in zip((spectrum.l_over_e, spectrum.p, spectrum.weight), columns):
+        assert np.array_equal(got, want)
 
 
 def test_read_spectrum_csv_counts_lines_as_file_iteration_does(tmp_path):
@@ -173,25 +261,32 @@ BAD_POINTS = [(-1.0, 0.5, 1.0), (math.nan, 0.5, 1.0), (math.inf, 0.5, 1.0),
 
 
 @pytest.mark.parametrize("bad", BAD_POINTS, ids=repr)
-def test_spectrum_applies_the_point_rule(bad):
-    # one rule: a spectrum names its first bad point with the message that
-    # point alone raises as a SpectrumPoint
-    with pytest.raises(ValueError) as alone:
-        SpectrumPoint(*bad)
+def test_spectrum_applies_the_point_rule(bad, tmp_path):
+    # one rule: a spectrum names its first bad point, and the reader its
+    # first bad line, with the same message
+    col = _point_fault(*bad)
+    message = f"{neutrino._POINT_RULE[col]}, got {bad[col]!r}"
     good = (0.0, 1.0, 1.0)
     with pytest.raises(ValueError) as within:
-        neutrino.Spectrum(*zip(good, bad, bad))
-    assert str(within.value) == f"point 1: {alone.value}"
+        Spectrum(*zip(good, bad))
+    assert str(within.value) == f"point 1: {message}"
+    path = tmp_path / "bad.csv"
+    path.write_text("L_over_E_km_per_GeV,P_survival,weight\n"
+                    + "".join(",".join(map(repr, row)) + "\n" for row in (good, bad)))
+    with pytest.raises(ValueError) as read:
+        neutrino.read_spectrum_csv(path)
+    assert str(read.value) == f"line 3: {message}"
 
 
 def test_spectrum_accepts_the_probability_slack():
-    spectrum = neutrino.Spectrum([0.0, 1.0], [-1e-9, 1.0 + 1e-9], [0.0, 2.0])
-    assert spectrum[0] == SpectrumPoint(0.0, -1e-9, 0.0)
+    spectrum = Spectrum([0.0, 1.0], [-1e-9, 1.0 + 1e-9], [0.0, 2.0])
+    assert np.array_equal(spectrum.p, [-1e-9, 1.0 + 1e-9])
+    assert np.array_equal(spectrum.weight, [0.0, 2.0])
 
 
 def test_spectrum_keeps_read_only_copies():
     x = np.array([0.0, 10.0])
-    spectrum = neutrino.Spectrum(x, [1.0, 0.5], [1.0, 2.0])
+    spectrum = Spectrum(x, [1.0, 0.5], [1.0, 2.0])
     x[0] = 5.0
     assert spectrum.l_over_e.tolist() == [0.0, 10.0]
     for column in (spectrum.l_over_e, spectrum.p, spectrum.weight):
@@ -199,29 +294,16 @@ def test_spectrum_keeps_read_only_copies():
         with pytest.raises(ValueError):
             column[0] = 0.5
     with pytest.raises(ValueError, match="equal length"):
-        neutrino.Spectrum([0.0, 1.0], [0.5], [1.0, 1.0])
+        Spectrum([0.0, 1.0], [0.5], [1.0, 1.0])
     with pytest.raises(ValueError, match="1-D"):
-        neutrino.Spectrum([[0.0]], [[0.5]], [[1.0]])
-
-
-def test_spectrum_acts_as_a_list_of_points():
-    points = [SpectrumPoint(0.0, 1.0), SpectrumPoint(10.0, 0.5, 2.0)]
-    spectrum = neutrino.Spectrum.from_points(points)
-    assert len(spectrum) == 2
-    assert spectrum[1] == points[1] and spectrum[-1] == points[1]
-    assert list(spectrum) == points
-    assert spectrum == neutrino.Spectrum([0.0, 10.0], [1.0, 0.5], [1.0, 2.0])
-    assert spectrum != neutrino.Spectrum([0.0, 10.0], [1.0, 0.5], [1.0, 3.0])
-    assert spectrum != points
-    assert len(neutrino.Spectrum.from_points([])) == 0
+        Spectrum([[0.0]], [[0.5]], [[1.0]])
 
 
 # ------------------------------------------------------------------ fitting
 
 def synthetic_spectrum(params, n=120, x_max=3.6e4):
     x = np.linspace(0.0, x_max, n)
-    p = neutrino.survival_at_l_over_e(params, x)
-    return [SpectrumPoint(float(xi), float(pi)) for xi, pi in zip(x, p)]
+    return make_spectrum(x, neutrino.survival_at_l_over_e(params, x))
 
 
 FIRST_OCTANT = {"theta": (0.0, math.pi / 4.0)}
@@ -271,9 +353,9 @@ def test_fit_respects_fixed_parameters():
                                          ("theta", 0.0), ("lambda_km", 0.0),
                                          ("lambda_km", 2e-5)])
 def test_a_fixed_value_is_a_degenerate_bound(name, value):
-    points = _random_spectrum(5)
-    fixed = neutrino.fit_parameters(points, fixed={name: value}, grid_points=13)
-    assert fixed == neutrino.fit_parameters(points, bounds={name: (value, value)},
+    spectrum = _random_spectrum(5)
+    fixed = neutrino.fit_parameters(spectrum, fixed={name: value}, grid_points=13)
+    assert fixed == neutrino.fit_parameters(spectrum, bounds={name: (value, value)},
                                             grid_points=13)
     assert getattr(fixed.params, name) == value
 
@@ -288,39 +370,12 @@ def test_fit_is_deterministic():
     assert one.cycles == two.cycles
 
 
-def test_fit_reads_a_spectrum_as_its_points():
-    points = _random_spectrum(4)
-    spectrum = neutrino.Spectrum.from_points(points)
-    assert neutrino.fit_parameters(spectrum) == neutrino.fit_parameters(points)
-
-
-def test_reading_and_fitting_make_no_point_objects(monkeypatch, tmp_path):
-    # the reader and the fit work on columns; one validated SpectrumPoint
-    # per row used to be made, and converted back into arrays by the fit
-    points = _bench_like_spectrum(4, 2000, True)
-    path = tmp_path / "spectrum.csv"
-    path.write_text("L_over_E_km_per_GeV,P_survival,weight\n" + "".join(
-        f"{pt.l_over_e!r},{pt.p!r},{pt.weight!r}\n" for pt in points))
-    made = []
-    check = SpectrumPoint.__post_init__
-
-    def counting(self):
-        made.append(self)
-        check(self)
-
-    monkeypatch.setattr(SpectrumPoint, "__post_init__", counting)
-    spectrum = neutrino.read_spectrum_csv(path)
-    fit = neutrino.fit_parameters(spectrum, bounds=FIRST_OCTANT, fixed={"lambda_km": 0.0})
-    assert fit.converged
-    assert made == []
-    assert spectrum == neutrino.Spectrum.from_points(points)
-    assert spectrum[0] == points[0] and len(made) == 1  # the spy counts
-
-
 def test_fit_input_validation():
     with pytest.raises(ValueError, match="no spectrum points"):
-        neutrino.fit_parameters([])
-    data = [SpectrumPoint(0.0, 1.0), SpectrumPoint(100.0, 0.9)]
+        neutrino.fit_parameters(Spectrum([], [], []))
+    with pytest.raises(TypeError, match=r"^data must be a Spectrum, got list$"):
+        neutrino.fit_parameters([(0.0, 1.0), (100.0, 0.9)])
+    data = make_spectrum([0.0, 100.0], [1.0, 0.9])
     with pytest.raises(ValueError, match="unknown parameter"):
         neutrino.fit_parameters(data, bounds={"mass": (0.0, 1.0)})
     with pytest.raises(ValueError, match="unknown parameter"):
@@ -339,8 +394,17 @@ def test_fit_input_validation():
         neutrino.fit_parameters(data, grid_points=1)
 
 
+@pytest.mark.parametrize("pair", [(1e-5,), 5, (1e-5, 2e-4, 3e-4), None, ("spam", 1e-4)],
+                         ids=repr)
+def test_fit_rejects_bounds_that_are_not_a_pair(pair):
+    # each entry of bounds is exactly two numbers
+    data = make_spectrum([0.0, 100.0], [1.0, 0.9])
+    with pytest.raises(ValueError, match=f"^bad bounds for dm2: {re.escape(repr(pair))}$"):
+        neutrino.fit_parameters(data, bounds={"dm2": pair})
+
+
 def test_fit_rejects_zero_total_weight():
-    data = [SpectrumPoint(0.0, 1.0, 0.0), SpectrumPoint(100.0, 0.9, 0.0)]
+    data = Spectrum([0.0, 100.0], [1.0, 0.9], [0.0, 0.0])
     with pytest.raises(ValueError, match="zero total weight"):
         neutrino.fit_parameters(data)
 
@@ -369,7 +433,7 @@ def test_fit_all_parameters_pinned():
 
 # ------------------------------------------------------------------ bounded grid
 
-def _grid_setup(points, bounds=None, fixed=None):
+def _grid_setup(spectrum, bounds=None, fixed=None):
     """The arrays and parameter split that ``fit_parameters`` grids over."""
     merged = dict(neutrino.DEFAULT_BOUNDS)
     merged.update(bounds or {})
@@ -381,10 +445,7 @@ def _grid_setup(points, bounds=None, fixed=None):
             values[name] = merged[name][0]
         else:
             free.append(name)
-    x = np.array([pt.l_over_e for pt in points])
-    p = np.array([pt.p for pt in points])
-    w = np.array([pt.weight for pt in points])
-    return x, p, w, merged, values, free
+    return spectrum.l_over_e, spectrum.p, spectrum.weight, merged, values, free
 
 
 def _random_spectrum(seed):
@@ -399,7 +460,7 @@ def _random_spectrum(seed):
         sigma = g.uniform(0.005, 0.05, n)
         p = np.clip(p + sigma * g.standard_normal(n), 0.0, 1.0)
         w = 1.0 / sigma ** 2
-    return [SpectrumPoint(float(a), float(b), float(c)) for a, b, c in zip(x, p, w)]
+    return Spectrum(x, p, w)
 
 
 def _tiny_weight_spectrum(seed):
@@ -410,7 +471,7 @@ def _tiny_weight_spectrum(seed):
     p = g.uniform(0.0, 1.0, n)
     w = g.choice([5e-324, 1e-323, 3e-320, 1e-310, 0.0], n)
     w[0] = max(w[0], 5e-324)
-    return [SpectrumPoint(float(a), float(b), float(c)) for a, b, c in zip(x, p, w)]
+    return Spectrum(x, p, w)
 
 
 _GRID_OPTIONS = [
@@ -431,41 +492,40 @@ RANDOM_CASES = [pytest.param(_random_spectrum(seed), _GRID_OPTIONS[seed % len(_G
                              id=f"random{seed}") for seed in range(32)]
 GRID_CASES = (
     RANDOM_CASES
-    + [pytest.param([SpectrumPoint(float(x), level) for x in _X50], options,
+    + [pytest.param(make_spectrum(_X50, np.full(_X50.size, level)), options,
                     id=f"flat{level}-{len(options)}")
        for level in (1.0, 0.5, 0.0)
        for options in ({}, {"fixed": {"lambda_km": 0.0}})]
-    + [pytest.param([SpectrumPoint(float(x), float(p)) for x, p in zip(_X50, _MIRROR)],
-                    {}, id="mirror-theta"),
-       pytest.param([SpectrumPoint(float(x), 0.7, float(k == 7))
-                     for k, x in enumerate(_X50)], {}, id="one-weight"),
-       pytest.param([SpectrumPoint(0.0, 0.3 + 0.01 * k) for k in range(20)], {},
+    + [pytest.param(make_spectrum(_X50, _MIRROR), {}, id="mirror-theta"),
+       pytest.param(Spectrum(_X50, np.full(_X50.size, 0.7), np.arange(_X50.size) == 7), {},
+                    id="one-weight"),
+       pytest.param(make_spectrum(np.zeros(20), 0.3 + 0.01 * np.arange(20)), {},
                     id="all-x-zero"),
-       pytest.param([SpectrumPoint(float(x), float(p)) for x, p in zip(_X50, _MIRROR)],
-                    {"bounds": {"dm2": (1e-5, 1.7e308)}}, id="overflowing-dm2")]
+       pytest.param(make_spectrum(_X50, _MIRROR), {"bounds": {"dm2": (1e-5, 1.7e308)}},
+                    id="overflowing-dm2")]
     + [pytest.param(_tiny_weight_spectrum(seed), {}, id=f"tiny-weights{seed}")
        for seed in (35, 39)]
-    + [pytest.param([SpectrumPoint(float(x), float(p), 1e308)
-                     for x, p in zip(_X50, _MIRROR)], {}, id="huge-weights")]
+    + [pytest.param(Spectrum(_X50, _MIRROR, np.full(_X50.size, 1e308)), {},
+                    id="huge-weights")]
 )
 
 
-@pytest.mark.parametrize("points, options", GRID_CASES)
-def test_grid_matches_brute_force_exactly(points, options):
+@pytest.mark.parametrize("spectrum, options", GRID_CASES)
+def test_grid_matches_brute_force_exactly(spectrum, options):
     # grid_sse is exactly the brute-force SSE at the reported grid point, and
     # since theta is solved at every (dm2, lambda_km) node rather than taken
     # from a grid, that point is no worse than the brute-force theta grid, up
     # to rounding
-    fit = neutrino.fit_parameters(points, **options)
+    fit = neutrino.fit_parameters(spectrum, **options)
     x, p, w, merged, values, free = _grid_setup(
-        points, options.get("bounds"), options.get("fixed"))
+        spectrum, options.get("bounds"), options.get("fixed"))
     at = fit.grid_params
     with np.errstate(over="ignore"):
         r = neutrino._model(x, at.dm2, at.theta, at.lambda_km) - p
         assert fit.grid_sse == float(np.dot(w * r, r))
     _, want_sse = reference_grid(x, p, w, merged, values, free,
                                  options.get("grid_points", 41))
-    total_weight = sum(pt.weight for pt in points)
+    total_weight = sum(spectrum.weight.tolist())
     assert fit.grid_sse <= want_sse * (1.0 + 1e-9) + 1e-12 * total_weight
     assert fit.sse <= fit.grid_sse
     assert fit.converged
@@ -489,10 +549,9 @@ def _clean_fit_counting_model_calls(monkeypatch):
     the number of ``_damped`` calls it makes."""
     truth = OscillationParams(7.5e-5, 0.6, 3e-5)
     x = np.linspace(0.0, 3.6e4, 200)
-    points = [SpectrumPoint(float(a), float(b))
-              for a, b in zip(x, neutrino.survival_at_l_over_e(truth, x))]
+    spectrum = make_spectrum(x, neutrino.survival_at_l_over_e(truth, x))
     calls = _counting_model_calls(monkeypatch)
-    return neutrino.fit_parameters(points, bounds=FIRST_OCTANT), len(calls)
+    return neutrino.fit_parameters(spectrum, bounds=FIRST_OCTANT), len(calls)
 
 
 def test_grid_evaluates_few_rows(monkeypatch):
@@ -524,14 +583,14 @@ def _both_free(options):
     return all(merged[name][0] < merged[name][1] for name in ("dm2", "lambda_km"))
 
 
-def _check_against_coordinate_polish(fit, points, options):
+def _check_against_coordinate_polish(fit, spectrum, options):
     """The fit converged from the reference's grid point, to an SSE no worse
     than the coordinate-wise golden-section polish from there, up to rounding."""
-    ref = reference_coordinate_polish(points, _merged_bounds(options), fit.grid_params,
+    ref = reference_coordinate_polish(spectrum, _merged_bounds(options), fit.grid_params,
                                       options.get("grid_points", 41))
     assert (fit.grid_params, fit.grid_sse) == (ref.grid_params, ref.grid_sse)
     assert fit.converged
-    total_weight = sum(pt.weight for pt in points)
+    total_weight = sum(spectrum.weight.tolist())
     assert fit.sse <= ref.sse * (1.0 + 1e-12) + 1e-12 * total_weight
 
 
@@ -540,10 +599,10 @@ def test_polish_does_not_stop_short_of_a_slice_minimum():
     # coordinate-wise reference's first dm2 bracket spans the whole range
     # with its slice minimum in a worse valley; the fit must end no worse
     # than that reference, which narrows the bracket, or than the finer grid
-    points = _random_spectrum(22)
-    coarse = neutrino.fit_parameters(points, grid_points=2)
-    _check_against_coordinate_polish(coarse, points, {"grid_points": 2})
-    fine = neutrino.fit_parameters(points)
+    spectrum = _random_spectrum(22)
+    coarse = neutrino.fit_parameters(spectrum, grid_points=2)
+    _check_against_coordinate_polish(coarse, spectrum, {"grid_points": 2})
+    fine = neutrino.fit_parameters(spectrum)
     assert coarse.sse <= fine.sse * (1.0 + 1e-9)
 
 
@@ -553,11 +612,11 @@ def test_polish_does_not_stop_short_of_a_slice_minimum():
 def test_polish_settles_a_correlated_valley_in_few_steps(monkeypatch, seed, options, most):
     # the coordinate-wise polish crept along these correlated (dm2, lambda_km)
     # valleys for 20, 20 and 25 cycles of 914, 706 and 1030 model calls
-    points = _random_spectrum(seed)
+    spectrum = _random_spectrum(seed)
     calls = _counting_model_calls(monkeypatch)
-    fit = neutrino.fit_parameters(points, **options)
+    fit = neutrino.fit_parameters(spectrum, **options)
     assert fit.cycles <= most and len(calls) <= most
-    _check_against_coordinate_polish(fit, points, options)
+    _check_against_coordinate_polish(fit, spectrum, options)
 
 
 @pytest.mark.parametrize("seed, fixed", [
@@ -579,11 +638,11 @@ def test_polish_leaves_the_grid_node_when_every_weight_is_subnormal():
     # sum w r^2 underflows to 0 at every trial point, so a polish that took
     # only steps lowering it stayed on the grid node; the sum with weights
     # scaled to a maximum of 1 still ranks the points
-    points = _tiny_weight_spectrum(35)
-    fit = neutrino.fit_parameters(points)
+    spectrum = _tiny_weight_spectrum(35)
+    fit = neutrino.fit_parameters(spectrum)
     assert fit.converged
     assert fit.sse == fit.grid_sse == 0.0
-    x, p, w, *_ = _grid_setup(points)
+    x, p, w, *_ = _grid_setup(spectrum)
 
     def scaled_sse(at):
         r = neutrino._model(x, at.dm2, at.theta, at.lambda_km) - p
@@ -625,9 +684,7 @@ def test_profiled_jacobian_matches_central_differences(seed):
 def test_fit_reports_the_condition_of_jtj():
     data = _random_spectrum(13)
     fit = neutrino.fit_parameters(data)
-    x = np.array([pt.l_over_e for pt in data])
-    p = np.array([pt.p for pt in data])
-    w = np.array([pt.weight for pt in data])
+    x, p, w = data.l_over_e, data.p, data.weight
     ws = w / w.max()
     _, _, _, jac = neutrino._profiled_residual(
         x, 1.0 - p, ws, ws * (1.0 - p), (0.0, 1.0), fit.params.dm2, fit.params.lambda_km)
@@ -653,7 +710,7 @@ def _bench_like_spectrum(seed, n, noisy):
         sigma = g.uniform(0.01, 0.03, n)
         p = np.clip(p + sigma * g.standard_normal(n), 0.0, 1.0)
         w = 1.0 / sigma ** 2
-    return [SpectrumPoint(float(a), float(b), float(c)) for a, b, c in zip(x, p, w)]
+    return Spectrum(x, p, w)
 
 
 POLISH_CASES = RANDOM_CASES + [
@@ -682,13 +739,13 @@ def test_one_free_polish_evaluates_few_points(monkeypatch, seed, n, noisy):
     assert len(calls) <= 10
 
 
-@pytest.mark.parametrize("points, options", POLISH_CASES)
-def test_polish_matches_the_golden_section_reference(points, options):
+@pytest.mark.parametrize("spectrum, options", POLISH_CASES)
+def test_polish_matches_the_golden_section_reference(spectrum, options):
     # the same grid point as a coordinate-wise polish by golden section, and
     # an SSE no worse up to rounding, whether one parameter is free or two
-    fit = neutrino.fit_parameters(points, **options)
+    fit = neutrino.fit_parameters(spectrum, **options)
     assert (fit.jtj_cond is not None) == _both_free(options)
-    _check_against_coordinate_polish(fit, points, options)
+    _check_against_coordinate_polish(fit, spectrum, options)
 
 
 def test_fit_lands_in_the_second_octant_when_bounded_there():
@@ -709,8 +766,7 @@ def test_theta_only_fit_beats_a_fine_theta_scan():
     p = np.clip(neutrino.survival_at_l_over_e(truth, x)
                 + sigma * g.standard_normal(x.size), 0.0, 1.0)
     w = 1.0 / sigma ** 2
-    points = [SpectrumPoint(float(a), float(b), float(c)) for a, b, c in zip(x, p, w)]
-    fit = neutrino.fit_parameters(points, fixed={"dm2": truth.dm2,
+    fit = neutrino.fit_parameters(Spectrum(x, p, w), fixed={"dm2": truth.dm2,
                                                  "lambda_km": truth.lambda_km})
     assert fit.converged
     assert fit.cycles == 0
