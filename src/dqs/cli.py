@@ -152,7 +152,9 @@ def cmd_check(args) -> int:
     print(f"dimension={model.dimension}")
     print("basis=gell-mann")
     print(f"hamiltonian_hermiticity_defect={_fmt(linalg.hermiticity_defect(h))}")
-    print(f"hamiltonian_trace_re={_fmt(np.trace(h).real)}")
+    with np.errstate(over="ignore"):
+        trace_re = np.trace(h).real
+    print(f"hamiltonian_trace_re={_fmt(trace_re)}")
     print(f"kossakowski_hermiticity_defect={_fmt(linalg.hermiticity_defect(a))}")
     print(f"kossakowski_min_eigenvalue={_fmt(w[0])}")
     try:

@@ -23,9 +23,9 @@ dynamics is not unitary, and generally not time-reversible) yet energy is
 conserved exactly.
 
 The GKS sum is written once, as the matrix S(a) of the dissipator on
-column-stacked states; the generator matrix and D_H (as S(a)^+ vec H) come
-from it.  The dispersion kernel contracts H first and gathers each
-coordinate direction's D_H from the terms F_j^+ H F_i.
+column-stacked states; the real Bloch generator R below and D_H (as
+S(a)^+ vec H) come from it.  The dispersion kernel contracts H first and
+gathers each coordinate direction's D_H from the terms F_j^+ H F_i.
 
 In the Hermitian Gell-Mann basis G_1 .. G_{N^2} (G_{N^2} = I/sqrt(N)) a state
 is a real vector x_j = tr(G_j rho), and the generator is the real matrix
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -179,12 +179,16 @@ def _dissipator_superop(a: np.ndarray, basis: OperatorBasis) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GKSLiouvillian:
-    """A GKS generator; caches its matrix on vectorized states at build time."""
+    """A GKS generator; builds its real Bloch generator R, ``bloch``, at construction.
+
+    R is read-only.  The imaginary round-off of the basis change is dropped,
+    the last row is set to exactly zero, and an overflowing R is a ValueError.
+    """
 
     hamiltonian: np.ndarray
     kossakowski: KossakowskiMatrix
     basis: OperatorBasis
-    superop: np.ndarray = field(init=False, repr=False)
+    bloch: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         h = linalg.as_matrix(self.hamiltonian)
@@ -199,34 +203,20 @@ class GKSLiouvillian:
         object.__setattr__(self, "hamiltonian", h)
 
         eye = np.eye(n)
+        v = gell_mann_rows(n)
         with np.errstate(over="ignore", invalid="ignore"):
             m = (-1j * (np.kron(eye, h) - np.kron(h.T, eye))
                  + _dissipator_superop(self.kossakowski.matrix, self.basis))
-        if not np.isfinite(m).all():
+            r = (v.conj() @ m @ v.T).real.copy()
+        r[-1] = 0.0
+        if not np.isfinite(r).all():
             raise ValueError("generator overflows")
-        m.flags.writeable = False
-        object.__setattr__(self, "superop", m)
+        r.flags.writeable = False
+        object.__setattr__(self, "bloch", r)
 
     @property
     def dim(self) -> int:
         return self.basis.dim
-
-    @cached_property
-    def bloch(self) -> np.ndarray:
-        """The real generator R_ij = tr(G_i L(G_j)) in the Hermitian Gell-Mann basis.
-
-        Read-only and built on first use.  R is real in exact arithmetic:
-        the imaginary round-off of the basis change is dropped, and the last
-        row, tr(L(.)) / sqrt(N), is set to exactly zero.
-        """
-        v = gell_mann_rows(self.dim)
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = (v.conj() @ self.superop @ v.T).real.copy()
-        if not np.isfinite(r).all():
-            raise ValueError("generator overflows")
-        r[-1] = 0.0
-        r.flags.writeable = False
-        return r
 
 
 def dissipation_from_parts(a, basis: OperatorBasis, hamiltonian) -> np.ndarray:

@@ -21,9 +21,10 @@ import numpy as np
 HERMITICITY_TOL = 1e-10
 #: Eigenvalues above -PSD_TOL (scaled) count as nonnegative.
 PSD_TOL = 1e-10
-#: Relative tolerance for zero: null_spaces drops singular values up to
-#: KERNEL_TOL times the largest; the dispersion checks (is_dispersive and the
-#: dispersion kernel's rank cut) use KERNEL_TOL * max(1, ||H||_F) instead.
+#: Tolerance for zero: null_spaces drops singular values up to KERNEL_TOL
+#: times max(1, the largest), so a map of round-off size is all kernel; the
+#: dispersion checks (is_dispersive and the dispersion kernel's rank cut) use
+#: KERNEL_TOL * max(1, ||H||_F) likewise.
 KERNEL_TOL = 1e-9
 #: Allowed deviation of a density-matrix trace from one.
 TRACE_TOL = 1e-12
@@ -217,14 +218,16 @@ def null_spaces(m) -> tuple[np.ndarray, np.ndarray]:
 
     Both come from one SVD of m: the right and the left singular vectors
     past the numerical rank, which counts singular values above KERNEL_TOL
-    times the largest.  The two bases of a square m therefore have equally
-    many columns.  A zero map returns bases of the whole domain and codomain.
+    times max(1, the largest).  The two bases of a square m therefore have
+    equally many columns.  A map whose singular values are all at most
+    KERNEL_TOL, a zero map among them, returns bases of the whole domain and
+    codomain.
     As in ``expm``, a real m gives a real SVD and float64 bases.
     """
     a = np.asarray(m)
     u, s, vh = np.linalg.svd(as_matrix(a, float if a.dtype.kind in "biuf" else complex))
     smax = float(s[0]) if s.size else 0.0
-    rank = int(np.count_nonzero(s > KERNEL_TOL * smax))
+    rank = int(np.count_nonzero(s > KERNEL_TOL * max(1.0, smax)))
     return dagger(vh[rank:]), u[:, rank:]
 
 

@@ -146,6 +146,7 @@ def oscillation_phase(dm2: float, baseline_km: float, energy_gev: float) -> floa
     """PHASE_CONSTANT * dm2 * L / E, the argument of the oscillating sine."""
     _check_range("energy", energy_gev)
     _check_range("baseline", baseline_km)
+    _check_range("dm2", dm2)
     return PHASE_CONSTANT * dm2 * baseline_km / energy_gev
 
 
@@ -492,8 +493,9 @@ def fit_parameters(data: Spectrum,
         try:
             lo, hi = map(float, pair)
         except (TypeError, ValueError):
-            raise ValueError(f"bad bounds for {name}: {pair!r}") from None
-        if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
+            lo = hi = math.nan
+        # a string is not a pair, though two of its characters may parse
+        if isinstance(pair, str) or not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
             raise ValueError(f"bad bounds for {name}: {pair!r}")
         _check_range(name, lo)
         _check_range(name, hi)

@@ -61,6 +61,13 @@ def random_liouvillian(rng, n, h_scale=0.5, a_scale=0.5):
     return gks.GKSLiouvillian(h, gks.KossakowskiMatrix(n, a), basis)
 
 
+def superop_of(liou):
+    """The generator matrix on column-stacked states, V^T R conj(V), from liou.bloch."""
+    from dqs import gks
+    v = gks.gell_mann_rows(liou.dim)
+    return v.T @ liou.bloch @ v.conj()
+
+
 # Textbook GKS double sums written term by term, as a reference that shares no
 # code with the library's vectorised dissipator.
 

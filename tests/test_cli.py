@@ -11,7 +11,7 @@ import pytest
 from dqs import cli, gks, linalg, neutrino
 from dqs.models import bundled
 
-from helpers import random_hermitian, random_psd, reference_evolve, src_env
+from helpers import random_hermitian, random_psd, reference_evolve, src_env, superop_of
 
 DISPERSIVE = str(bundled("dispersive_qubit.model"))
 DAMPED_X = str(bundled("damped_x.model"))
@@ -103,6 +103,20 @@ def test_check_hermiticity_defect_past_the_float_range(tmp_path):
     assert kv["error"].startswith("matrix is not Hermitian")
 
 
+def test_check_hamiltonian_trace_past_the_float_range(tmp_path):
+    # tr(H) = 3e308 reads as inf, with no overflow warning (an error in the
+    # child) on the way
+    a = np.zeros((3, 3))
+    a[2, 2] = 1.0
+    path = tmp_path / "wide.model"
+    cli.save_model(path, 2, np.diag([1.5e308, 1.5e308]), a)
+    proc = subprocess.run([sys.executable, "-m", "dqs", "check", str(path)],
+                          capture_output=True, text=True, env=src_env(), timeout=60)
+    kv = parse_kv(proc.stdout)
+    assert (proc.returncode, kv["hamiltonian_trace_re"], kv["dispersive"], proc.stderr) == (
+        0, "inf", "true", "")
+
+
 def test_kossakowski_entry_near_the_float_maximum(capsys, tmp_path):
     # an entry and its mirror must not overflow while the Hermitian part is
     # formed; D_H is linear in a, so a_33 = 1e308 gets the verdict of a_33 = 1
@@ -129,29 +143,35 @@ def test_kossakowski_entry_near_the_float_maximum(capsys, tmp_path):
     assert min(np.abs(got - s * f3).max() for s in (1, -1)) <= 1e-15 * math.sqrt(1e308)
 
 
-@pytest.mark.parametrize("h, axis, tail, err", [
+@pytest.mark.parametrize("h, axis, rate, tail, err", [
     # the generator's entries overflow: the model is invalid
-    (np.diag([1.7e308, -1.7e308]), 2, "valid=false\nerror=generator overflows\n", ""),
+    (np.diag([1.7e308, -1.7e308]), 2, 1e308, "valid=false\nerror=generator overflows\n", ""),
+    # L is finite, but its real Bloch form R overflows: the model is invalid
+    (np.full((3, 3), 1e308), 0, 1.0, "valid=false\nerror=generator overflows\n", ""),
     # the generator is valid, but D_H overflows
-    (np.diag([2.5, -2.5]), 0, "valid=true\n", "error: dissipation operator overflows\n"),
-], ids=["generator", "dissipation-operator"])
-def test_check_model_too_large_to_compute_with(capsys, tmp_path, h, axis, tail, err):
-    a = np.zeros((3, 3))
-    a[axis, axis] = 1e308
+    (np.diag([2.5, -2.5]), 0, 1e308, "valid=true\n", "error: dissipation operator overflows\n"),
+], ids=["generator", "bloch-generator", "dissipation-operator"])
+def test_check_model_too_large_to_compute_with(capsys, tmp_path, h, axis, rate, tail, err):
+    n = h.shape[0]
+    a = np.zeros((n * n - 1, n * n - 1))
+    a[axis, axis] = rate
     path = tmp_path / "huge.model"
-    cli.save_model(path, 2, h, a)
+    cli.save_model(path, n, h, a)
     code, out, got_err = run_cli(capsys, "check", str(path))
     assert (code, out.endswith(tail), got_err) == (2, True, err)
 
 
 def test_generator_that_overflows_is_one_error(capsys, tmp_path):
-    a = np.zeros((3, 3))
-    a[2, 2] = 1.0
-    path = tmp_path / "huge.model"
-    cli.save_model(path, 2, np.diag([1.7e308, -1.7e308]), a)
-    for argv in (["lindblad"], ["evolve", "--state", "0.5,0.1"]):
-        code, out, err = run_cli(capsys, *argv, str(path))
-        assert (code, out, err) == (2, "", "error: generator overflows\n"), argv
+    # the second model's L is finite, but its real Bloch form R overflows
+    for h, axis in ((np.diag([1.7e308, -1.7e308]), 2), (np.full((3, 3), 1e308), 0)):
+        n = h.shape[0]
+        a = np.zeros((n * n - 1, n * n - 1))
+        a[axis, axis] = 1.0
+        path = tmp_path / "huge.model"
+        cli.save_model(path, n, h, a)
+        for argv in (["lindblad"], ["evolve", "--state", "0.5,0.1"]):
+            code, out, err = run_cli(capsys, *argv, str(path))
+            assert (code, out, err) == (2, "", "error: generator overflows\n"), (n, argv)
 
 
 def test_check_rejects_truncated_file(capsys, tmp_path):
@@ -877,7 +897,7 @@ def test_model_save_load_round_trip(tmp_path, rng):
     liou = cli.build_liouvillian(model)
     direct = gks.GKSLiouvillian(h, gks.KossakowskiMatrix(n, a),
                                 gks.gell_mann_basis(n))
-    assert np.abs(liou.superop - direct.superop).max() <= 1e-14
+    assert np.abs(superop_of(liou) - superop_of(direct)).max() <= 1e-14
 
 
 def test_parser_is_reused_without_state(capsys, tmp_path):

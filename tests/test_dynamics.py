@@ -8,7 +8,7 @@ from dqs.gks import KossakowskiMatrix
 from dqs.linalg import KERNEL_TOL, DensityMatrix
 
 from helpers import (random_complex, random_density, random_hermitian, random_liouvillian,
-                     random_unitary)
+                     random_unitary, superop_of)
 
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -108,7 +108,7 @@ def test_propagate_agrees_with_the_superoperator_exponential(name):
     n = liou.dim
     rho = random_density(np.random.default_rng(5), n)
     for t in (0.0, 0.3, 2.0, 10.0):
-        ref = linalg.unvec(linalg.expm(liou.superop, scale=t) @ linalg.vec(rho.matrix), n)
+        ref = linalg.unvec(linalg.expm(superop_of(liou), scale=t) @ linalg.vec(rho.matrix), n)
         assert np.abs(dynamics.propagate(liou, rho, t).matrix - ref).max() <= 1e-12
 
 
@@ -248,7 +248,7 @@ def test_dephasing_stationary_family_is_diagonal():
         assert np.abs(m - np.diag(np.diag(m))).max() <= 1e-10
     assert family.density_matrices
     for rho in family.density_matrices:
-        assert np.abs(liou.superop @ linalg.vec(rho.matrix)).max() <= 1e-9
+        assert np.abs(superop_of(liou) @ linalg.vec(rho.matrix)).max() <= 1e-9
         assert abs(rho.matrix[0, 1]) <= 1e-10
 
 
@@ -259,8 +259,8 @@ def test_random_generators_have_stationary_states(rng):
         for _ in range(25):
             liou = random_liouvillian(rng, n)
             family = dynamics.stationary_states(liou)
-            s = np.linalg.svd(liou.superop, compute_uv=False)
-            nullity = int(np.count_nonzero(s <= KERNEL_TOL * s[0]))
+            s = np.linalg.svd(superop_of(liou), compute_uv=False)
+            nullity = int(np.count_nonzero(s <= KERNEL_TOL * max(1.0, s[0])))
             assert len(family.kernel) == nullity >= 1
             the_stationary_state(liou)
 
@@ -298,7 +298,7 @@ def the_stationary_state(liou):
     family = dynamics.stationary_states(liou)
     assert len(family.density_matrices) == 1
     rho = family.density_matrices[0]
-    assert np.abs(liou.superop @ linalg.vec(rho.matrix)).max() <= 1e-12
+    assert np.abs(superop_of(liou) @ linalg.vec(rho.matrix)).max() <= 1e-12
     return rho.matrix
 
 
@@ -345,7 +345,7 @@ def test_stationary_kernel_is_a_hermitian_orthonormal_basis():
         gram = np.einsum("iab,jab->ij", kernel.conj(), kernel)  # tr(m_i^+ m_j)
         assert np.abs(gram - np.eye(len(kernel))).max() <= 1e-12
         for m in kernel:
-            assert np.abs(liou.superop @ linalg.vec(m)).max() <= 1e-12
+            assert np.abs(superop_of(liou) @ linalg.vec(m)).max() <= 1e-12
 
 
 def test_zero_generator_kernel_is_everything():
@@ -353,6 +353,18 @@ def test_zero_generator_kernel_is_everything():
                               gks.gell_mann_basis(2))
     family = dynamics.stationary_states(liou)
     assert len(family.kernel) == 4
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_round_off_generator_kernel_is_everything(n):
+    # a rotated multiple of I carries ~1e-16 off-diagonals, so R is round-off
+    # and every matrix is stationary, as for the exact zero generator
+    u = random_unitary(np.random.default_rng(n), n)
+    h = u @ (2.2 * np.eye(n)) @ u.conj().T
+    liou = gks.GKSLiouvillian(h, KossakowskiMatrix(n, np.zeros((n * n - 1, n * n - 1))),
+                              gks.gell_mann_basis(n))
+    assert 0.0 < np.abs(liou.bloch).max() <= 1e-14
+    assert len(dynamics.stationary_states(liou).kernel) == n * n
 
 
 def test_unitary_qubit_kernel_is_commutant():
@@ -522,6 +534,7 @@ def test_flow_and_verdicts_are_unitarily_covariant(n, seed, levels, rank):
         assert_invariant(dynamics.cptp_report(dynamics.propagator(liou, t)).choi_min_eigenvalue,
                          dynamics.cptp_report(dynamics.propagator(turned, t)).choi_min_eigenvalue)
     family, turned_family = map(dynamics.stationary_states, (liou, turned))
+    assert len(turned_family.kernel) == len(family.kernel)
     state = u @ family.density_matrices[0].matrix @ u.conj().T
     assert np.abs(turned_family.density_matrices[0].matrix - state).max() <= 1e-12
     grid = (0.5, 1.0, 2.0)
@@ -555,7 +568,7 @@ def test_mixing_the_operator_basis_changes_no_generator_or_verdict(n, seed, leve
         one, two = (np.asarray(quantity(m)) for m in models)
         assert np.abs(one - two).max() <= 1e-12
 
-    agree(lambda m: m.superop)
+    agree(superop_of)
     agree(lambda m: m.bloch)
     agree(gks.dissipation_operator)
     agree(lambda m: gks.is_dispersive(m).residual)

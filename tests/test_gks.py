@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from dqs.gks import GKSLiouvillian, KossakowskiMatrix, OperatorBasis
 
 from helpers import (random_complex, random_density, random_hermitian, random_liouvillian,
                      random_unitary, reference_dissipation_operator, reference_dissipator,
-                     reference_superop)
+                     reference_superop, superop_of)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -25,7 +26,7 @@ def dispersive_kossakowski(lam):
 
 def apply_generator(liou, sigma):
     """L(sigma) through the generator matrix on column-stacked states."""
-    return linalg.unvec(liou.superop @ linalg.vec(sigma), liou.dim)
+    return linalg.unvec(superop_of(liou) @ linalg.vec(sigma), liou.dim)
 
 
 def apply_dissipator(a, basis, sigma):
@@ -154,12 +155,18 @@ def test_bloch_generator_is_real_with_an_exact_zero_last_row(rng, n):
         assert np.abs(r[:, j] - coords).max() <= 1e-12
 
 
+def test_liouvillian_holds_one_generator_matrix():
+    # R is the only matrix a model stores beside its inputs
+    assert [f.name for f in dataclasses.fields(GKSLiouvillian)] == [
+        "hamiltonian", "kossakowski", "basis", "bloch"]
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_generator_matches_textbook_double_sum(rng, n):
     liou = random_liouvillian(rng, n)
     h, a, basis = liou.hamiltonian, liou.kossakowski.matrix, liou.basis
     assert np.abs(np.triu(h, 1)).max() > 0.01
-    assert np.abs(liou.superop - reference_superop(h, a, basis)).max() <= 1e-12
+    assert np.abs(superop_of(liou) - reference_superop(h, a, basis)).max() <= 1e-12
     assert np.abs(gks.dissipation_operator(liou)
                   - reference_dissipation_operator(a, basis, h)).max() <= 1e-12
     for _ in range(5):
@@ -184,13 +191,14 @@ def test_superop_zero_model():
     liou = gks.GKSLiouvillian(np.zeros((2, 2)),
                               KossakowskiMatrix(2, np.zeros((3, 3))),
                               gks.gell_mann_basis(2))
-    assert np.abs(liou.superop).max() == 0.0
+    assert np.abs(liou.bloch).max() == 0.0
+    assert np.abs(superop_of(liou)).max() == 0.0
 
 
 def test_dispersive_qubit_superop_spectrum():
     lam, delta = 0.9, 4.0
     liou = gks.qubit_liouvillian(0.0, delta, lam)
-    eigs = np.sort_complex(np.linalg.eigvals(liou.superop))
+    eigs = np.sort_complex(np.linalg.eigvals(superop_of(liou)))
     expected = np.sort_complex(np.array([0.0, 0.0, -lam - 1j * delta, -lam + 1j * delta]))
     assert np.abs(eigs - expected).max() <= 1e-12
 
@@ -262,21 +270,21 @@ def test_dispersiveness_survives_basis_rotation(rng):
     liou2 = gks.GKSLiouvillian(liou.hamiltonian, KossakowskiMatrix(2, a2), basis2)
     assert linalg.frobenius(gks.dissipation_operator(liou2)) <= 1e-10
     # and the generator itself is unchanged
-    assert np.abs(liou2.superop - liou.superop).max() <= 1e-12
+    assert np.abs(superop_of(liou2) - superop_of(liou)).max() <= 1e-12
 
 
 def test_verdict_bound_survives_an_overflowing_hamiltonian_norm():
-    # ||H||_F = 3e308 is past the float range but 1e-9 ||H||_F is not; an
-    # infinite bound would call every finite residual dispersive
-    a = np.zeros((8, 8))
+    # ||H||_F is past the float range but 1e-9 ||H||_F is not; an infinite
+    # bound would call every finite residual dispersive.  The identity part
+    # of H cancels in the generator, so R stays finite (max |R| = 2e301)
+    a = np.zeros((15, 15))
     a[0, 0] = 1.0
-    liou = gks.GKSLiouvillian(np.full((3, 3), 1e308), KossakowskiMatrix(3, a),
-                              gks.gell_mann_basis(3))
+    h = 1e308 * np.eye(4) + 1e301 * np.diag([1.0, -1.0, 0.0, 0.0])
+    liou = gks.GKSLiouvillian(h, KossakowskiMatrix(4, a), gks.gell_mann_basis(4))
+    assert linalg.frobenius(h) == math.inf
+    assert np.isfinite(liou.bloch).all()
     verdict = gks.is_dispersive(liou)
     assert not verdict.dispersive and np.isfinite(verdict.residual)
-    # the Bloch generator is built on first use only, and refuses to overflow
-    with pytest.raises(ValueError, match="^generator overflows$"):
-        liou.bloch
     # with tol ||H||_F itself past the float range every finite residual is below it
     assert gks.is_dispersive(liou, tol=1e10).dispersive
 
@@ -287,6 +295,11 @@ def test_generator_and_dissipation_operator_refuse_to_overflow():
     z[2, 2] = 1.0
     with pytest.raises(ValueError, match="^generator overflows$"):
         GKSLiouvillian(np.diag([1.7e308, -1.7e308]), KossakowskiMatrix(2, z), basis)
+    # L is finite here, but its change of basis to R overflows
+    a = np.zeros((8, 8))
+    a[0, 0] = 1.0
+    with pytest.raises(ValueError, match="^generator overflows$"):
+        GKSLiouvillian(np.full((3, 3), 1e308), KossakowskiMatrix(3, a), gks.gell_mann_basis(3))
     x = np.zeros((3, 3))
     x[0, 0] = 1e308
     liou = GKSLiouvillian(np.diag([2.5, -2.5]), KossakowskiMatrix(2, x), basis)

@@ -37,6 +37,22 @@ def test_oscillation_phase_scaling():
         neutrino.oscillation_phase(7.9e-5, -1.0, 1.0)
 
 
+@pytest.mark.parametrize("dm2, message", [
+    (math.nan, "dm2 must be finite, got nan"),
+    (math.inf, "dm2 must be finite, got inf"),
+    (-1.0, "dm2 must be positive, got -1.0"),
+    (0.0, "dm2 must be positive, got 0.0"),
+])
+def test_oscillation_phase_checks_dm2(dm2, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        neutrino.oscillation_phase(dm2, 180.0, 0.005)
+    # the energy and the baseline are checked first
+    with pytest.raises(ValueError, match="^energy must be positive"):
+        neutrino.oscillation_phase(dm2, 180.0, 0.0)
+    with pytest.raises(ValueError, match="^baseline must be nonnegative"):
+        neutrino.oscillation_phase(dm2, -1.0, 0.005)
+
+
 def test_params_validation():
     with pytest.raises(ValueError, match="positive"):
         OscillationParams(0.0, 0.5)
@@ -401,6 +417,13 @@ def test_fit_rejects_bounds_that_are_not_a_pair(pair):
     data = make_spectrum([0.0, 100.0], [1.0, 0.9])
     with pytest.raises(ValueError, match=f"^bad bounds for dm2: {re.escape(repr(pair))}$"):
         neutrino.fit_parameters(data, bounds={"dm2": pair})
+
+
+def test_fit_rejects_a_string_as_bounds():
+    # "01" iterates as the characters "0" and "1", which both parse as floats
+    data = make_spectrum([0.0, 100.0], [1.0, 0.9])
+    with pytest.raises(ValueError, match=r"^bad bounds for theta: '01'$"):
+        neutrino.fit_parameters(data, bounds={"theta": "01"})
 
 
 def test_fit_rejects_zero_total_weight():
