@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import gks, linalg
-from .linalg import DensityMatrix, unvec, vec
+from .linalg import KERNEL_TOL, DensityMatrix, unvec, vec
 
 #: Spectral weights at or below this are dropped from entropy sums.
 ENTROPY_CUTOFF = 1e-14
@@ -208,10 +208,13 @@ def stationary_states(liouvillian: gks.GKSLiouvillian) -> StationaryFamily:
     the spectral projection at eigenvalue 0; for a bounded semigroup 0 is
     semisimple, so P0 is the Cesaro limit of exp(t R), a CPTP map (Spohn,
     Lett. Math. Phys. 2, 1977).  The one density matrix returned is P0(I/N),
-    whose one nonzero coordinate is 1/sqrt(N), on G_{N^2}.
+    whose one nonzero coordinate is 1/sqrt(N), on G_{N^2}.  Singular values
+    up to KERNEL_TOL (||H||_F + ||a||_F), the scale of R's round-off, are zero.
     """
     n = liouvillian.dim
-    null, left = linalg.null_spaces(liouvillian.bloch)
+    zero = (linalg.frobenius(KERNEL_TOL * liouvillian.hamiltonian)
+            + linalg.frobenius(KERNEL_TOL * liouvillian.kossakowski.matrix))
+    null, left = linalg.null_spaces(liouvillian.bloch, zero)
     y = null @ np.linalg.solve(left.T @ null, left[-1] / math.sqrt(n))
     # sum_j y_j G_j is unvec(V^T y) for each column y of K and for P0(I/N)
     mats = (np.vstack([null.T, y]) @ gks.gell_mann_rows(n)).reshape(-1, n, n).swapaxes(1, 2)

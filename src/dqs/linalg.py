@@ -21,10 +21,9 @@ import numpy as np
 HERMITICITY_TOL = 1e-10
 #: Eigenvalues above -PSD_TOL (scaled) count as nonnegative.
 PSD_TOL = 1e-10
-#: Tolerance for zero: null_spaces drops singular values up to KERNEL_TOL
-#: times max(1, the largest), so a map of round-off size is all kernel; the
-#: dispersion checks (is_dispersive and the dispersion kernel's rank cut) use
-#: KERNEL_TOL * max(1, ||H||_F) likewise.
+#: Relative tolerance for zero in null_spaces (stationary_states also drops up
+#: to KERNEL_TOL (||H||_F + ||a||_F)); the dispersion checks (is_dispersive and
+#: the dispersion kernel's rank cut) use KERNEL_TOL * max(1, ||H||_F) instead.
 KERNEL_TOL = 1e-9
 #: Allowed deviation of a density-matrix trace from one.
 TRACE_TOL = 1e-12
@@ -213,21 +212,21 @@ def trace_norm(a) -> float:
     return float(singular_values(m).sum())
 
 
-def null_spaces(m) -> tuple[np.ndarray, np.ndarray]:
+def null_spaces(m, zero: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal bases (as columns) of the numerical null spaces of m and of m^+.
 
     Both come from one SVD of m: the right and the left singular vectors
     past the numerical rank, which counts singular values above KERNEL_TOL
-    times max(1, the largest).  The two bases of a square m therefore have
-    equally many columns.  A map whose singular values are all at most
-    KERNEL_TOL, a zero map among them, returns bases of the whole domain and
-    codomain.
+    times the largest and above zero, the round-off of the inputs m was
+    computed from.  The two bases of a square m therefore have equally many
+    columns.  A zero map, or one whose singular values are all at most zero,
+    returns bases of the whole domain and codomain.
     As in ``expm``, a real m gives a real SVD and float64 bases.
     """
     a = np.asarray(m)
     u, s, vh = np.linalg.svd(as_matrix(a, float if a.dtype.kind in "biuf" else complex))
     smax = float(s[0]) if s.size else 0.0
-    rank = int(np.count_nonzero(s > KERNEL_TOL * max(1.0, smax)))
+    rank = int(np.count_nonzero(s > max(KERNEL_TOL * smax, zero)))
     return dagger(vh[rank:]), u[:, rank:]
 
 

@@ -260,7 +260,7 @@ def test_random_generators_have_stationary_states(rng):
             liou = random_liouvillian(rng, n)
             family = dynamics.stationary_states(liou)
             s = np.linalg.svd(superop_of(liou), compute_uv=False)
-            nullity = int(np.count_nonzero(s <= KERNEL_TOL * max(1.0, s[0])))
+            nullity = int(np.count_nonzero(s <= KERNEL_TOL * s[0]))
             assert len(family.kernel) == nullity >= 1
             the_stationary_state(liou)
 
@@ -365,6 +365,19 @@ def test_round_off_generator_kernel_is_everything(n):
                               gks.gell_mann_basis(n))
     assert 0.0 < np.abs(liou.bloch).max() <= 1e-14
     assert len(dynamics.stationary_states(liou).kernel) == n * n
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-3])
+def test_slow_damping_keeps_one_stationary_state(delta):
+    # a decay rate of 1e-10, alone or beside H = delta sz, gives R singular
+    # values at or below 1e-9 but far above the round-off of H and a: only
+    # the damped ground state is stationary, at every scale of the model
+    lowering = np.array([[0, 1], [0, 0]], dtype=complex)
+    liou = single_jump_liouvillian(delta * SZ, 1e-5 * lowering)
+    s = np.linalg.svd(liou.bloch, compute_uv=False)
+    assert s[0] <= 3e-3 and s[2] <= 1e-9
+    assert len(dynamics.stationary_states(liou).kernel) == 1
+    assert np.abs(the_stationary_state(liou) - np.diag([1.0, 0.0])).max() <= 1e-12
 
 
 def test_unitary_qubit_kernel_is_commutant():
