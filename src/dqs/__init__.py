@@ -42,7 +42,6 @@ from .neutrino import (
     survival_at_l_over_e,
 )
 from .qubit import (
-    AngleObservable,
     DispersiveQubitParams,
     QubitBloch,
     evolve_closed_form,
@@ -52,7 +51,6 @@ from .qubit import (
 )
 
 __all__ = [
-    "AngleObservable",
     "DensityMatrix",
     "DispersiveQubitParams",
     "GKSLiouvillian",

@@ -144,8 +144,7 @@ def build_liouvillian(model: Model) -> gks.GKSLiouvillian:
 
 def cmd_check(args) -> int:
     tol = args.tol
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise CliError(f"tolerance must be a positive number, got {tol!r}")
+    linalg.require_tolerance(tol)
     model = load_model(args.model)
     h, a = model.hamiltonian, model.kossakowski
     w, _ = linalg.hermitian_eigen(linalg.hermitian_part(a))

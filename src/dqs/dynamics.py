@@ -3,13 +3,14 @@
 One matrix is exponentiated, once per time and with no ODE stepper: the
 real Bloch generator R (``GKSLiouvillian.bloch``).  States evolve in its
 coordinates (``propagate_many``), where the trace coordinate is preserved
-exactly and every state is rebuilt Hermitian.  A channel on column-stacked
-states is V^T exp(tR) conj(V), V the unitary with rows vec(G_j), and its Choi
-matrix is an index permutation of that.  The checks probe the semigroup laws
-of a valid generator: trace preservation and complete positivity along the
-flow (through the Choi matrix), the composition law, recovery of the
-generator from short-time propagators (both compared on R, whose Frobenius
-norms equal L's), and the energy-flow identity d<H>/dt = tr(rho D_H).
+exactly and every state is rebuilt Hermitian.  A channel is returned as its
+matrix on column-stacked states, V^T exp(tR) conj(V), V the unitary with
+rows vec(G_j), and its Choi matrix is an index permutation of that.  The
+checks probe the semigroup laws of a valid generator: trace preservation and
+complete positivity along the flow (through the Choi matrix), the
+composition law, recovery of the generator from short-time propagators (both
+compared on R, whose Frobenius norms equal L's), and the energy-flow identity
+d<H>/dt = tr(rho D_H), differenced in the Gell-Mann coordinates of H and rho.
 Positivity of the *inverse* flow is the one property that may legitimately
 fail: its failure certifies that the dynamics is not reversible in time.
 The stationary state is not searched for: it is the spectral projection at
@@ -27,19 +28,16 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import gks, linalg
-from .linalg import KERNEL_TOL, DensityMatrix, unvec, vec
+from .linalg import KERNEL_TOL, DensityMatrix
 
 #: Spectral weights at or below this are dropped from entropy sums.
 ENTROPY_CUTOFF = 1e-14
 
 
-@dataclass(frozen=True, eq=False)
-class Propagator:
-    """The channel exp(t L) as a matrix on column-stacked states, t >= 0."""
-
-    dim: int
-    t: float
-    matrix: np.ndarray
+def _require_time(t: float, what: str) -> None:
+    """Reject a time that is not finite and nonnegative, NaN included."""
+    if not (0.0 <= t < math.inf):
+        raise ValueError(f"{what} must be finite and nonnegative, got {t!r}")
 
 
 def channel_matrix(liouvillian: gks.GKSLiouvillian, t: float) -> np.ndarray:
@@ -48,10 +46,10 @@ def channel_matrix(liouvillian: gks.GKSLiouvillian, t: float) -> np.ndarray:
     return v.T @ linalg.expm(liouvillian.bloch, scale=t) @ v.conj()
 
 
-def propagator(liouvillian: gks.GKSLiouvillian, t: float) -> Propagator:
-    if not (t >= 0.0):
-        raise ValueError(f"propagation time must be nonnegative, got {t!r}")
-    return Propagator(liouvillian.dim, float(t), channel_matrix(liouvillian, t))
+def propagator(liouvillian: gks.GKSLiouvillian, t: float) -> np.ndarray:
+    """The channel exp(t L), t >= 0, as its (N^2, N^2) matrix on column-stacked states."""
+    _require_time(t, "propagation time")
+    return channel_matrix(liouvillian, t)
 
 
 def _density(rho) -> DensityMatrix:
@@ -91,7 +89,7 @@ def propagate_many(liouvillian: gks.GKSLiouvillian, rho, times):
     whose coordinates did not move (t = 0) gives rho's Hermitian part back
     bit for bit.  Returns (states, error): states for the longest prefix of
     times that propagated, and the ValueError of the time after it, or None.
-    A negative or NaN time is such a failing time.
+    A negative, infinite or NaN time is such a failing time.
     """
     h0 = linalg.hermitian_part(_density(rho).matrix)
     n = liouvillian.dim
@@ -106,8 +104,7 @@ def propagate_many(liouvillian: gks.GKSLiouvillian, rho, times):
     ys, error = np.empty((len(times), n * n)), None
     for k, t in enumerate(times):
         try:
-            if not (t >= 0.0):
-                raise ValueError(f"propagation time must be nonnegative, got {t!r}")
+            _require_time(t, "propagation time")
             ys[k] = linalg.expm(gen, scale=t) @ y0
         except ValueError as exc:
             ys, error = ys[:k], exc
@@ -136,8 +133,8 @@ def propagate(liouvillian: gks.GKSLiouvillian, rho, t: float) -> DensityMatrix:
 
 def semigroup_residual(liouvillian: gks.GKSLiouvillian, t1: float, t2: float) -> float:
     """|| exp((t1+t2) L) - exp(t2 L) exp(t1 L) ||_F, taken of R."""
-    if t1 < 0 or t2 < 0:
-        raise ValueError("semigroup times must be nonnegative")
+    for t in (t1, t2):
+        _require_time(t, "semigroup times")
     m = liouvillian.bloch
     whole = linalg.expm(m, scale=t1 + t2)
     stepped = linalg.expm(m, scale=t2) @ linalg.expm(m, scale=t1)
@@ -165,14 +162,17 @@ class CptpReport:
     choi_min_eigenvalue: float
 
 
-def cptp_report(prop: Propagator) -> CptpReport:
-    """Trace preservation and complete positivity of a propagator.
+def cptp_report(prop: np.ndarray) -> CptpReport:
+    """Trace preservation and complete positivity of a channel matrix from ``propagator``.
 
     trace_residual is max_ij |tr channel(E_ij) - delta_ij|, equivalently the
     deviation of the Choi partial trace from the identity.
     """
-    n = prop.dim
-    c = _choi_of_matrix(prop.matrix, n)
+    m = np.asarray(prop)
+    n = math.isqrt(len(m)) if m.ndim == 2 else 0
+    if n == 0 or m.shape != (n * n, n * n):
+        raise ValueError(f"channel matrix must have shape (N^2, N^2), got {m.shape}")
+    c = _choi_of_matrix(m, n)
     tr2 = np.einsum("ikjk->ij", c.reshape(n, n, n, n))
     trace_residual = float(np.abs(tr2 - np.eye(n)).max())
     herm_residual = linalg.hermiticity_defect(c)
@@ -181,8 +181,8 @@ def cptp_report(prop: Propagator) -> CptpReport:
 
 def generator_recovery_residual(liouvillian: gks.GKSLiouvillian, eps: float) -> float:
     """|| (exp(eps L) - I)/eps - L ||_F, taken of R; decays linearly in eps."""
-    if not (eps > 0.0):
-        raise ValueError("eps must be positive")
+    if not (0.0 < eps < math.inf):
+        raise ValueError(f"eps must be finite and positive, got {eps!r}")
     m = liouvillian.bloch
     return linalg.frobenius((linalg.expm(m, scale=eps) - np.eye(len(m))) / eps - m)
 
@@ -238,15 +238,18 @@ def von_neumann_entropy(rho) -> float:
 def energy_flow_residual(liouvillian: gks.GKSLiouvillian, rho) -> float:
     """Gap between the finite-difference d<H>/dt and tr(rho D_H).
 
-    The derivative is a central difference of tr(H rho(t)) at t = 0 with
-    step 1e-3 * min(1, 1/||R||_F), scaled down for stiff generators.
+    The derivative is a central difference of tr(H rho(t)) = h . exp(tR) x
+    at t = 0, h and x the Gell-Mann coordinates tr(G_j H) and tr(G_j rho),
+    with step 1e-3 * min(1, 1/||R||_F), scaled down for stiff generators.
     """
     m = _density(rho).matrix
-    dt = 1e-3 / max(1.0, linalg.frobenius(liouvillian.bloch))
-    h = liouvillian.hamiltonian
-    forward = unvec(channel_matrix(liouvillian, dt) @ vec(m), liouvillian.dim)
-    backward = unvec(channel_matrix(liouvillian, -dt) @ vec(m), liouvillian.dim)
-    fd = (np.trace(h @ forward) - np.trace(h @ backward)).real / (2.0 * dt)
+    r = liouvillian.bloch
+    dt = 1e-3 / max(1.0, linalg.frobenius(r))
+    # row j of V is vec(G_j), so V ravel(M) is sum_ab G_j[b, a] M[a, b] = tr(G_j M)
+    v = gks.gell_mann_rows(liouvillian.dim)
+    h = (v @ liouvillian.hamiltonian.ravel()).real
+    x = (v @ m.ravel()).real
+    fd = h @ ((linalg.expm(r, scale=dt) - linalg.expm(r, scale=-dt)) @ x) / (2.0 * dt)
     exact = np.trace(m @ gks.dissipation_operator(liouvillian)).real
     return abs(fd - exact)
 
@@ -271,8 +274,7 @@ def time_reversal_witness(liouvillian: gks.GKSLiouvillian,
     worst: Optional[TimeReversalWitness] = None
     for t in t_grid:
         t = float(t)
-        if t < 0:
-            raise ValueError("probe times must be nonnegative")
+        _require_time(t, "probe times")
         low = _min_eigenvalue(_choi_of_matrix(channel_matrix(liouvillian, -t), n))
         if low < -1e-9 and (worst is None or low < worst.choi_min_eigenvalue):
             worst = TimeReversalWitness(t, low)

@@ -252,6 +252,7 @@ def is_dispersive(liouvillian: GKSLiouvillian, tol: float = KERNEL_TOL) -> Dispe
     The residual is the Frobenius norm of D_H; the verdict compares it to
     tol * max(1, ||H||_F).
     """
+    linalg.require_tolerance(tol)
     residual = linalg.frobenius(dissipation_operator(liouvillian))
     return DispersiveVerdict(residual <= _zero_bound(liouvillian.hamiltonian, tol), residual)
 

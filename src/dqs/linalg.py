@@ -94,7 +94,14 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(_defects(_half_defects(m)))
 
 
+def require_tolerance(tol: float) -> None:
+    """Reject a tolerance that is not a finite positive number, NaN included."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tolerance must be a positive number, got {tol!r}")
+
+
 def require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
+    require_tolerance(tol)
     require_square(m)
     ok, defect, scale = _hermitian_within(m, tol)
     if not ok:
@@ -245,6 +252,7 @@ def psd_bound(w: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
     The bound is tol * max(1, max |w|) taken along the last axis, so a stack
     of spectra gets one bound per matrix and a single spectrum a scalar.
     """
+    require_tolerance(tol)
     return tol * np.maximum(1.0, np.abs(w).max(axis=-1, initial=0.0))
 
 

@@ -7,7 +7,9 @@ Delta = E1 - E0 > 0) the state
               [conj(b) exp(-(lam - i Delta) t), 1 - a]]
 
 solves the dephasing master equation exactly: populations freeze, the
-coherence spirals to zero at rate lam.  Everything in this module is an
+coherence spirals to zero at rate lam.  The transition probability between
+the two-outcome bases that a mixing angle theta rotates out of the energy
+basis follows from it in closed form too.  Everything in this module is an
 independent closed-form evaluation (no generator is built and nothing is
 exponentiated), which is what makes it usable as an oracle against the
 matrix route.
@@ -61,26 +63,6 @@ class QubitBloch:
             raise ValueError("coherence too large or not finite: |b|^2 must not exceed a(1-a)")
 
 
-@dataclass(frozen=True)
-class AngleObservable:
-    """Two-outcome observable mixing the energy basis by an angle.
-
-    Eigenvalue x1 belongs to |x1> = cos(theta) |E1> + sin(theta) |E0> and
-    x2 <= x1 to the orthogonal |x2> = -sin(theta) |E1> + cos(theta) |E0>.
-    """
-
-    x1: float
-    x2: float
-    theta: float
-
-    def __post_init__(self):
-        if not np.isfinite([self.x1, self.x2]).all():
-            raise ValueError("eigenvalues must be finite")
-        if self.x1 < self.x2:
-            raise ValueError("eigenvalues must satisfy x1 >= x2")
-        check_angle(self.theta)
-
-
 def evolve_closed_form(params: DispersiveQubitParams, state: QubitBloch,
                        t: float) -> DensityMatrix:
     """The dephasing solution at time t >= 0."""
@@ -89,17 +71,6 @@ def evolve_closed_form(params: DispersiveQubitParams, state: QubitBloch,
     z = state.b * cmath.exp(-(params.lam + 1j * params.delta) * t)
     m = np.array([[state.a, z], [np.conj(z), 1.0 - state.a]])
     return DensityMatrix(m)
-
-
-def observable_matrix(obs: AngleObservable) -> np.ndarray:
-    """x1 |x1><x1| + x2 |x2><x2| in the energy basis."""
-    c = math.cos(obs.theta)
-    s = math.sin(obs.theta)
-    off = (obs.x1 - obs.x2) * s * c
-    return np.array([
-        [obs.x1 * c * c + obs.x2 * s * s, off],
-        [off, obs.x1 * s * s + obs.x2 * c * c],
-    ], dtype=complex)
 
 
 def check_angle(theta: float) -> None:

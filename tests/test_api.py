@@ -9,7 +9,6 @@ import inspect
 import dqs
 
 SIGNATURES = {
-    "AngleObservable": ("x1", "x2", "theta"),
     "DensityMatrix": ("matrix",),
     "DispersiveQubitParams": ("e0", "e1", "lam"),
     "GKSLiouvillian": ("hamiltonian", "kossakowski", "basis"),

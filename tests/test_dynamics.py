@@ -1,3 +1,7 @@
+import dataclasses
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,8 +41,11 @@ def test_propagate_at_zero_time_is_identity(rng):
 
 def test_propagate_rejects_negative_time(rng):
     liou = dispersive_qubit()
-    with pytest.raises(ValueError, match="nonnegative"):
-        dynamics.propagate(liou, coherent_state(), -0.1)
+    for t in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="must be finite and nonnegative, got"):
+            dynamics.propagate(liou, coherent_state(), t)
+        with pytest.raises(ValueError, match="must be finite and nonnegative, got"):
+            dynamics.propagator(liou, t)
 
 
 def test_propagate_rejects_a_state_of_another_dimension():
@@ -131,7 +138,7 @@ def test_propagate_many_stops_at_a_negative_time():
                                             [0, 1, -1, 2])
     assert len(states) == 2
     assert isinstance(error, ValueError)
-    assert str(error) == "propagation time must be nonnegative, got -1"
+    assert str(error) == "propagation time must be finite and nonnegative, got -1"
 
 
 def test_propagate_many_stops_at_the_first_time_that_fails():
@@ -144,6 +151,13 @@ def test_propagate_many_stops_at_the_first_time_that_fails():
 def test_semigroup_residual_zero_time(rng):
     liou = random_liouvillian(rng, 2)
     assert dynamics.semigroup_residual(liou, 0.0, 1.0) <= 1e-12
+
+
+def test_semigroup_residual_rejects_a_bad_time():
+    for t in (-1.0, math.nan, math.inf):
+        for t1, t2 in ((t, 1.0), (1.0, t)):
+            with pytest.raises(ValueError, match="semigroup times must be finite and nonnegative"):
+                dynamics.semigroup_residual(dispersive_qubit(), t1, t2)
 
 
 def test_semigroup_residual_small(rng):
@@ -176,7 +190,7 @@ def test_semigroup_checks_exponentiate_the_real_generator(monkeypatch, rng):
 def test_choi_of_identity_channel():
     liou = dispersive_qubit(0.0, 1.0)
     prop = dynamics.propagator(liou, 0.0)
-    c = dynamics._choi_of_matrix(prop.matrix, prop.dim)
+    c = dynamics._choi_of_matrix(prop, 2)
     vec_eye = linalg.vec(np.eye(2))
     assert np.abs(c - np.outer(vec_eye, vec_eye.conj())).max() <= 1e-14
     report = dynamics.cptp_report(prop)
@@ -193,8 +207,23 @@ def test_choi_matches_kron_definition(rng):
             for j in range(n):
                 e = np.zeros((n, n), dtype=complex)
                 e[i, j] = 1.0
-                ref += np.kron(e, linalg.unvec(prop.matrix @ linalg.vec(e), n))
-        assert np.array_equal(dynamics._choi_of_matrix(prop.matrix, n), ref)
+                ref += np.kron(e, linalg.unvec(prop @ linalg.vec(e), n))
+        assert np.array_equal(dynamics._choi_of_matrix(prop, n), ref)
+
+
+def test_cptp_report_of_a_propagator_is_the_parents():
+    # the values the report gave when propagator returned a record around
+    # the same channel matrix
+    liou = random_liouvillian(np.random.default_rng(2024), 3)
+    report = dynamics.cptp_report(dynamics.propagator(liou, 0.7))
+    assert dataclasses.astuple(report) == pytest.approx(
+        (4.440892098500626e-16, 0.0, 0.0027471972215025583), rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (4, 5)], ids=["3x3", "4x5"])
+def test_cptp_report_rejects_a_matrix_of_no_channel_shape(shape):
+    with pytest.raises(ValueError, match=re.escape(f"(N^2, N^2), got {shape}")):
+        dynamics.cptp_report(np.eye(*shape))
 
 
 def test_cptp_along_flow(rng):
@@ -234,8 +263,9 @@ def test_generator_recovery_halves_with_eps(rng):
 
 
 def test_generator_recovery_rejects_bad_eps(rng):
-    with pytest.raises(ValueError, match="positive"):
-        dynamics.generator_recovery_residual(dispersive_qubit(), 0.0)
+    for eps in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="eps must be finite and positive, got"):
+            dynamics.generator_recovery_residual(dispersive_qubit(), eps)
 
 
 # ---------------------------------------------------------------- stationary states
@@ -505,8 +535,9 @@ def test_time_reversal_witness_clears_unitary_flow():
 
 
 def test_time_reversal_witness_rejects_negative_times():
-    with pytest.raises(ValueError, match="nonnegative"):
-        dynamics.time_reversal_witness(dispersive_qubit(), [-1.0])
+    for t in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="probe times must be finite and nonnegative"):
+            dynamics.time_reversal_witness(dispersive_qubit(), [0.5, t])
 
 
 # ---------------------------------------------------------------- unitary covariance

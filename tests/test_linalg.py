@@ -1,10 +1,13 @@
+import math
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dqs import linalg
+from dqs import gks, linalg
 from dqs.linalg import DensityMatrix
 
 from helpers import random_complex, random_hermitian, random_psd
@@ -12,6 +15,23 @@ from helpers import random_complex, random_hermitian, random_psd
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+# ---------------------------------------------------------------- tolerances
+
+TOLERANCE_CHECKS = {
+    # the dispersive qubit: D_H is exactly 0, so any tolerance would pass it
+    "is_dispersive": lambda tol: gks.is_dispersive(gks.qubit_liouvillian(-2.5, 2.5, 1.0), tol),
+    "is_psd": lambda tol: linalg.is_psd(np.diag([1.0, -1.0]), tol),
+    "hermitian_eigen": lambda tol: linalg.hermitian_eigen([[0.0, 1.0], [0.0, 0.0]], tol),
+}
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("name", list(TOLERANCE_CHECKS))
+def test_a_tolerance_must_be_a_positive_number(name, tol):
+    with pytest.raises(ValueError, match=re.escape(f"tolerance must be a positive number, got {tol!r}")):
+        TOLERANCE_CHECKS[name](tol)
 
 
 # ---------------------------------------------------------------- eigen

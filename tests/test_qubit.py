@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqs import dynamics, gks, qubit
-from dqs.qubit import AngleObservable, DispersiveQubitParams, QubitBloch
+from dqs.qubit import DispersiveQubitParams, QubitBloch
 
 
 def params(lam=1.0, delta=5.0):
@@ -31,25 +31,11 @@ def test_bloch_validation():
         QubitBloch(1.0, 0.1)
 
 
-def test_observable_validation():
-    with pytest.raises(ValueError, match="x1 >= x2"):
-        AngleObservable(0.0, 1.0, 0.3)
-    with pytest.raises(ValueError, match="angle"):
-        AngleObservable(1.0, 0.0, 2.0)
-
-
 @pytest.mark.parametrize("a, b", [(0.5, complex("nan")), (0.5, complex(0.0, float("nan"))),
                                   (0.5, float("nan")), (float("inf"), 0.0)])
 def test_bloch_rejects_non_finite_coordinates(a, b):
     with pytest.raises(ValueError, match="population|not finite"):
         QubitBloch(a, b)
-
-
-@pytest.mark.parametrize("x1, x2", [(float("nan"), 0.0), (1.0, float("nan")),
-                                    (float("inf"), 0.0), (1.0, -float("inf"))])
-def test_observable_rejects_non_finite_eigenvalues(x1, x2):
-    with pytest.raises(ValueError, match="must be finite"):
-        AngleObservable(x1, x2, 0.3)
 
 
 @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
@@ -95,23 +81,6 @@ def test_coherence_decays_and_rotates():
     out = qubit.evolve_closed_form(p, QubitBloch(0.5, 0.5), 1.0)
     # e^{-(1 + i pi)} = -e^{-1}
     assert out.matrix[0, 1] == pytest.approx(-0.5 * np.exp(-1.0), abs=1e-14)
-
-
-# ---------------------------------------------------------------- observables
-
-def test_observable_matrix_limits():
-    x = qubit.observable_matrix(AngleObservable(2.0, -1.0, 0.0))
-    assert np.abs(x - np.diag([2.0, -1.0])).max() == 0.0
-    x = qubit.observable_matrix(AngleObservable(1.0, 0.0, np.pi / 4))
-    w = np.linalg.eigvalsh(x)
-    assert np.allclose(w, [0.0, 1.0], atol=1e-14)
-
-
-def test_observable_eigenvector_angle_round_trip(rng):
-    theta = 0.37
-    x = qubit.observable_matrix(AngleObservable(1.0, -1.0, theta))
-    plus = np.array([np.cos(theta), np.sin(theta)])
-    assert np.abs(x @ plus - plus).max() <= 1e-14
 
 
 # ---------------------------------------------------------------- probabilities
@@ -177,7 +146,7 @@ def test_transition_probability_bounds(lam, delta, theta, t):
 
 def test_expectation_constant_for_diagonal_observable():
     p = params(1.0, 5.0)
-    x = qubit.observable_matrix(AngleObservable(1.0, -1.0, 0.0))
+    x = np.diag([1.0, -1.0])  # eigenvalues +-1 on the energy basis
     state = QubitBloch(0.5, 0.5)
     values = [np.trace(x @ qubit.evolve_closed_form(p, state, t).matrix).real
               for t in (0.0, 1.0, 4.0)]
@@ -186,7 +155,7 @@ def test_expectation_constant_for_diagonal_observable():
 
 def test_expectation_decays_to_diagonal_limit():
     p = params(1.0, 5.0)
-    x = qubit.observable_matrix(AngleObservable(1.0, -1.0, np.pi / 4))
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])  # eigenvalues +-1 on (|E1> +- |E0>)/sqrt(2)
     late = np.trace(x @ qubit.evolve_closed_form(p, QubitBloch(0.3, 0.25), 40.0).matrix).real
     limit = np.trace(x @ np.diag([0.3, 0.7])).real
     assert late == pytest.approx(limit, abs=1e-12)
