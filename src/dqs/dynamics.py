@@ -10,12 +10,12 @@ checks probe the semigroup laws of a valid generator: trace preservation and
 complete positivity along the flow (through the Choi matrix), the
 composition law, recovery of the generator from short-time propagators (both
 compared on R, whose Frobenius norms equal L's), and the energy-flow identity
-d<H>/dt = tr(rho D_H), differenced in the Gell-Mann coordinates of H and rho.
-Positivity of the *inverse* flow is the one property that may legitimately
-fail: its failure certifies that the dynamics is not reversible in time.
-The stationary state is not searched for: it is the spectral projection at
-eigenvalue 0, built from the null spaces of R and R^T from one real SVD of
-R, applied to the maximally mixed state.
+d<H>/dt = tr(rho D_H), with d<H>/dt = h . R x exactly in the Gell-Mann
+coordinates of H and rho.  Positivity of the *inverse* flow is the one
+property that may legitimately fail: its failure certifies that the dynamics
+is not reversible in time.  The stationary state is not searched for: it is
+the spectral projection at eigenvalue 0, built from the null spaces of R and
+R^T from one real SVD of R, applied to the maximally mixed state.
 """
 
 from __future__ import annotations
@@ -135,6 +135,7 @@ def semigroup_residual(liouvillian: gks.GKSLiouvillian, t1: float, t2: float) ->
     """|| exp((t1+t2) L) - exp(t2 L) exp(t1 L) ||_F, taken of R."""
     for t in (t1, t2):
         _require_time(t, "semigroup times")
+    _require_time(t1 + t2, "semigroup total time")
     m = liouvillian.bloch
     whole = linalg.expm(m, scale=t1 + t2)
     stepped = linalg.expm(m, scale=t2) @ linalg.expm(m, scale=t1)
@@ -216,7 +217,7 @@ def stationary_states(liouvillian: gks.GKSLiouvillian) -> StationaryFamily:
             + linalg.frobenius(KERNEL_TOL * liouvillian.kossakowski.matrix))
     null, left = linalg.null_spaces(liouvillian.bloch, zero)
     y = null @ np.linalg.solve(left.T @ null, left[-1] / math.sqrt(n))
-    # sum_j y_j G_j is unvec(V^T y) for each column y of K and for P0(I/N)
+    # sum_j y_j G_j is V^T y read column-stacked, for each column y of K and for P0(I/N)
     mats = (np.vstack([null.T, y]) @ gks.gell_mann_rows(n)).reshape(-1, n, n).swapaxes(1, 2)
     return StationaryFamily(tuple(mats[:-1]), (DensityMatrix(mats[-1]),))
 
@@ -236,22 +237,19 @@ def von_neumann_entropy(rho) -> float:
 
 
 def energy_flow_residual(liouvillian: gks.GKSLiouvillian, rho) -> float:
-    """Gap between the finite-difference d<H>/dt and tr(rho D_H).
+    """Gap between the exact energy flow d<H>/dt = h . R x and tr(rho D_H).
 
-    The derivative is a central difference of tr(H rho(t)) = h . exp(tR) x
-    at t = 0, h and x the Gell-Mann coordinates tr(G_j H) and tr(G_j rho),
-    with step 1e-3 * min(1, 1/||R||_F), scaled down for stiff generators.
+    h and x are the Gell-Mann coordinates tr(G_j H) and tr(G_j rho).  R comes
+    from the dissipator matrix S(a) and D_H from ``gks._h_terms``.
     """
     m = _density(rho).matrix
-    r = liouvillian.bloch
-    dt = 1e-3 / max(1.0, linalg.frobenius(r))
     # row j of V is vec(G_j), so V ravel(M) is sum_ab G_j[b, a] M[a, b] = tr(G_j M)
     v = gks.gell_mann_rows(liouvillian.dim)
     h = (v @ liouvillian.hamiltonian.ravel()).real
     x = (v @ m.ravel()).real
-    fd = h @ ((linalg.expm(r, scale=dt) - linalg.expm(r, scale=-dt)) @ x) / (2.0 * dt)
+    flow = h @ (liouvillian.bloch @ x)
     exact = np.trace(m @ gks.dissipation_operator(liouvillian)).real
-    return abs(fd - exact)
+    return abs(flow - exact)
 
 
 class TimeReversalWitness(NamedTuple):

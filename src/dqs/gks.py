@@ -22,10 +22,10 @@ model is *dispersive* when D_H vanishes: its dissipator is active (the
 dynamics is not unitary, and generally not time-reversible) yet energy is
 conserved exactly.
 
-The GKS sum is written once, as the matrix S(a) of the dissipator on
-column-stacked states; the real Bloch generator R below and D_H (as
-S(a)^+ vec H) come from it.  The dispersion kernel contracts H first and
-gathers each coordinate direction's D_H from the terms F_j^+ H F_i.
+The dissipator is written once as its matrix S(a) on column-stacked states,
+which builds the real Bloch generator R below, and D_H once, in ``_h_terms``:
+dissipation_from_parts sums it over G_j = sum_i a_ij F_i, and the dispersion
+kernel gathers each coordinate direction's D_H from its terms M_ij.
 
 In the Hermitian Gell-Mann basis G_1 .. G_{N^2} (G_{N^2} = I/sqrt(N)) a state
 is a real vector x_j = tr(G_j rho), and the generator is the real matrix
@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .linalg import HERMITICITY_TOL, KERNEL_TOL, dagger, unvec, vec
+from .linalg import HERMITICITY_TOL, KERNEL_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,20 +219,31 @@ class GKSLiouvillian:
         return self.basis.dim
 
 
-def dissipation_from_parts(a, basis: OperatorBasis, hamiltonian) -> np.ndarray:
-    """D_H = S(a)^+ vec(H) for explicit coefficients, PSD not required.
+def _h_terms(h: np.ndarray, fd: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """F^+ H G - {F^+ G, H}/2 as F^+ [H, G]/2 + [F^+, H] G/2; leading axes broadcast.
 
-    The adjoint identity holds for Hermitian a only; validated generators
-    should go through dissipation_operator instead.
+    The commutators vanish exactly where H commutes with G and F^+, and each
+    half is taken before the sum, so that terms near the float maximum do not overflow.
+    """
+    return 0.5 * (fd @ (h @ g - g @ h)) + 0.5 * ((fd @ h - h @ fd) @ g)
+
+
+def dissipation_from_parts(a, basis: OperatorBasis, hamiltonian) -> np.ndarray:
+    """D_H = sum_j (F_j^+ H G_j - {F_j^+ G_j, H}/2), G_j = sum_i a_ij F_i.
+
+    For explicit Hermitian coefficients, PSD not required; validated
+    generators should go through dissipation_operator instead.
     """
     arr = _kossakowski_array(a, basis)
     linalg.require_hermitian(arr, 1e-12)
     h = linalg.as_matrix(hamiltonian)
+    f = np.stack(basis.traceless)
     with np.errstate(over="ignore", invalid="ignore"):
-        d = dagger(_dissipator_superop(arr, basis)) @ vec(h)
+        g = (arr.T @ f.reshape(len(f), -1)).reshape(f.shape)
+        d = _h_terms(h, f.conj().swapaxes(1, 2), g).sum(axis=0)
     if not np.isfinite(d).all():
         raise ValueError("dissipation operator overflows")
-    return unvec(d, basis.dim)
+    return d
 
 
 def dissipation_operator(liouvillian: GKSLiouvillian) -> np.ndarray:
@@ -362,10 +373,8 @@ def dispersive_kossakowski_kernel(hamiltonian, basis: OperatorBasis,
     k = n * n - 1
     # D_H(a) = sum_ij a_ij M[i, j] with M[i, j] = F_j^+ H F_i - {F_j^+ F_i, H}/2
     f = np.stack(basis.traceless)[:, None]     # [i, 0] = F_i
-    fd = f.conj().transpose(1, 0, 3, 2)        # [0, j] = F_j^+
-    prods = fd @ f
     with np.errstate(over="ignore", invalid="ignore"):
-        m = fd @ h @ f - 0.5 * (prods @ h + h @ prods)
+        m = _h_terms(h, f.conj().transpose(1, 0, 3, 2), f)  # [0, j] = F_j^+
         # column c is D_H of unit direction c: M_ii, or (M_rs + M_sr) and
         # i(M_rs - M_sr) over sqrt(2)
         i, j = np.triu_indices(k, 1)

@@ -44,10 +44,6 @@ def require_square(m: np.ndarray) -> None:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
-
-
 def hermitian_part(ms: np.ndarray) -> np.ndarray:
     """(m + m^dagger) / 2 of each matrix of a stack, halved before the sum.
 
@@ -117,15 +113,6 @@ def frobenius(m: np.ndarray) -> float:
             s = max(np.abs(a.real).max(), np.abs(a.imag).max())
             norm = float(s * np.linalg.norm(a / s))
     return norm
-
-
-def vec(m: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization, so vec(A X B) = (B^T (x) A) vec(X)."""
-    return np.asarray(m, dtype=complex).reshape(-1, order="F")
-
-
-def unvec(v, n: int) -> np.ndarray:
-    return np.asarray(v, dtype=complex).reshape((n, n), order="F")
 
 
 def hermitian_eigen(a, tol: float = HERMITICITY_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -234,7 +221,7 @@ def null_spaces(m, zero: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     u, s, vh = np.linalg.svd(as_matrix(a, float if a.dtype.kind in "biuf" else complex))
     smax = float(s[0]) if s.size else 0.0
     rank = int(np.count_nonzero(s > max(KERNEL_TOL * smax, zero)))
-    return dagger(vh[rank:]), u[:, rank:]
+    return vh[rank:].conj().T, u[:, rank:]
 
 
 def kernel_basis(m) -> np.ndarray:

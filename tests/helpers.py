@@ -61,6 +61,16 @@ def random_liouvillian(rng, n, h_scale=0.5, a_scale=0.5):
     return gks.GKSLiouvillian(h, gks.KossakowskiMatrix(n, a), basis)
 
 
+def vec(m):
+    """Column-stacking vectorization, so vec(A X B) = (B^T (x) A) vec(X)."""
+    return np.asarray(m, dtype=complex).reshape(-1, order="F")
+
+
+def unvec(v, n):
+    """Inverse of vec for an n x n matrix."""
+    return np.asarray(v, dtype=complex).reshape((n, n), order="F")
+
+
 def superop_of(liou):
     """The generator matrix on column-stacked states, V^T R conj(V), from liou.bloch."""
     from dqs import gks

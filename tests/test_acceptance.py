@@ -55,13 +55,13 @@ def test_criterion_1_dispersiveness():
 
 def test_criterion_2_energy_flow_identity():
     rng = np.random.default_rng(102)
-    with criterion(2, "finite-difference energy flow matches tr(rho D_H)", 10.0):
+    with criterion(2, "energy flow h . R x matches tr(rho D_H)", 10.0):
         for k in range(20):
             n = 2 + k % 2
             liou = random_liouvillian(rng, n)
             for _ in range(10):
                 rho = random_density(rng, n)
-                assert dynamics.energy_flow_residual(liou, rho) <= 1e-6
+                assert dynamics.energy_flow_residual(liou, rho) <= 1e-12
 
 
 def test_criterion_3_closed_form_oracle():

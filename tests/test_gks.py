@@ -11,7 +11,7 @@ from dqs.gks import GKSLiouvillian, KossakowskiMatrix, OperatorBasis
 
 from helpers import (random_complex, random_density, random_hermitian, random_liouvillian,
                      random_unitary, reference_dissipation_operator, reference_dissipator,
-                     reference_superop, superop_of)
+                     reference_superop, superop_of, unvec, vec)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -26,7 +26,7 @@ def dispersive_kossakowski(lam):
 
 def apply_generator(liou, sigma):
     """L(sigma) through the generator matrix on column-stacked states."""
-    return linalg.unvec(superop_of(liou) @ linalg.vec(sigma), liou.dim)
+    return unvec(superop_of(liou) @ vec(sigma), liou.dim)
 
 
 def apply_dissipator(a, basis, sigma):
@@ -150,7 +150,7 @@ def test_bloch_generator_is_real_with_an_exact_zero_last_row(rng, n):
     g = gks.gell_mann_basis(n).elements
     ref = reference_superop(liou.hamiltonian, liou.kossakowski.matrix, liou.basis)
     for j in range(n * n):
-        out = linalg.unvec(ref @ linalg.vec(g[j]), n)
+        out = unvec(ref @ vec(g[j]), n)
         coords = [np.trace(gi @ out) for gi in g]
         assert np.abs(r[:, j] - coords).max() <= 1e-12
 
@@ -178,6 +178,42 @@ def test_generator_matches_textbook_double_sum(rng, n):
         lhs = np.trace(rho @ gks.dissipation_operator(liou))
         rhs = np.trace(h @ reference_dissipator(a, basis, rho))
         assert abs(lhs - rhs) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [5, 6, 8])
+def test_dissipation_operator_matches_textbook_double_sum_at_larger_n(rng, n):
+    # D_H alone: the generator's reference_superop is too slow at N = 8
+    liou = random_liouvillian(rng, n)
+    h, a, basis = liou.hamiltonian, liou.kossakowski.matrix, liou.basis
+    ref = reference_dissipation_operator(a, basis, h)
+    assert np.abs(gks.dissipation_operator(liou) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def _exact_zero_models(rng):
+    """(label, model) pairs whose H commutes with every jump operator."""
+    from helpers import random_psd
+    for c in (1e-150, 1.0, 1e150):
+        yield f"dephasing qubit c={c:g}", gks.qubit_liouvillian(-c, c, c)
+    for n in (3, 4):
+        # diagonal H, a supported on the diagonal traceless Gell-Mann elements
+        a = np.zeros((n * n - 1, n * n - 1), dtype=complex)
+        a[n * (n - 1):, n * (n - 1):] = 1e100 * random_psd(rng, n - 1)
+        h = 1e100 * np.diag(rng.standard_normal(n))
+        yield f"eigenbasis dephasing N={n}", GKSLiouvillian(h, KossakowskiMatrix(n, a),
+                                                             gks.gell_mann_basis(n))
+    for n in (2, 3, 4):
+        for c in (1.0, 1e100):
+            a = KossakowskiMatrix(n, random_psd(rng, n * n - 1))
+            yield f"H = {c:g} I, N={n}", GKSLiouvillian(c * np.eye(n), a, gks.gell_mann_basis(n))
+
+
+def test_dissipation_operator_is_exactly_zero_when_h_commutes_with_the_jumps(rng):
+    # the commutator contraction cancels exactly, whatever the scale; the
+    # plain F^+ H G - {F^+ G, H}/2 leaves ~1e284 on the 1e150 qubit, and
+    # S(a)^+ vec H, the adjoint of the dissipator matrix, leaves round-off on H = c I
+    for label, liou in _exact_zero_models(rng):
+        assert np.all(gks.dissipation_operator(liou) == 0), label
+        assert gks.is_dispersive(liou) == (True, 0.0), label
 
 
 def test_dissipation_from_parts_rejects_non_hermitian_coefficients():
@@ -398,7 +434,7 @@ def test_kernel_elements_are_frobenius_orthonormal(rng, n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_kernel_map_columns_are_dissipation_operators(rng, n):
-    # column c is the coordinate vector of D_H(e_c), by the S(a) core; an H
+    # column c is the coordinate vector of D_H(e_c), by dissipation_from_parts; an H
     # with a 1e-11 anti-Hermitian part (which require_hermitian accepts) must
     # give the map of its Hermitian part, as D_H's Hermitian coordinates do
     basis = gks.gell_mann_basis(n)
@@ -414,8 +450,8 @@ def test_kernel_map_columns_are_dissipation_operators(rng, n):
 
 
 def test_kernel_query_builds_no_dissipator_superoperator(rng, monkeypatch):
-    # the map is gathered from H-contracted GKS terms, so no N^2 x N^2 S(a)
-    # is built for any coordinate direction
+    # the map and D_H are gathered from H-contracted GKS terms, so no N^2 x N^2
+    # S(a) is built for any coordinate direction, nor for D_H itself
     calls = []
     original = gks._dissipator_superop
 
@@ -427,7 +463,7 @@ def test_kernel_query_builds_no_dissipator_superoperator(rng, monkeypatch):
         gks.dispersive_kossakowski_kernel(random_hermitian(rng, n), gks.gell_mann_basis(n))
     assert calls == []
     gks.dissipation_from_parts(np.eye(3), gks.gell_mann_basis(2), SZ)
-    assert calls == [(3, 3)]
+    assert calls == []
 
 
 def test_degenerate_hamiltonian_kernel_is_everything(rng):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dqs import gks, linalg
 from dqs.linalg import DensityMatrix
 
-from helpers import random_complex, random_hermitian, random_psd
+from helpers import random_complex, random_hermitian, random_psd, unvec, vec
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -427,13 +427,13 @@ def test_hermiticity_defect_halves_before_it_subtracts():
         linalg.require_hermitian(h)
 
 
-# ---------------------------------------------------------------- vec plumbing
+# ---------------------------------------------------------------- vec plumbing (tests/helpers.py)
 
 def test_vec_column_stacking_identity(rng):
     a = random_complex(rng, (3, 3))
     b = random_complex(rng, (3, 3))
     x = random_complex(rng, (3, 3))
-    lhs = linalg.vec(a @ x @ b)
-    rhs = np.kron(b.T, a) @ linalg.vec(x)
+    lhs = vec(a @ x @ b)
+    rhs = np.kron(b.T, a) @ vec(x)
     assert np.allclose(lhs, rhs, atol=1e-12)
-    assert np.allclose(linalg.unvec(linalg.vec(x), 3), x)
+    assert np.allclose(unvec(vec(x), 3), x)
