@@ -422,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="validate a model file, report dispersiveness")
     p.add_argument("model", help="JSON model file")
     p.add_argument("--tol", type=float, default=linalg.KERNEL_TOL,
-                   help="dissipation tolerance (default: 1e-9)")
+                   help="relative dissipation tolerance (default: 1e-9)")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("evolve", help="propagate a state and emit a trajectory CSV")

@@ -213,8 +213,8 @@ def stationary_states(liouvillian: gks.GKSLiouvillian) -> StationaryFamily:
     up to KERNEL_TOL (||H||_F + ||a||_F), the scale of R's round-off, are zero.
     """
     n = liouvillian.dim
-    zero = (linalg.frobenius(KERNEL_TOL * liouvillian.hamiltonian)
-            + linalg.frobenius(KERNEL_TOL * liouvillian.kossakowski.matrix))
+    zero = (linalg.zero_bound(liouvillian.hamiltonian, KERNEL_TOL)
+            + linalg.zero_bound(liouvillian.kossakowski.matrix, KERNEL_TOL))
     null, left = linalg.null_spaces(liouvillian.bloch, zero)
     y = null @ np.linalg.solve(left.T @ null, left[-1] / math.sqrt(n))
     # sum_j y_j G_j is V^T y read column-stacked, for each column y of K and for P0(I/N)

@@ -257,24 +257,39 @@ class DispersiveVerdict(NamedTuple):
     residual: float
 
 
+#: D_H's round-off from c I in H is at most 1.42 eps sqrt(N) ||a||_F ||H||_F
+#: (dispersive models, N = 2..8, |c| up to 1e12 ||H0||_F) and H0's from a rotated
+#: c I at most 3.6 eps ||H||_F; 1024 eps clears both by over 250 times.
+_ROUNDOFF = 1024 * np.finfo(float).eps
+
+
+def _dissipation_zero(h: np.ndarray, tol: float, scale: float) -> tuple[float, float]:
+    """(||H0||_F, scale (tol ||H0||_F + _ROUNDOFF ||H||_F)), H0 = H - tr(H)/N I.
+
+    With scale sqrt(N), times ||a||_F, the second is the most ||D_H(a)||_F may
+    be and still count as zero: tol times its largest value, by the top
+    singular value sqrt(N) ||H0||_F of ``dispersive_kossakowski_kernel``'s
+    map, plus the round-off of c I in H.  It is scaled before the norms, and
+    tr(H)/N summed from the scaled diagonal, so it overflows only where it must.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        h0 = h - (h.diagonal().real / len(h)).sum() * np.eye(len(h))
+    zero = linalg.zero_bound(h0, scale * tol) + linalg.zero_bound(h, scale * _ROUNDOFF)
+    return linalg.frobenius(h0), zero
+
+
 def is_dispersive(liouvillian: GKSLiouvillian, tol: float = KERNEL_TOL) -> DispersiveVerdict:
     """Whether D_H vanishes, i.e. the model conserves energy exactly.
 
-    The residual is the Frobenius norm of D_H; the verdict compares it to
-    tol * max(1, ||H||_F).
+    The residual ||D_H||_F counts as zero up to sqrt(N) ||a||_F (tol ||H0||_F +
+    _ROUNDOFF ||H||_F), free of all units, the zero rule of a with that tol.
     """
     linalg.require_tolerance(tol)
     residual = linalg.frobenius(dissipation_operator(liouvillian))
-    return DispersiveVerdict(residual <= _zero_bound(liouvillian.hamiltonian, tol), residual)
-
-
-def _zero_bound(h: np.ndarray, tol: float) -> float:
-    """tol * max(1, ||H||_F): the size of D_H, or of a singular value, that counts as zero."""
-    bound = tol * max(1.0, linalg.frobenius(h))
-    if bound == math.inf:  # ||H||_F is past the float range, tol ||H||_F may not be
-        with np.errstate(over="ignore"):
-            bound = linalg.frobenius(tol * h)
-    return bound
+    zero = _dissipation_zero(liouvillian.hamiltonian, tol, math.sqrt(liouvillian.dim))[1]
+    bound = linalg.zero_bound(liouvillian.kossakowski.matrix, zero)
+    # an infinite zero reads NaN on a's zero entries: every finite residual is below it
+    return DispersiveVerdict(not residual > bound, residual)
 
 
 # ------------------------------------------------------------------
@@ -353,11 +368,12 @@ def dispersive_kossakowski_kernel(hamiltonian, basis: OperatorBasis,
 
         ||phi^T coords(X)||^2 = sum_nl |X_nl|^2 [sum_m (h_m - (h_n+h_l)/2)^2 - (h_n-h_l)^2/(2N)]
 
-    and each bracket is at least ||H0||_F^2 / 2, so phi's smallest singular
-    value is at least ||H0||_F / sqrt(2), with equality at N = 2.  The rank
-    is decided once, not value by value: 0 (the kernel is everything) when
-    ||H0||_F is at or below KERNEL_TOL * max(1, ||H||_F), is_dispersive's
-    default bound on D_H, and N^2 otherwise.  An overflowing map is a ValueError.
+    and each bracket lies between ||H0||_F^2 / 2 and N ||H0||_F^2, so phi's
+    singular values lie between ||H0||_F / sqrt(2) and sqrt(N) ||H0||_F, with
+    equality at N = 2.  The rank is decided once, not value by value: 0 (the
+    kernel is everything) when sqrt(N) ||H0||_F is within is_dispersive's
+    default bound for a unit a, so that every a passes it, and N^2 otherwise.
+    An overflowing map is a ValueError.
 
     Valid dissipators in the kernel are its PSD elements; since PSD-ness is
     not a linear condition, it is reported by inspection: each kernel basis
@@ -380,11 +396,10 @@ def dispersive_kossakowski_kernel(hamiltonian, basis: OperatorBasis,
         i, j = np.triu_indices(k, 1)
         pairs = np.stack([m[i, j] + m[j, i], 1j * (m[i, j] - m[j, i])], axis=1).reshape(-1, n, n)
         phi = hermitian_coords(np.concatenate([m[range(k), range(k)], _SQRT_HALF * pairs])).T
-        # tr(H)/N summed from the scaled diagonal cannot overflow
-        h0 = h - (h.diagonal().real / n).sum() * np.eye(n)
     if not np.isfinite(phi).all():
         raise ValueError("dispersion map overflows")
-    rank = 0 if linalg.frobenius(h0) <= _zero_bound(h, KERNEL_TOL) else n * n
+    h0, zero = _dissipation_zero(h, KERNEL_TOL, 1.0)
+    rank = 0 if h0 <= zero else n * n
     coords = np.linalg.svd(phi)[2][rank:]
     dim = len(coords)
     coeffs = np.random.default_rng(seed).standard_normal((max(samples, 0), dim))
@@ -405,8 +420,8 @@ def dispersive_kossakowski_kernel(hamiltonian, basis: OperatorBasis,
 def lindblad_operators(a, basis: OperatorBasis) -> list:
     """Jump operators V_k with dissipator sum_k (V_k . V_k^+ - {V_k^+ V_k, .}/2).
 
-    Diagonalizes the coefficient matrix, keeps the strictly positive part of
-    the spectrum and absorbs each eigenvalue into the operator scale, so no
+    Diagonalizes the coefficient matrix, keeps the eigenvalues above PSD_TOL
+    times the largest and absorbs each into the operator scale, so no
     prefactor remains in front of the sum.
     """
     arr = _kossakowski_array(a, basis)
@@ -432,10 +447,10 @@ def qubit_liouvillian(e0: float, e1: float, lam: float, axis: int = 3) -> GKSLio
     dispersive model.  axis=1 or 2 moves the damping onto another Pauli
     direction, which trades energy with the environment.
     """
-    if lam < 0:
-        raise ValueError("damping rate must be nonnegative")
-    if axis not in (1, 2, 3):
-        raise ValueError("axis must be 1, 2, or 3")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"damping rate must be finite and nonnegative, got {lam!r}")
+    if isinstance(axis, bool) or not isinstance(axis, (int, np.integer)) or axis not in (1, 2, 3):
+        raise ValueError(f"axis must be the integer 1, 2 or 3, got {axis!r}")
     basis = gell_mann_basis(2)
     a = np.zeros((3, 3))
     a[axis - 1, axis - 1] = lam

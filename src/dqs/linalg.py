@@ -17,13 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-#: Relative tolerance (with floor 1) for accepting a matrix as Hermitian.
+#: A matrix is Hermitian when max |m - m^dagger| <= HERMITICITY_TOL max |m| (see zero_bound).
 HERMITICITY_TOL = 1e-10
-#: Eigenvalues above -PSD_TOL (scaled) count as nonnegative.
+#: Eigenvalues w at or above -PSD_TOL max |w| count as nonnegative.
 PSD_TOL = 1e-10
-#: Relative tolerance for zero in null_spaces (stationary_states also drops up
-#: to KERNEL_TOL (||H||_F + ||a||_F)); the dispersion checks (is_dispersive and
-#: the dispersion kernel's rank cut) use KERNEL_TOL * max(1, ||H||_F) instead.
+#: Relative zero of null_spaces, stationary_states (KERNEL_TOL (||H||_F + ||a||_F)),
+#: is_dispersive's default and so the dispersion kernel's rank cut.
 KERNEL_TOL = 1e-9
 #: Allowed deviation of a density-matrix trace from one.
 TRACE_TOL = 1e-12
@@ -71,16 +70,6 @@ def _defects(half: np.ndarray) -> np.ndarray:
     return 2.0 * np.minimum(half, _HALF_MAX)
 
 
-def _hermitian_within(ms: np.ndarray, tol: float):
-    """Per matrix of a stack: whether its defect is within tol * max(1, max |entry|).
-
-    Returns that verdict with the defects and scales it was judged by.
-    """
-    half = _half_defects(ms)
-    scale = np.maximum(1.0, np.abs(ms).max(axis=(-2, -1), initial=0.0))
-    return ~(half > 0.5 * tol * scale), _defects(half), scale
-
-
 def _not_hermitian(defect: float, tol: float, scale: float) -> str:
     return f"matrix is not Hermitian: defect {defect:.3e} exceeds {tol:.1e} * {scale:.3e}"
 
@@ -97,11 +86,12 @@ def require_tolerance(tol: float) -> None:
 
 
 def require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
+    """Reject m unless its defect max |m - m^dagger| is within tol * max |m|, with no floor."""
     require_tolerance(tol)
     require_square(m)
-    ok, defect, scale = _hermitian_within(m, tol)
-    if not ok:
-        raise ValueError(_not_hermitian(defect, tol, scale))
+    half, scale = _half_defects(m), np.abs(m).max(initial=0.0)
+    if half > 0.5 * tol * scale:
+        raise ValueError(_not_hermitian(_defects(half), tol, scale))
 
 
 def frobenius(m: np.ndarray) -> float:
@@ -113,6 +103,17 @@ def frobenius(m: np.ndarray) -> float:
             s = max(np.abs(a.real).max(), np.abs(a.imag).max())
             norm = float(s * np.linalg.norm(a / s))
     return norm
+
+
+def zero_bound(m, tol: float) -> float:
+    """tol ||m||_F: the most a quantity computed from m may be and still count as zero.
+
+    This is the package's zero rule, with no absolute floor.  m is scaled
+    before its norm, so the bound overflows only where tol * m does; an
+    infinite tol gives NaN on m's zero entries.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return frobenius(tol * np.asarray(m))
 
 
 def hermitian_eigen(a, tol: float = HERMITICITY_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -236,11 +237,12 @@ def kernel_basis(m) -> np.ndarray:
 def psd_bound(w: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
     """How far below zero eigenvalues w may sit and still count as nonnegative.
 
-    The bound is tol * max(1, max |w|) taken along the last axis, so a stack
-    of spectra gets one bound per matrix and a single spectrum a scalar.
+    The bound is tol * max |w| taken along the last axis, the zero rule of
+    ``zero_bound`` with the largest eigenvalue for the size, so a stack of
+    spectra gets one bound per matrix and a single spectrum a scalar.
     """
     require_tolerance(tol)
-    return tol * np.maximum(1.0, np.abs(w).max(axis=-1, initial=0.0))
+    return tol * np.abs(w).max(axis=-1, initial=0.0)
 
 
 def is_psd(a, tol: float = PSD_TOL) -> bool:
@@ -257,19 +259,20 @@ def _leading(ok: np.ndarray) -> int:
 def density_spectra(ms) -> tuple[np.ndarray, str | None]:
     """Validate a stack of density matrices, shape (k, n, n), in order.
 
-    A density matrix has finite entries, is square and Hermitian within
-    HERMITICITY_TOL (relative, floor 1), has trace 1 within TRACE_TOL and
-    no eigenvalue below -PSD_TOL.  Returns (w, error): w holds the ascending
-    eigenvalues of the longest valid prefix of the stack, from one ``eigh``
-    of its Hermitian parts, and error is None when that prefix is the whole
-    stack, else why ``ms[len(w)]`` fails.
+    A density matrix has finite entries, is square and has trace 1 within
+    TRACE_TOL; the trace fixes its scale at 1, so its defect is at most
+    HERMITICITY_TOL and no eigenvalue is below -PSD_TOL.  Returns (w, error):
+    w holds the ascending eigenvalues of the longest valid prefix of the
+    stack, from one ``eigh`` of its Hermitian parts, and error is None when
+    that prefix is the whole stack, else why ``ms[len(w)]`` fails.
     """
     ms = np.asarray(ms, dtype=complex)
     k = _leading(np.isfinite(ms).all(axis=(1, 2)))
     if k and ms.shape[1] != ms.shape[2]:
         return np.zeros((0, 0)), f"expected a square matrix, got shape {ms.shape[1:]}"
     m = ms[:k]
-    hermitian, defect, scale = _hermitian_within(m, HERMITICITY_TOL)
+    half = _half_defects(m)
+    hermitian = ~(half > 0.5 * HERMITICITY_TOL)
     tr = np.trace(m, axis1=1, axis2=2)
     drift = np.abs(tr - 1.0)
     unit = ~(drift > TRACE_TOL * np.maximum(1.0, np.abs(tr)))
@@ -280,7 +283,7 @@ def density_spectra(ms) -> tuple[np.ndarray, str | None]:
     if valid < checked:
         error = f"density matrix is not PSD: min eigenvalue {w[valid, 0]:.3e}"
     elif checked < k and not hermitian[checked]:
-        error = _not_hermitian(defect[checked], HERMITICITY_TOL, scale[checked])
+        error = _not_hermitian(_defects(half[checked]), HERMITICITY_TOL, 1.0)
     elif checked < k:
         error = f"density matrix trace deviates from 1 by {drift[checked]:.3e}"
     elif k < len(ms):

@@ -61,6 +61,22 @@ def test_check_non_dispersive_model(capsys):
                                                               rel=1e-12)
 
 
+@pytest.mark.parametrize("splitting, rate", [(2e-6, 1e-6), (3.75e-11, 1e-12)],
+                         ids=["c=1e-6", "neutrino-scale"])
+def test_check_small_energy_exchanging_qubit_is_not_dispersive(capsys, tmp_path, splitting, rate):
+    # damping on sigma_x exchanges energy at every scale: |D_H| = rate splitting / sqrt(2).
+    # The second model is the solar neutrino's, in eV: dm2 / 2E at 7.5e-5 eV^2, 1 MeV
+    a = np.zeros((3, 3))
+    a[0, 0] = rate
+    path = tmp_path / "small.model"
+    cli.save_model(path, 2, np.diag([0.5 * splitting, -0.5 * splitting]), a)
+    code, out, err = run_cli(capsys, "check", str(path))
+    kv = parse_kv(out)
+    assert (code, kv["valid"], kv["dispersive"], err) == (1, "true", "false", "")
+    assert float(kv["dissipation_residual"]) == pytest.approx(rate * splitting / math.sqrt(2.0),
+                                                              rel=1e-12)
+
+
 def test_check_reports_residuals_for_invalid_model(capsys, tmp_path):
     a = np.zeros((3, 3), dtype=complex)
     a[2, 2] = -1.0  # not PSD

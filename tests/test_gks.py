@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqs import gks, linalg
+from dqs import dynamics, gks, linalg
 from dqs.gks import GKSLiouvillian, KossakowskiMatrix, OperatorBasis
 
 from helpers import (random_complex, random_density, random_hermitian, random_liouvillian,
-                     random_unitary, reference_dissipation_operator, reference_dissipator,
-                     reference_superop, superop_of, unvec, vec)
+                     random_psd, random_unitary, reference_dissipation_operator,
+                     reference_dissipator, reference_superop, superop_of, unvec, vec)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -79,6 +79,23 @@ def test_kossakowski_validates():
         KossakowskiMatrix(2, np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0.0]]))
     with pytest.raises(ValueError, match="3 x 3"):
         KossakowskiMatrix(2, np.eye(4))
+
+
+def test_small_indefinite_kossakowski_matrix_is_invalid():
+    # an eigenvalue of -0.1 times the largest is no round-off at any scale;
+    # the flow of this model at t = 0.01/c is not CP
+    with pytest.raises(ValueError, match="PSD"):
+        KossakowskiMatrix(2, 1e-12 * np.diag([1.0, -0.1, 0.0]))
+
+
+def test_qubit_liouvillian_rejects_a_non_integer_axis_and_a_non_finite_rate():
+    for axis in (1.0, True, "1", 0, 4):
+        with pytest.raises(ValueError, match="^axis must be the integer 1, 2 or 3"):
+            gks.qubit_liouvillian(-1.0, 1.0, 0.5, axis=axis)
+    for lam in (math.nan, math.inf, -0.5):
+        with pytest.raises(ValueError, match="^damping rate must be finite and nonnegative"):
+            gks.qubit_liouvillian(-1.0, 1.0, lam)
+    assert gks.qubit_liouvillian(-1.0, 1.0, 0.5, axis=np.int64(1)).kossakowski.matrix[0, 0] == 0.5
 
 
 # ---------------------------------------------------------------- dissipator
@@ -482,15 +499,24 @@ def test_degenerate_hamiltonian_kernel_is_everything(rng):
 @pytest.mark.parametrize("spectrum, dimension", [
     ((0.0, 1e-9, 0.0), 64), ((0.0, 1.2e-9), 9), ((0.0, 1.6e-9), 5)])
 def test_near_tolerance_kernel_dimension_is_decided_once(rng, spectrum, dimension):
-    # ||H0||_F is 0.82e-9, 0.85e-9 and 1.13e-9 against the zero bound 1e-9,
-    # where phi's singular values straddle the bound: counting them one at a
-    # time gave 59 to 63 at N = 3 and 7 at N = 2, dimensions no H can have
+    # the identity part c I puts the zero bound _ROUNDOFF ||H||_F at 1e-9, so
+    # ||H0||_F is 0.82, 0.85 and 1.13 times it, where phi's singular values
+    # straddle the bound: counting them one at a time gave 59 to 63 at N = 3
+    # and 7 at N = 2, dimensions no H can have
     n = len(spectrum)
     basis = gks.gell_mann_basis(n)
+    c = 1e-9 / (gks._ROUNDOFF * math.sqrt(n))
     for _ in range(20):
         u = random_unitary(rng, n)
-        h = u @ np.diag(spectrum) @ u.conj().T
+        h = u @ np.diag(c + np.array(spectrum)) @ u.conj().T
         assert gks.dispersive_kossakowski_kernel(h, basis, samples=0).dimension == dimension
+
+
+def test_small_nondegenerate_qubit_hamiltonian_has_a_kernel_of_dimension_5():
+    # the closed form gives 5 for every H = c diag(1, -1), c != 0
+    basis = gks.gell_mann_basis(2)
+    for c in (1e-12, 1e-9, 1.0, 1e12):
+        assert gks.dispersive_kossakowski_kernel(c * SZ, basis, samples=0).dimension == 5
 
 
 @pytest.mark.filterwarnings("error")
@@ -507,13 +533,15 @@ def test_kernel_reports_overflow_as_one_error():
 @given(st.integers(2, 4), st.integers(0, 2**32 - 1), st.integers(1, 4),
        st.one_of(st.none(), st.floats(0.5, 0.99), st.floats(1.01, 2.0)))
 def test_kernel_rank_and_verdict_are_basis_invariant(n, seed, levels, near):
-    # a spectrum with at most `levels` distinct energies; `near` scales it so
-    # that ||H0||_F is that multiple of the zero bound 1e-9
+    # a spectrum with at most `levels` distinct energies; `near` scales it and
+    # adds an identity part of norm 1 so that ||H0||_F is that multiple of the
+    # zero bound _ROUNDOFF ||H||_F, to 1e-9
     g = np.random.default_rng(seed)
     spectrum = g.standard_normal(levels)[g.integers(0, levels, n)]
     flat = spectrum.min() == spectrum.max()  # H0 = 0
     if near is not None and not flat:
-        spectrum *= near * 1e-9 / np.linalg.norm(spectrum - spectrum.mean())
+        spectrum = (1.0 / math.sqrt(n) + near * gks._ROUNDOFF
+                    * (spectrum - spectrum.mean()) / np.linalg.norm(spectrum - spectrum.mean()))
     full = (n * n - 1) ** 2
     expected = full if flat or (near is not None and near < 1) else full - n * n
     basis = gks.gell_mann_basis(n)
@@ -527,7 +555,8 @@ def test_kernel_rank_and_verdict_are_basis_invariant(n, seed, levels, near):
         if expected < full:
             h0 = linalg.frobenius(h - np.trace(h).real / n * np.eye(n))
             s_min = np.linalg.svd(kernel.map_matrix, compute_uv=False)[-1]
-            assert s_min >= h0 / math.sqrt(2.0) * (1.0 - 1e-12)
+            # phi and H0 carry the round-off of H's identity part, ~eps ||H||_F
+            assert s_min >= h0 / math.sqrt(2.0) * (1.0 - 1e-12) - 1e-15 * linalg.frobenius(h)
         v = w @ jump @ w.conj().T
         c = np.array([np.trace(f.conj().T @ v) for f in basis.traceless])
         liou = GKSLiouvillian(h, KossakowskiMatrix(n, np.outer(c, c.conj())), basis)
@@ -639,6 +668,12 @@ def test_lindblad_operators_empty_for_zero():
     assert gks.lindblad_operators(np.zeros((3, 3)), gks.gell_mann_basis(2)) == []
 
 
+def test_small_coefficient_matrix_keeps_its_jump_operators():
+    # 1e-11 I_3 is three equal rates, not zero
+    ops = gks.lindblad_operators(1e-11 * np.eye(3), gks.gell_mann_basis(2))
+    assert len(ops) == 3
+
+
 def test_lindblad_operators_reject_indefinite():
     a = np.diag([1.0, -0.5, 0.0])
     with pytest.raises(ValueError, match="PSD"):
@@ -659,3 +694,135 @@ def test_lindblad_reconstruction_matches_dissipator(rng):
                 vdv = v.conj().T @ v
                 rebuilt += v @ s @ v.conj().T - 0.5 * (vdv @ s + s @ vdv)
             assert np.abs(direct - rebuilt).max() <= 1e-10
+
+
+# ---------------------------------------------------------------- units
+
+def accepts(check, *args):
+    try:
+        check(*args)
+    except ValueError:
+        return False
+    return True
+
+
+def unit_free_verdicts(h, a, basis):
+    """(a valid, H valid, dispersive, kernel dimension); the last two are None
+    for an invalid model."""
+    n = basis.dim
+    valid = accepts(KossakowskiMatrix, n, a), accepts(linalg.require_hermitian, h)
+    if not all(valid):
+        return (*valid, None, None)
+    liou = GKSLiouvillian(h, KossakowskiMatrix(n, a), basis)
+    kernel = gks.dispersive_kossakowski_kernel(h, basis, samples=0)
+    return True, True, gks.is_dispersive(liou).dispersive, kernel.dimension
+
+
+def eigenbasis_dephasing(g, u, basis):
+    """A Kossakowski matrix whose N - 1 jump operators are traceless and
+    diagonal in the basis u, so that they commute with every H diagonal there."""
+    n = basis.dim
+    jumps = [(u * (lambda d: d - d.mean())(g.standard_normal(n))) @ u.conj().T
+             for _ in range(n - 1)]
+    c = np.array([[np.trace(f.conj().T @ v) for f in basis.traceless] for v in jumps]).T
+    return c @ c.conj().T
+
+
+def witness_at_scale(h, a, basis, s):
+    """(t s, sign of the Choi minimum) of the witness of (s H, s a) on the grid (0.5, 2)/s."""
+    liou = GKSLiouvillian(s * h, KossakowskiMatrix(basis.dim, s * a), basis)
+    w = dynamics.time_reversal_witness(liou, np.array([0.5, 2.0]) / s)
+    return None if w is None else (round(w.t * s, 9), np.sign(w.choi_min_eigenvalue))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 2**32 - 1),
+       st.sampled_from(["dispersive", "generic", "invalid"]),
+       st.floats(-12.0, 12.0), st.floats(-12.0, 12.0), st.floats(-1.0, 1.0))
+def test_verdicts_do_not_depend_on_the_units(n, seed, kind, h_exp, a_exp, shift):
+    # D_H(a) = 0 is linear in a and sees H only through H0: scaling H0 and a
+    # by any factors and adding c I to H, |c| <= 1e8 ||H0||_F, changes no verdict
+    g = np.random.default_rng(seed)
+    basis = gks.gell_mann_basis(n)
+    k = n * n - 1
+    u = random_unitary(g, n)
+    d = g.standard_normal(n)
+    h0 = linalg.hermitian_part((u * (d - d.mean())) @ u.conj().T)
+    if kind == "dispersive":
+        a = eigenbasis_dephasing(g, u, basis)
+    else:
+        a = random_psd(g, k, trace=1.0)
+    if kind == "invalid":
+        # an eigenvalue of -0.1 times the largest, and an anti-Hermitian part
+        # as large as H0
+        w, q = np.linalg.eigh(a)
+        w[0] = -0.1 * w[-1]
+        a = (q * w) @ q.conj().T
+        x = random_complex(g, (n, n))
+        h0 = h0 + linalg.frobenius(h0) * (x - x.conj().T) / linalg.frobenius(x - x.conj().T)
+    unit = unit_free_verdicts(h0, a, basis)
+    assert unit[:3] == {"dispersive": (True, True, True), "generic": (True, True, False),
+                        "invalid": (False, False, None)}[kind]
+    s_h, s_a = 10.0 ** h_exp, 10.0 ** a_exp
+    c = shift * 1e8 * s_h * linalg.frobenius(h0)
+    assert unit_free_verdicts(s_h * h0 + c * np.eye(n), s_a * a, basis) == unit
+    if kind != "invalid":
+        assert witness_at_scale(h0, a, basis, s_h) == witness_at_scale(h0, a, basis, 1.0)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_dispersive_verdict_survives_the_largest_shift(rng, n):
+    # c I with |c| = 1e8 ||H0||_F leaves D_H's round-off as the whole bound;
+    # it stays within 1.42 eps sqrt(N) ||a||_F ||H||_F, far below _ROUNDOFF
+    eps = np.finfo(float).eps
+    basis = gks.gell_mann_basis(n)
+    for _ in range(3):
+        u = random_unitary(rng, n)
+        d = rng.standard_normal(n)
+        h0 = linalg.hermitian_part((u * (d - d.mean())) @ u.conj().T)
+        models = {True: eigenbasis_dephasing(rng, u, basis),
+                  False: random_psd(rng, n * n - 1, trace=1.0)}
+        for dispersive, a in models.items():
+            for shift in (0.0, -1e8, 1e8):
+                h = h0 + shift * linalg.frobenius(h0) * np.eye(n)
+                verdict = gks.is_dispersive(GKSLiouvillian(h, KossakowskiMatrix(n, a), basis))
+                assert verdict.dispersive == dispersive
+                if dispersive:
+                    scale = math.sqrt(n) * linalg.frobenius(a) * linalg.frobenius(h)
+                    assert verdict.residual <= 2.0 * eps * scale
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("ratio", [0.5, 1e3])
+def test_kernel_dimension_agrees_with_is_dispersive_under_a_large_identity_part(rng, n, ratio):
+    # ||H0||_F is `ratio` times _ROUNDOFF ||H||_F under c I = 1e6 I: at 0.5
+    # the kernel is everything and every a is dispersive, at 1e3 neither
+    basis = gks.gell_mann_basis(n)
+    full = (n * n - 1) ** 2
+    u = random_unitary(rng, n)
+    d = rng.standard_normal(n)
+    d = ratio * gks._ROUNDOFF * 1e6 * math.sqrt(n) * (d - d.mean()) / np.linalg.norm(d - d.mean())
+    h = linalg.hermitian_part((u * (1e6 + d)) @ u.conj().T)
+    dimension = gks.dispersive_kossakowski_kernel(h, basis, samples=0).dimension
+    assert dimension == (full if ratio < 1 else full - n * n)
+    for _ in range(5):
+        liou = GKSLiouvillian(h, KossakowskiMatrix(n, random_psd(rng, n * n - 1)), basis)
+        assert gks.is_dispersive(liou).dispersive == (ratio < 1)
+    # H = I + 1e-10 diag(1, -1) exchanges energy under sigma_x damping
+    h = np.eye(2) + 1e-10 * SZ
+    liou = GKSLiouvillian(h, KossakowskiMatrix(2, np.diag([1.0, 0.0, 0.0])), gks.gell_mann_basis(2))
+    assert gks.dispersive_kossakowski_kernel(h, gks.gell_mann_basis(2), samples=0).dimension == 5
+    assert not gks.is_dispersive(liou).dispersive
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_large_kossakowski_entry_keeps_the_unit_scale_verdict(n):
+    # sqrt(N) ||a||_F overflows at a_11 = 1e308 while D_H, about 1.4e308,
+    # and its zero bound do not: the bound must not read as infinite
+    basis = gks.gell_mann_basis(n)
+    h = np.diag([1.0, -1.0] + [0.0] * (n - 2))
+    a = np.zeros((n * n - 1, n * n - 1))
+    for a11 in (1.0, 1e308):
+        a[0, 0] = a11
+        verdict = gks.is_dispersive(GKSLiouvillian(h, KossakowskiMatrix(n, a), basis))
+        assert not verdict.dispersive and np.isfinite(verdict.residual)

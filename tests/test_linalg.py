@@ -81,6 +81,12 @@ def test_eigen_rejects_non_hermitian():
         linalg.hermitian_eigen(np.zeros((2, 3)))
 
 
+def test_small_non_hermitian_matrix_is_rejected():
+    # the defect is as large as the matrix, at any scale
+    with pytest.raises(ValueError, match="Hermitian"):
+        linalg.require_hermitian(1e-12 * np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
 def test_eigen_degenerate_spectrum(rng):
     a = np.eye(4, dtype=complex) * 2.0
     w, v = linalg.hermitian_eigen(a)
@@ -310,8 +316,13 @@ def test_psd_bound_reduces_over_the_last_axis(rng):
     assert bound.shape == (3, 2)
     for idx in np.ndindex(3, 2):
         assert bound[idx] == linalg.psd_bound(w[idx], 1e-8)
-        assert bound[idx] == 1e-8 * max(1.0, float(np.abs(w[idx]).max()))
-    assert linalg.psd_bound(np.zeros(0)) == linalg.PSD_TOL
+        assert bound[idx] == 1e-8 * float(np.abs(w[idx]).max())
+    # no absolute floor: a zero or empty spectrum gets bound 0
+    assert linalg.psd_bound(np.zeros(0)) == linalg.psd_bound(np.zeros(3)) == 0.0
+
+
+def test_small_indefinite_matrix_is_not_psd():
+    assert not linalg.is_psd(1e-12 * np.diag([1.0, -0.5]))
 
 
 def test_is_psd_rejects_non_hermitian():
