@@ -32,7 +32,6 @@ from .linalg import (
     hermitian_eigen,
     is_psd,
     kernel_basis,
-    trace_norm,
 )
 from .neutrino import (
     OscillationParams,
@@ -81,7 +80,6 @@ __all__ = [
     "survival_at_l_over_e",
     "surviving_probability",
     "time_reversal_witness",
-    "trace_norm",
     "transition_probability",
     "von_neumann_entropy",
 ]

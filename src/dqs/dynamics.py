@@ -152,8 +152,7 @@ def _choi_of_matrix(matrix: np.ndarray, n: int) -> np.ndarray:
 
 
 def _min_eigenvalue(choi: np.ndarray) -> float:
-    w, _ = linalg.hermitian_eigen(choi, tol=1.0)
-    return float(w[0])
+    return float(np.linalg.eigvalsh(linalg.hermitian_part(linalg.as_matrix(choi)))[0])
 
 
 @dataclass(frozen=True)

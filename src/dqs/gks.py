@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .linalg import HERMITICITY_TOL, KERNEL_TOL
+from .linalg import KERNEL_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,12 +144,22 @@ class KossakowskiMatrix:
         if m.shape != (k, k):
             raise ValueError(f"Kossakowski matrix must be {k} x {k} for dimension "
                              f"{self.dim}, got {m.shape}")
-        w, _ = linalg.hermitian_eigen(m, 1e-12)
+        w, _ = linalg.hermitian_eigen(m)
         if w.size and w[0] < -linalg.psd_bound(w):
             raise ValueError(f"Kossakowski matrix is not PSD: min eigenvalue {w[0]:.3e}")
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+
+
+def _hamiltonian(hamiltonian, basis: OperatorBasis) -> np.ndarray:
+    """The Hamiltonian rule: H is a finite Hermitian N x N matrix for the basis."""
+    h = linalg.as_matrix(hamiltonian)
+    n = basis.dim
+    if h.shape != (n, n):
+        raise ValueError(f"Hamiltonian shape {h.shape} does not match basis dimension {n}")
+    linalg.require_hermitian(h)
+    return h
 
 
 def _kossakowski_array(a, basis: OperatorBasis) -> np.ndarray:
@@ -191,11 +201,8 @@ class GKSLiouvillian:
     bloch: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        h = linalg.as_matrix(self.hamiltonian)
+        h = _hamiltonian(self.hamiltonian, self.basis)
         n = self.basis.dim
-        if h.shape != (n, n):
-            raise ValueError(f"Hamiltonian shape {h.shape} does not match basis dimension {n}")
-        linalg.require_hermitian(h, HERMITICITY_TOL)
         if self.kossakowski.dim != n:
             raise ValueError("Kossakowski dimension does not match basis dimension")
         h = h.copy()
@@ -231,12 +238,12 @@ def _h_terms(h: np.ndarray, fd: np.ndarray, g: np.ndarray) -> np.ndarray:
 def dissipation_from_parts(a, basis: OperatorBasis, hamiltonian) -> np.ndarray:
     """D_H = sum_j (F_j^+ H G_j - {F_j^+ G_j, H}/2), G_j = sum_i a_ij F_i.
 
-    For explicit Hermitian coefficients, PSD not required; validated
-    generators should go through dissipation_operator instead.
+    For explicit Hermitian coefficients (PSD not required) and a valid H;
+    validated generators should go through dissipation_operator instead.
     """
     arr = _kossakowski_array(a, basis)
-    linalg.require_hermitian(arr, 1e-12)
-    h = linalg.as_matrix(hamiltonian)
+    linalg.require_hermitian(arr)
+    h = _hamiltonian(hamiltonian, basis)
     f = np.stack(basis.traceless)
     with np.errstate(over="ignore", invalid="ignore"):
         g = (arr.T @ f.reshape(len(f), -1)).reshape(f.shape)
@@ -381,11 +388,8 @@ def dispersive_kossakowski_kernel(hamiltonian, basis: OperatorBasis,
     combinations (half signed Gaussian, half with nonnegative coefficients)
     are drawn from a generator seeded by `seed` and flagged likewise.
     """
-    h = linalg.as_matrix(hamiltonian)
+    h = _hamiltonian(hamiltonian, basis)
     n = basis.dim
-    if h.shape != (n, n):
-        raise ValueError(f"Hamiltonian shape {h.shape} does not match basis dimension {n}")
-    linalg.require_hermitian(h, HERMITICITY_TOL)
     k = n * n - 1
     # D_H(a) = sum_ij a_ij M[i, j] with M[i, j] = F_j^+ H F_i - {F_j^+ F_i, H}/2
     f = np.stack(basis.traceless)[:, None]     # [i, 0] = F_i
@@ -410,7 +414,7 @@ def dispersive_kossakowski_kernel(hamiltonian, basis: OperatorBasis,
     # is at most the bound, so one spectrum flags both signs
     mats = coords_to_hermitian(np.concatenate([coords, coeffs @ coords]), k)
     w = np.linalg.eigvalsh(mats)
-    bound = linalg.psd_bound(w, 1e-8)
+    bound = linalg.psd_bound(w)
     psd = (w[:, 0] >= -bound).tolist()
     drawn = tuple(map(KernelSample, coeffs, mats[dim:], psd[dim:]))
     return DispersionKernel(tuple(mats[:dim]), tuple(psd[:dim]),
@@ -425,7 +429,7 @@ def lindblad_operators(a, basis: OperatorBasis) -> list:
     prefactor remains in front of the sum.
     """
     arr = _kossakowski_array(a, basis)
-    w, u = linalg.hermitian_eigen(arr, 1e-12)
+    w, u = linalg.hermitian_eigen(arr)
     threshold = linalg.psd_bound(w)
     if w[0] < -threshold:
         raise ValueError(f"coefficient matrix is not PSD: min eigenvalue {w[0]:.3e}")

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-#: A matrix is Hermitian when max |m - m^dagger| <= HERMITICITY_TOL max |m| (see zero_bound).
+#: The one Hermiticity rule, no caller sets another: max |m - m^dagger| <= HERMITICITY_TOL max |m|.
 HERMITICITY_TOL = 1e-10
-#: Eigenvalues w at or above -PSD_TOL max |w| count as nonnegative.
+#: The one PSD rule, no caller sets another: eigenvalues w >= -PSD_TOL max |w| count as nonnegative.
 PSD_TOL = 1e-10
 #: Relative zero of null_spaces, stationary_states (KERNEL_TOL (||H||_F + ||a||_F)),
 #: is_dispersive's default and so the dispersion kernel's rank cut.
@@ -70,8 +70,9 @@ def _defects(half: np.ndarray) -> np.ndarray:
     return 2.0 * np.minimum(half, _HALF_MAX)
 
 
-def _not_hermitian(defect: float, tol: float, scale: float) -> str:
-    return f"matrix is not Hermitian: defect {defect:.3e} exceeds {tol:.1e} * {scale:.3e}"
+def _not_hermitian(defect: float, scale: float) -> str:
+    return (f"matrix is not Hermitian: defect {defect:.3e} exceeds "
+            f"{HERMITICITY_TOL:.1e} * {scale:.3e}")
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
@@ -80,18 +81,17 @@ def hermiticity_defect(m: np.ndarray) -> float:
 
 
 def require_tolerance(tol: float) -> None:
-    """Reject a tolerance that is not a finite positive number, NaN included."""
+    """Reject a tolerance that is not a finite positive number, NaN included (is_dispersive's)."""
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tolerance must be a positive number, got {tol!r}")
 
 
-def require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
-    """Reject m unless its defect max |m - m^dagger| is within tol * max |m|, with no floor."""
-    require_tolerance(tol)
+def require_hermitian(m: np.ndarray) -> None:
+    """Reject m unless its defect max |m - m^dagger| is within HERMITICITY_TOL max |m|, no floor."""
     require_square(m)
     half, scale = _half_defects(m), np.abs(m).max(initial=0.0)
-    if half > 0.5 * tol * scale:
-        raise ValueError(_not_hermitian(_defects(half), tol, scale))
+    if half > 0.5 * HERMITICITY_TOL * scale:
+        raise ValueError(_not_hermitian(_defects(half), scale))
 
 
 def frobenius(m: np.ndarray) -> float:
@@ -116,16 +116,16 @@ def zero_bound(m, tol: float) -> float:
         return frobenius(tol * np.asarray(m))
 
 
-def hermitian_eigen(a, tol: float = HERMITICITY_TOL) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eigen(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (w, v) with eigenvalues w ascending and unitary v whose columns
     are the matching eigenvectors, so a == v @ diag(w) @ v^dagger up to
     round-off.  The Hermitian part of the input is decomposed after the
-    input passes the hermiticity check at tolerance tol.
+    input passes ``require_hermitian``.
     """
     m = as_matrix(a)
-    require_hermitian(m, tol)
+    require_hermitian(m)
     return np.linalg.eigh(hermitian_part(m))
 
 
@@ -200,13 +200,6 @@ def singular_values(a) -> np.ndarray:
     return np.linalg.svd(m, compute_uv=False)
 
 
-def trace_norm(a) -> float:
-    """Sum of singular values of a square matrix."""
-    m = as_matrix(a)
-    require_square(m)
-    return float(singular_values(m).sum())
-
-
 def null_spaces(m, zero: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal bases (as columns) of the numerical null spaces of m and of m^+.
 
@@ -234,21 +227,20 @@ def kernel_basis(m) -> np.ndarray:
     return null_spaces(m)[0]
 
 
-def psd_bound(w: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
+def psd_bound(w: np.ndarray) -> np.ndarray:
     """How far below zero eigenvalues w may sit and still count as nonnegative.
 
-    The bound is tol * max |w| taken along the last axis, the zero rule of
+    The bound is PSD_TOL * max |w| taken along the last axis, the zero rule of
     ``zero_bound`` with the largest eigenvalue for the size, so a stack of
     spectra gets one bound per matrix and a single spectrum a scalar.
     """
-    require_tolerance(tol)
-    return tol * np.abs(w).max(axis=-1, initial=0.0)
+    return PSD_TOL * np.abs(w).max(axis=-1, initial=0.0)
 
 
-def is_psd(a, tol: float = PSD_TOL) -> bool:
-    """Whether a Hermitian matrix is positive semidefinite within tolerance."""
+def is_psd(a) -> bool:
+    """Whether a Hermitian matrix is positive semidefinite by the rule of ``psd_bound``."""
     w, _ = hermitian_eigen(a)
-    return bool(w.size == 0 or w[0] >= -psd_bound(w, tol))
+    return bool(w.size == 0 or w[0] >= -psd_bound(w))
 
 
 def _leading(ok: np.ndarray) -> int:
@@ -283,7 +275,7 @@ def density_spectra(ms) -> tuple[np.ndarray, str | None]:
     if valid < checked:
         error = f"density matrix is not PSD: min eigenvalue {w[valid, 0]:.3e}"
     elif checked < k and not hermitian[checked]:
-        error = _not_hermitian(_defects(half[checked]), HERMITICITY_TOL, 1.0)
+        error = _not_hermitian(_defects(half[checked]), 1.0)
     elif checked < k:
         error = f"density matrix trace deviates from 1 by {drift[checked]:.3e}"
     elif k < len(ms):

@@ -68,6 +68,8 @@ def evolve_closed_form(params: DispersiveQubitParams, state: QubitBloch,
     """The dephasing solution at time t >= 0."""
     if not (t >= 0.0):
         raise ValueError(f"time must be nonnegative, got {t!r}")
+    if not math.isfinite(params.delta * t):
+        raise ValueError("oscillation phase overflows")
     z = state.b * cmath.exp(-(params.lam + 1j * params.delta) * t)
     m = np.array([[state.a, z], [np.conj(z), 1.0 - state.a]])
     return DensityMatrix(m)

@@ -25,9 +25,9 @@ SIGNATURES = {
     "expm": ("a", "scale"),
     "fit_parameters": ("data", "bounds", "fixed", "grid_points", "max_cycles"),
     "gell_mann_basis": ("dim",),
-    "hermitian_eigen": ("a", "tol"),
+    "hermitian_eigen": ("a",),
     "is_dispersive": ("liouvillian", "tol"),
-    "is_psd": ("a", "tol"),
+    "is_psd": ("a",),
     "kernel_basis": ("m",),
     "lindblad_operators": ("a", "basis"),
     "positivity_horizon": ("state", "lam"),
@@ -39,7 +39,6 @@ SIGNATURES = {
     "survival_at_l_over_e": ("params", "l_over_e"),
     "surviving_probability": ("params", "theta", "t"),
     "time_reversal_witness": ("liouvillian", "t_grid"),
-    "trace_norm": ("a",),
     "transition_probability": ("params", "theta", "t"),
     "von_neumann_entropy": ("rho",),
 }

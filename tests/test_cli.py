@@ -159,6 +159,22 @@ def test_kossakowski_entry_near_the_float_maximum(capsys, tmp_path):
     assert min(np.abs(got - s * f3).max() for s in (1, -1)) <= 1e-15 * math.sqrt(1e308)
 
 
+def test_check_judges_a_hermitian_defect_in_h_and_in_a_alike(capsys, tmp_path):
+    # one relative defect of 1e-11, once in H and once in a: the one
+    # Hermiticity rule (1e-10 max |m|) gives both files the same verdict
+    h, a = np.diag([2.5, -2.5]).astype(complex), np.diag([0.0, 0.0, 1.0])
+    skew = np.zeros((3, 3))
+    skew[0, 1] = 1e-11
+    verdicts = []
+    for name, hh, aa in (("h", h + 2.5 * skew[:2, :2], a), ("a", h, a + skew)):
+        path = tmp_path / f"{name}.model"
+        cli.save_model(path, 2, hh, aa)
+        code, out, err = run_cli(capsys, "check", str(path))
+        verdicts.append((code, parse_kv(out)["valid"], err))
+    assert verdicts == [(0, "true", "")] * 2
+    assert len(gks.lindblad_operators(a + skew, gks.gell_mann_basis(2))) == 1
+
+
 @pytest.mark.parametrize("h, axis, rate, tail, err", [
     # the generator's entries overflow: the model is invalid
     (np.diag([1.7e308, -1.7e308]), 2, 1e308, "valid=false\nerror=generator overflows\n", ""),

@@ -234,6 +234,13 @@ def test_cptp_report_rejects_a_matrix_of_no_channel_shape(shape):
         dynamics.cptp_report(np.eye(*shape))
 
 
+def test_cptp_report_rejects_a_non_finite_channel():
+    m = np.eye(4)
+    m[0, 0] = math.nan
+    with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+        dynamics.cptp_report(m)
+
+
 def test_cptp_along_flow(rng):
     for n in (2, 3):
         for _ in range(5):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -86,6 +87,27 @@ def test_small_indefinite_kossakowski_matrix_is_invalid():
     # the flow of this model at t = 0.01/c is not CP
     with pytest.raises(ValueError, match="PSD"):
         KossakowskiMatrix(2, 1e-12 * np.diag([1.0, -0.1, 0.0]))
+
+
+BAD_HAMILTONIANS = {
+    "wrong-shape": (np.eye(3), "Hamiltonian shape (3, 3) does not match basis dimension 2"),
+    "not-hermitian": ([[0.0, 1.0], [0.0, 0.0]],
+                      "matrix is not Hermitian: defect 1.000e+00 exceeds 1.0e-10 * 1.000e+00"),
+    "non-finite": ([[math.nan, 0.0], [0.0, 1.0]], "matrix has non-finite entries"),
+}
+HAMILTONIAN_USERS = {
+    "GKSLiouvillian": lambda h, b: GKSLiouvillian(h, KossakowskiMatrix(2, np.eye(3)), b),
+    "dissipation_from_parts": lambda h, b: gks.dissipation_from_parts(np.eye(3), b, h),
+    "dispersive_kossakowski_kernel": lambda h, b: gks.dispersive_kossakowski_kernel(h, b, samples=0),
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_HAMILTONIANS))
+@pytest.mark.parametrize("user", list(HAMILTONIAN_USERS))
+def test_every_hamiltonian_user_applies_one_rule(user, bad):
+    h, message = BAD_HAMILTONIANS[bad]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        HAMILTONIAN_USERS[user](h, gks.gell_mann_basis(2))
 
 
 def test_qubit_liouvillian_rejects_a_non_integer_axis_and_a_non_finite_rate():
@@ -397,7 +419,7 @@ def test_qubit_dispersion_kernel_dimension_and_ray():
     # the ray itself projects onto itself inside the kernel and is PSD there
     proj = gks.coords_to_hermitian(span @ (span.T @ coords), 3)
     assert np.abs(proj - ray).max() <= 1e-10
-    assert linalg.is_psd(proj, 1e-8)
+    assert linalg.is_psd(proj)
 
 
 def test_dispersion_kernel_dimension_is_basis_independent(rng):
@@ -574,17 +596,16 @@ def kernel_hamiltonians(rng):
 
 
 def test_kernel_flags_match_is_psd(rng):
-    tol = 1e-8  # the kernel's fixed PSD tolerance
     for h in kernel_hamiltonians(rng):
         report = gks.dispersive_kossakowski_kernel(h, gks.gell_mann_basis(h.shape[0]))
         kernel = np.array(report.kernel)
-        assert report.element_psd == tuple(linalg.is_psd(m, tol) for m in kernel)
-        assert report.negation_psd == tuple(linalg.is_psd(-m, tol) for m in kernel)
+        assert report.element_psd == tuple(linalg.is_psd(m) for m in kernel)
+        assert report.negation_psd == tuple(linalg.is_psd(-m) for m in kernel)
         assert len(report.samples) == 200
         for k, sample in enumerate(report.samples):
             c = sample.coefficients
             assert type(sample.psd) is bool
-            assert sample.psd == linalg.is_psd(sample.matrix, tol)
+            assert sample.psd == linalg.is_psd(sample.matrix)
             assert np.abs(sample.matrix - np.tensordot(c, kernel, axes=1)).max() <= 1e-12
             assert abs(np.linalg.norm(c) - 1.0) <= 1e-15
             assert k < 100 or (c >= 0).all()

@@ -127,6 +127,12 @@ def test_transition_probability_rejects_overflowing_phase(delta, t):
         qubit.transition_probability(params(0.0, delta), 0.4, t)
 
 
+@pytest.mark.parametrize("lam, delta, t", [(0.0, 2.0, 1e308), (0.5, 2.0, 1e308), (0.0, 1e308, 10.0)])
+def test_evolve_closed_form_rejects_overflowing_phase(lam, delta, t):
+    with pytest.raises(ValueError, match="^oscillation phase overflows$"):
+        qubit.evolve_closed_form(params(lam, delta), QubitBloch(0.5, 0.3), t)
+
+
 def test_surviving_probability_complements():
     p = params(0.9, 4.0)
     for t in (0.0, 0.3, 2.0, 7.0):
