@@ -172,7 +172,7 @@ def cptp_report(prop: np.ndarray) -> CptpReport:
     n = math.isqrt(len(m)) if m.ndim == 2 else 0
     if n == 0 or m.shape != (n * n, n * n):
         raise ValueError(f"channel matrix must have shape (N^2, N^2), got {m.shape}")
-    c = _choi_of_matrix(m, n)
+    c = _choi_of_matrix(linalg.as_matrix(m, dtype=m.dtype), n)
     tr2 = np.einsum("ikjk->ij", c.reshape(n, n, n, n))
     trace_residual = float(np.abs(tr2 - np.eye(n)).max())
     herm_residual = linalg.hermiticity_defect(c)

@@ -154,6 +154,23 @@ def reference_grid(x, p, w, merged, values, free, grid_points):
     return values, best_sse
 
 
+def reference_grid_table(x, dm2_levels, lambda_levels):
+    """The coarse grid's rows of ``neutrino.fit_parameters``, node by node.
+
+    S = 1/2 - sin^2(PHASE_CONSTANT dm2 x), one row per dm2 level, and
+    E = exp(-lambda_km x), one row per lambda_km level: one sine or
+    exponential per node, the table that ``neutrino._grid_rows`` builds by
+    recurrence.
+    """
+    from dqs.neutrino import PHASE_CONSTANT
+
+    # an overflowing phase gives a NaN row, as it does in the fit
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = 0.5 - np.sin(PHASE_CONSTANT * dm2_levels[:, None] * x) ** 2
+        e = np.exp(-lambda_levels[:, None] * x)
+    return s, e
+
+
 def reference_golden_min(f, lo, hi, tol):
     """Golden-section slice minimiser, ``reference_coordinate_polish``'s default.
 

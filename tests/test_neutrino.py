@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dqs import neutrino, qubit
 from dqs.neutrino import OscillationParams, Spectrum
-from helpers import reference_coordinate_polish, reference_grid
+from helpers import reference_coordinate_polish, reference_grid, reference_grid_table
 
 THETA_04 = math.atan(math.sqrt(0.40))  # tan^2 theta = 0.40
 
@@ -267,6 +267,31 @@ def test_read_spectrum_csv_counts_lines_as_file_iteration_does(tmp_path):
     assert want == 6
     message = f"^line {want}: could not convert string to float: 'oops'$"
     with pytest.raises(ValueError, match=message):
+        neutrino.read_spectrum_csv(path)
+
+
+_BLOCK = neutrino._PARSE_BLOCK
+_THIRD_BLOCK_ROW = 2 * _BLOCK + 18
+_SECOND_BLOCK_ROW = _BLOCK + 44
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({_THIRD_BLOCK_ROW: "1.0,0.5"}, "expected 3 fields, got 2$"),
+    ({_THIRD_BLOCK_ROW: "1.0,spam,1.0", _THIRD_BLOCK_ROW + 30: "1.0"},
+     "could not convert string to float: 'spam'$"),
+    ({_THIRD_BLOCK_ROW: "1.0,7.0,1.0"}, "survival probability must lie in"),
+    # a row a field short, then one a field long: the block's field total balances
+    ({_SECOND_BLOCK_ROW: "1.0,0.5", _SECOND_BLOCK_ROW + 1: "1.0,0.5,1.0,1.0"},
+     "expected 3 fields, got 2$"),
+], ids=["short-third-block", "not-a-number-third-block", "point-third-block", "balanced-block"])
+def test_reader_names_the_first_bad_line_beyond_the_first_block(tmp_path, bad, message):
+    # 2 * _PARSE_BLOCK + 88 rows, parsed in three blocks; line 1 is the header
+    rows = [f"{60.0 * k!r},0.5,1.0" for k in range(2 * _BLOCK + 88)]
+    for k, text in bad.items():
+        rows[k] = text
+    path = tmp_path / "long.csv"
+    path.write_text("L_over_E_km_per_GeV,P_survival,weight\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match=f"^line {min(bad) + 2}: {message}"):
         neutrino.read_spectrum_csv(path)
 
 
@@ -552,6 +577,54 @@ def test_grid_matches_brute_force_exactly(spectrum, options):
     assert fit.grid_sse <= want_sse * (1.0 + 1e-9) + 1e-12 * total_weight
     assert fit.sse <= fit.grid_sse
     assert fit.converged
+
+
+def _t_range(merged):
+    """The image [t_lo, t_hi] of the theta bounds under sin^2(2 theta)."""
+    lo, hi = merged["theta"]
+    ends = (math.sin(2.0 * lo) ** 2, math.sin(2.0 * hi) ** 2)
+    return min(ends), 1.0 if lo <= math.pi / 4.0 <= hi else max(ends)
+
+
+TABLE_CASES = (
+    [pytest.param(_random_spectrum(seed), _GRID_OPTIONS, id=f"random{seed}")
+     for seed in range(64)]
+    + [pytest.param(case.values[0], [case.values[1]], id=case.id)
+       for case in GRID_CASES if case.id == "overflowing-dm2"]
+)
+
+
+@pytest.mark.parametrize("spectrum, option_list", TABLE_CASES)
+def test_grid_rows_match_the_direct_table(spectrum, option_list):
+    # the rows built by recurrence agree with one sine or exponential per
+    # node, and the fit chooses the node the direct table chooses, up to a
+    # tie within rounding
+    x, p, w = spectrum.l_over_e, spectrum.p, spectrum.weight
+    for options in option_list:
+        merged = _merged_bounds(options)
+        count = options.get("grid_points", 41)
+        levels = [np.linspace(lo, hi, count if lo < hi else 1)
+                  for lo, hi in (merged["dm2"], merged["lambda_km"])]
+        want = reference_grid_table(x, *levels)
+        sse_inputs = (1.0 - p, w / w.max(), _t_range(merged))
+        with np.errstate(all="ignore"):
+            rows = neutrino._grid_rows(x, *levels)
+            estimate = neutrino._grid_sse(*want, *sse_inputs)
+            assert np.array_equal(np.isfinite(neutrino._grid_sse(*rows, *sse_inputs)),
+                                  np.isfinite(estimate))
+        for got, ref in zip(rows, want):
+            # finite wherever the direct table is; not the reverse, since
+            # where PHASE_CONSTANT dm2 overflows the direct table is NaN even
+            # at x = 0, whose phase the recurrence keeps at 0
+            finite = np.isfinite(ref)
+            assert np.isfinite(got[finite]).all()
+            assert np.abs(got - ref, where=finite, out=np.zeros_like(ref)).max() <= 1e-13
+
+        at = neutrino.fit_parameters(spectrum, max_cycles=1, **options).grid_params
+        best = np.where(np.isfinite(estimate), estimate, np.inf).min()
+        chosen = estimate[levels[0] == at.dm2][:, levels[1] == at.lambda_km]
+        assert chosen.shape == (1, 1)
+        assert chosen[0, 0] - best <= 1e-12 * abs(best)
 
 
 def _counting_model_calls(monkeypatch):
