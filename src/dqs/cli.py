@@ -34,13 +34,14 @@ import math
 import os
 import re
 import sys
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import dynamics, gks, linalg, neutrino, qubit
 
-#: Rows of an ``evolve`` trajectory validated, decomposed and printed together.
+#: Rows of a streamed table (``evolve``, ``probabilities``, ``nu --loe-range``)
+#: computed and printed together.
 EVOLVE_CHUNK = 256
 
 
@@ -147,7 +148,7 @@ def cmd_check(args) -> int:
     linalg.require_tolerance(tol)
     model = load_model(args.model)
     h, a = model.hamiltonian, model.kossakowski
-    w, _ = linalg.hermitian_eigen(linalg.hermitian_part(a))
+    w = linalg.hermitian_eigenvalues(linalg.hermitian_part(a))
     print(f"dimension={model.dimension}")
     print("basis=gell-mann")
     print(f"hamiltonian_hermiticity_defect={_fmt(linalg.hermiticity_defect(h))}")
@@ -196,6 +197,21 @@ def _time_grid(t_max: float, steps: int) -> Iterable[float]:
             for k in range(steps + 1))
 
 
+def _chunks(values: Iterable[float]) -> Iterator[List[float]]:
+    """Successive lists of up to EVOLVE_CHUNK values of a lazy grid."""
+    values = iter(values)
+    while chunk := list(itertools.islice(values, EVOLVE_CHUNK)):
+        yield chunk
+
+
+def _print_table(header: Sequence[str], tables: Iterable[np.ndarray]) -> None:
+    """Print a CSV header, then each 2-d table of floats as it comes, so rows stream."""
+    print(",".join(header))
+    row_format = ",".join([_FLOAT] * len(header))
+    for table in tables:
+        print("\n".join(row_format % row for row in map(tuple, table.tolist())))
+
+
 def _propagate_chunks(liou: gks.GKSLiouvillian, rho: linalg.DensityMatrix,
                       times: Iterable[float]):
     """Yield (times, states, spectra) for successive chunks of the time grid.
@@ -205,8 +221,7 @@ def _propagate_chunks(liou: gks.GKSLiouvillian, rho: linalg.DensityMatrix,
     propagation or validation fails ends the stream with a CliError, after
     the rows before it have been yielded.
     """
-    times = iter(times)
-    while chunk := list(itertools.islice(times, EVOLVE_CHUNK)):
+    for chunk in _chunks(times):
         stack, error = dynamics.propagate_many(liou, rho, chunk)
         spectra, invalid = linalg.density_spectra(stack)
         k = len(spectra)
@@ -244,16 +259,18 @@ def cmd_evolve(args) -> int:
         for j in range(1, n + 1):
             header += [f"rho_{i}_{j}_re", f"rho_{i}_{j}_im"]
     header += ["trace_re", "entropy", "energy"]
-    print(",".join(header))
-    row_format = ",".join([_FLOAT] * len(header))
-    for ts, states, spectra in _propagate_chunks(liou, rho, times):
-        table = np.column_stack((
-            ts, states.view(float).reshape(len(ts), -1),  # re, im of each entry
-            np.trace(states, axis1=1, axis2=2).real,
-            [dynamics.spectrum_entropy(w) for w in spectra.tolist()],
-            np.trace(states @ h, axis1=1, axis2=2).real))
-        print("\n".join(row_format % row for row in map(tuple, table.tolist())))
+    _print_table(header, (np.column_stack((
+        ts, states.view(float).reshape(len(ts), -1),  # re, im of each entry
+        np.trace(states, axis1=1, axis2=2).real,
+        [dynamics.spectrum_entropy(w) for w in spectra.tolist()],
+        np.trace(states @ h, axis1=1, axis2=2).real))
+        for ts, states, spectra in _propagate_chunks(liou, rho, times)))
     return 0
+
+
+def _with_complement(xs: List[float], p: np.ndarray) -> np.ndarray:
+    """The table of rows (x, p, 1 - p)."""
+    return np.column_stack((xs, p, 1.0 - p))
 
 
 def cmd_probabilities(args) -> int:
@@ -262,10 +279,9 @@ def cmd_probabilities(args) -> int:
     times = _time_grid(args.t_max, args.steps)
     # the phase grows with t, so t_max decides overflow for every row
     qubit.transition_probability(params, args.theta, args.t_max)
-    print("t,P_transition,P_surviving")
-    for t in times:
-        pt = qubit.transition_probability(params, args.theta, t)
-        print(f"{_fmt(t)},{_fmt(pt)},{_fmt(1.0 - pt)}")
+    _print_table(["t", "P_transition", "P_surviving"],
+                 (_with_complement(ts, qubit.transition_probability(params, args.theta, ts))
+                  for ts in _chunks(times)))
     return 0
 
 
@@ -313,10 +329,9 @@ def cmd_nu(args) -> int:
             raise CliError("--loe-range needs at least 2 points for lo < hi")
         # the phase grows with L/E, so hi decides overflow for every row
         neutrino.survival_at_l_over_e(params, hi)
-        print("L_over_E_km_per_GeV,P_survival,P_transition")
-        for x in _linspace(lo, hi, points):
-            p = neutrino.survival_at_l_over_e(params, x)
-            print(f"{_fmt(x)},{_fmt(p)},{_fmt(1.0 - p)}")
+        _print_table(["L_over_E_km_per_GeV", "P_survival", "P_transition"],
+                     (_with_complement(xs, neutrino.survival_at_l_over_e(params, xs))
+                      for xs in _chunks(_linspace(lo, hi, points))))
         return 0
     if args.baseline is None or args.energy is None:
         raise CliError("single-point mode needs both --L and --E")
@@ -324,8 +339,8 @@ def cmd_nu(args) -> int:
         if not math.isfinite(value):
             raise CliError(f"{flag} must be finite, got {value!r}")
     p = neutrino.survival_probability(params, args.baseline, args.energy)
-    print("L_km,E_GeV,P_survival,P_transition")
-    print(f"{_fmt(args.baseline)},{_fmt(args.energy)},{_fmt(p)},{_fmt(1.0 - p)}")
+    _print_table(["L_km", "E_GeV", "P_survival", "P_transition"],
+                 [np.array([[args.baseline, args.energy, p, 1.0 - p]])])
     return 0
 
 

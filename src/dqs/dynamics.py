@@ -215,7 +215,11 @@ def stationary_states(liouvillian: gks.GKSLiouvillian) -> StationaryFamily:
     zero = (linalg.zero_bound(liouvillian.hamiltonian, KERNEL_TOL)
             + linalg.zero_bound(liouvillian.kossakowski.matrix, KERNEL_TOL))
     null, left = linalg.null_spaces(liouvillian.bloch, zero)
-    y = null @ np.linalg.solve(left.T @ null, left[-1] / math.sqrt(n))
+    # R's last row is zero, so e_last is an exact left null vector, but W holds
+    # it only to about eps ||R|| / gap (Wedin): the trace coordinate is set to
+    # its exact 1/sqrt(N) by scaling, which P0 leaves alone in exact arithmetic
+    y = null @ np.linalg.solve(left.T @ null, left[-1])
+    y /= math.sqrt(n) * y[-1]
     # sum_j y_j G_j is V^T y read column-stacked, for each column y of K and for P0(I/N)
     mats = (np.vstack([null.T, y]) @ gks.gell_mann_rows(n)).reshape(-1, n, n).swapaxes(1, 2)
     return StationaryFamily(tuple(mats[:-1]), (DensityMatrix(mats[-1]),))

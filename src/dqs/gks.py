@@ -144,7 +144,7 @@ class KossakowskiMatrix:
         if m.shape != (k, k):
             raise ValueError(f"Kossakowski matrix must be {k} x {k} for dimension "
                              f"{self.dim}, got {m.shape}")
-        w, _ = linalg.hermitian_eigen(m)
+        w = linalg.hermitian_eigenvalues(m)
         if w.size and w[0] < -linalg.psd_bound(w):
             raise ValueError(f"Kossakowski matrix is not PSD: min eigenvalue {w[0]:.3e}")
         m = m.copy()
@@ -176,12 +176,15 @@ def _dissipator_superop(a: np.ndarray, basis: OperatorBasis) -> np.ndarray:
     S acts on column-stacked matrices and is linear in the (N^2-1)^2 matrix a.
     """
     n = basis.dim
+    k = n * n - 1
     f = np.stack(basis.traceless)
     g = np.einsum("ij,ikm->jkm", a, f)          # G_j = sum_i a_ij F_i
     p = np.einsum("jlk,jlm->km", f.conj(), g)   # sum_ij a_ij F_j^+ F_i
     eye = np.eye(n)
-    # vec(A X B) = (B^T kron A) vec(X); kron(A, B)[l n + k, q n + m] = A_lq B_km
-    s = (np.einsum("jlq,jkm->lkqm", f.conj(), g)
+    # vec(A X B) = (B^T kron A) vec(X); kron(A, B)[l n + k, q n + m] = A_lq B_km.
+    # The first term, sum_j conj(F_j)_lq G_j,km, is one product over j.
+    s = ((f.conj().reshape(k, n * n).T @ g.reshape(k, n * n))
+         .reshape(n, n, n, n).transpose(0, 2, 1, 3)
          - 0.5 * (np.einsum("lq,km->lkqm", eye, p)
                   + np.einsum("ql,km->lkqm", p, eye)))
     return s.reshape(n * n, n * n)

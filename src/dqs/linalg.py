@@ -129,6 +129,13 @@ def hermitian_eigen(a) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(hermitian_part(m))
 
 
+def hermitian_eigenvalues(a) -> np.ndarray:
+    """The eigenvalues w of ``hermitian_eigen``, by ``eigvalsh``: no eigenvectors are formed."""
+    m = as_matrix(a)
+    require_hermitian(m)
+    return np.linalg.eigvalsh(hermitian_part(m))
+
+
 # [6/6] diagonal Pade coefficients for exp(x): numerator sum c_j x^j,
 # denominator the same series in -x.
 _PADE6 = (1.0, 1.0 / 2.0, 5.0 / 44.0, 1.0 / 66.0,
@@ -239,7 +246,7 @@ def psd_bound(w: np.ndarray) -> np.ndarray:
 
 def is_psd(a) -> bool:
     """Whether a Hermitian matrix is positive semidefinite by the rule of ``psd_bound``."""
-    w, _ = hermitian_eigen(a)
+    w = hermitian_eigenvalues(a)
     return bool(w.size == 0 or w[0] >= -psd_bound(w))
 
 

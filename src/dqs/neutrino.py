@@ -11,7 +11,11 @@ Survival of the first flavor is
     P(L, E) = 1 - [1/2 - exp(-lambda_km * L) (1/2 - sin^2 phase)] sin^2(2 theta)
 
 which reduces to the familiar undamped formula at lambda_km = 0 and washes
-out to the incoherent average 1 - sin^2(2 theta)/2 at long baselines.
+out to the incoherent average 1 - sin^2(2 theta)/2 at long baselines.  It
+is the dephasing qubit's transition probability with splitting
+Delta = 2 PHASE_CONSTANT dm2 / E, time t = L and rate lambda_km, and it is
+evaluated in one place, ``qubit._transition``; only the fit keeps its own
+table of it (``_damped`` and the grid rows), for the slopes.
 
 Spectra are tabulated against x = L/E.  The damping factor depends on the
 baseline alone, so a pure L/E table cannot carry an independent baseline;
@@ -28,6 +32,8 @@ from itertools import islice, repeat
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
+
+from . import qubit
 
 # 1e-18 / (4 hbar c) with hbar = 6.582119e-25 GeV s and c = 2.99792458e5 km/s;
 # the 1e-18 converts eV^2 to GeV^2.
@@ -153,11 +159,12 @@ def oscillation_phase(dm2: float, baseline_km: float, energy_gev: float) -> floa
 
 def survival_probability(params: OscillationParams, baseline_km: float,
                          energy_gev: float) -> float:
-    phase = oscillation_phase(params.dm2, baseline_km, energy_gev)
-    if not math.isfinite(phase):
-        raise ValueError("oscillation phase overflows")
-    damped = 0.5 - math.exp(-params.lambda_km * baseline_km) * (0.5 - math.sin(phase) ** 2)
-    return 1.0 - damped * params.sin2_2theta
+    """Survival at one (L, E): 1 - ``qubit._transition`` with t = L and half the
+    splitting PHASE_CONSTANT dm2 / E."""
+    _check_range("energy", energy_gev)
+    _check_range("baseline", baseline_km)
+    return 1.0 - qubit._transition(PHASE_CONSTANT * params.dm2 / energy_gev, params.lambda_km,
+                                   params.theta, baseline_km)
 
 
 def survival_at_l_over_e(params: OscillationParams, l_over_e):
@@ -171,14 +178,7 @@ def survival_at_l_over_e(params: OscillationParams, l_over_e):
         raise ValueError(f"L/E must be finite, got {float(bad[0])!r}")
     if np.any(x < 0.0):
         raise ValueError("L/E must be nonnegative")
-    with np.errstate(over="ignore", invalid="ignore"):
-        phase = PHASE_CONSTANT * params.dm2 * x
-    if not np.isfinite(phase).all():
-        raise ValueError("oscillation phase overflows")
-    # an overflowing damping exponent is full damping, exp(-inf) = 0
-    with np.errstate(over="ignore"):
-        values = _model(x, params.dm2, params.theta, params.lambda_km)
-    return float(values) if values.ndim == 0 else values
+    return 1.0 - qubit._transition(PHASE_CONSTANT * params.dm2, params.lambda_km, params.theta, x)
 
 
 def _damped(x, dm2, lambda_km, slopes=False):
@@ -198,10 +198,6 @@ def _damped(x, dm2, lambda_km, slopes=False):
         return d
     xe = x * e
     return d, (2.0 * PHASE_CONSTANT) * xe * s * np.cos(phase), xe * h
-
-
-def _model(x, dm2, theta, lambda_km):
-    return 1.0 - _damped(x, dm2, lambda_km) * np.sin(2.0 * theta) ** 2
 
 
 # ------------------------------------------------------------------ spectrum IO

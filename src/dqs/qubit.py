@@ -81,17 +81,36 @@ def check_angle(theta: float) -> None:
         raise ValueError("mixing angle must lie in [0, pi/2]")
 
 
-def transition_probability(params: DispersiveQubitParams, theta: float, t: float) -> float:
-    """Probability that a system prepared in |x1> is found in |x2> at time t."""
+def transition_probability(params: DispersiveQubitParams, theta: float, t):
+    """Probability that a system prepared in |x1> is found in |x2> at time t.
+
+    t may be an array of times; the result is then an array of probabilities.
+    """
     check_angle(theta)
-    if not (t >= 0.0):
-        raise ValueError(f"time must be nonnegative, got {t!r}")
-    phase = 0.5 * params.delta * t
-    if not math.isfinite(phase):
-        raise ValueError("oscillation phase overflows")
-    damping = math.exp(-params.lam * t)
-    osc = math.sin(phase) ** 2
-    return (0.5 - damping * (0.5 - osc)) * math.sin(2.0 * theta) ** 2
+    times = np.asarray(t, dtype=float)
+    bad = times[~(times >= 0.0)]
+    if bad.size:
+        raise ValueError(f"time must be nonnegative, got {float(bad[0])!r}")
+    return _transition(0.5 * params.delta, params.lam, theta, times)
+
+
+def _transition(half_delta: float, lam: float, theta: float, t):
+    """[1/2 - exp(-lam t) (1/2 - sin^2(half_delta t))] sin^2(2 theta) at times t >= 0.
+
+    The one evaluation of the two-level formula, ``neutrino``'s spectra
+    included: elementwise in t, and a float for one t.  A phase that is not
+    finite is a ValueError; an overflowing damping exponent is full
+    damping, exp(-inf) = 0.
+    """
+    t = np.asarray(t, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = half_delta * t
+        if not np.isfinite(phase).all():
+            raise ValueError("oscillation phase overflows")
+        damping = np.exp(-lam * t)
+    s = np.sin(phase)  # s * s: a numpy scalar's s ** 2 is pow, which can differ in the last bit
+    p = (0.5 - damping * (0.5 - s * s)) * np.sin(2.0 * theta) ** 2
+    return float(p) if p.ndim == 0 else p
 
 
 def surviving_probability(params: DispersiveQubitParams, theta: float, t: float) -> float:

@@ -61,6 +61,35 @@ def random_liouvillian(rng, n, h_scale=0.5, a_scale=0.5):
     return gks.GKSLiouvillian(h, gks.KossakowskiMatrix(n, a), basis)
 
 
+def energy_balanced_model(rng, n, scale, turn=None):
+    """(H, a) of a dispersive generator whose jumps do not commute with H.
+
+    In H's eigenbasis, with levels h = scale sort(N(0, 1)^n), each of n jumps
+    takes an interior level l to one level lo below it and one level hi
+    above it: V = c_lo |lo><l| + c_hi |hi><l| with
+    |c_lo|^2 (h_l - h_lo) = |c_hi|^2 (h_hi - h_l), so that the energy one
+    branch takes the other gives back and D_H = 0.  The model is turned by
+    U, the Q of a complex Gaussian, and then by the unitary ``turn`` if one
+    is given; a = C C^+ with C_ik = tr(F_i^+ U V_k U^+) in the Gell-Mann
+    basis.  Needs n >= 3.
+    """
+    from dqs import gks
+
+    h = np.sort(rng.standard_normal(n)) * scale
+    u = np.linalg.qr(random_complex(rng, (n, n)))[0]
+    if turn is not None:
+        u = turn @ u
+    jumps = np.zeros((n, n, n))
+    for v in jumps:
+        level = rng.integers(1, n - 1)
+        lo, hi = rng.integers(0, level), rng.integers(level + 1, n)
+        v[hi, level] = rng.uniform(0.3, 1.0)
+        v[lo, level] = v[hi, level] * np.sqrt((h[hi] - h[level]) / (h[level] - h[lo]))
+    f = np.stack(gks.gell_mann_basis(n).traceless)
+    c = np.einsum("iab,kab->ik", f.conj(), u @ jumps @ u.conj().T)
+    return u @ np.diag(h) @ u.conj().T, c @ c.conj().T
+
+
 def vec(m):
     """Column-stacking vectorization, so vec(A X B) = (B^T (x) A) vec(X)."""
     return np.asarray(m, dtype=complex).reshape(-1, order="F")
@@ -118,6 +147,39 @@ def reference_superop(h, a, basis):
     return np.array(cols).T
 
 
+# The two-level formula P = [1/2 - exp(-lam t)(1/2 - sin^2(Delta t/2))] sin^2(2 theta)
+# written out three times, in the evaluation orders ``qubit`` and ``neutrino``
+# once used, as references that share no code with the library.
+
+def reference_transition(delta, lam, theta, t):
+    """The dephasing qubit's transition probability at one time, by ``math``."""
+    import math
+
+    phase = 0.5 * delta * t
+    damping = math.exp(-lam * t)
+    return (0.5 - damping * (0.5 - math.sin(phase) ** 2)) * math.sin(2.0 * theta) ** 2
+
+
+def reference_survival(dm2, theta, lambda_km, baseline_km, energy_gev):
+    """Two-flavor survival at one (L, E), by ``math``, with the phase C dm2 L / E."""
+    import math
+
+    from dqs.neutrino import PHASE_CONSTANT
+
+    phase = PHASE_CONSTANT * dm2 * baseline_km / energy_gev
+    damped = 0.5 - math.exp(-lambda_km * baseline_km) * (0.5 - math.sin(phase) ** 2)
+    return 1.0 - damped * math.sin(2.0 * theta) ** 2
+
+
+def reference_survival_rows(x, dm2, theta, lambda_km):
+    """Two-flavor survival on an L/E array at E = 1 GeV, by numpy; the
+    parameters broadcast against x, so that a column of levels gives a row each."""
+    from dqs.neutrino import PHASE_CONSTANT
+
+    damped = 0.5 - np.exp(-lambda_km * x) * (0.5 - np.sin(PHASE_CONSTANT * dm2 * x) ** 2)
+    return 1.0 - damped * np.sin(2.0 * theta) ** 2
+
+
 def reference_grid(x, p, w, merged, values, free, grid_points):
     """The brute-force coarse grid of ``neutrino.fit_parameters``.
 
@@ -128,7 +190,7 @@ def reference_grid(x, p, w, merged, values, free, grid_points):
     import itertools
     import math
 
-    from dqs.neutrino import PARAMETER_NAMES, _model
+    from dqs.neutrino import PARAMETER_NAMES
 
     values = dict(values)
     grids = {name: np.linspace(*merged[name], grid_points) for name in free}
@@ -143,7 +205,7 @@ def reference_grid(x, p, w, merged, values, free, grid_points):
         # overflowing phases and weights give NaN or inf rows; their numpy
         # warnings come from this reference, not from the fit under test
         with np.errstate(over="ignore", invalid="ignore"):
-            pred = _model(x, args["dm2"], args["theta"], args["lambda_km"])
+            pred = reference_survival_rows(x, args["dm2"], args["theta"], args["lambda_km"])
             r = pred - p
             sse_vec = (w * r * r).sum(axis=1)
         k = int(np.argmin(sse_vec))

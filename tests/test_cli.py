@@ -8,10 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dqs import cli, gks, linalg, neutrino
+from dqs import cli, gks, linalg, neutrino, qubit
 from dqs.models import bundled
 
-from helpers import random_hermitian, random_psd, reference_evolve, src_env, superop_of
+from helpers import (random_hermitian, random_psd, reference_evolve, reference_survival,
+                     src_env, superop_of)
 
 DISPERSIVE = str(bundled("dispersive_qubit.model"))
 DAMPED_X = str(bundled("damped_x.model"))
@@ -556,7 +557,51 @@ def test_probabilities_grid_near_the_float_maximum_stays_finite(capsys):
     assert all(a < b for a, b in zip(times, times[1:]))
 
 
+@pytest.mark.parametrize("delta, lam, theta, t_max, steps", [
+    ("5", "0", "0.39269908169872414", "20", "500"), ("5", "1", "0.4", "2", "700"),
+    ("0.01", "0.3", "1.2", "1000", "300"), ("1000", "0.001", "0", "50", "257"),
+    ("7", "0.5", "1.5707963267948966", "10000", "1000"),
+])
+def test_probabilities_rows_are_the_library_values(capsys, delta, lam, theta, t_max, steps):
+    # each chunk is one array evaluation, yet every row is the scalar value at
+    # its t bit for bit
+    code, out, err = run_cli(capsys, "probabilities", "--delta", delta, "--lam", lam,
+                             "--theta", theta, "--t-max", t_max, "--steps", steps)
+    assert (code, err) == (0, "")
+    rows = np.array(parse_csv(out)[1])
+    times, values = rows[:, 0], rows[:, 1]
+    params = qubit.DispersiveQubitParams(-0.5 * float(delta), 0.5 * float(delta), float(lam))
+    assert len(times) == int(steps) + 1
+    assert values.tolist() == [qubit.transition_probability(params, float(theta), t)
+                               for t in times.tolist()]
+    assert values.tolist() == qubit.transition_probability(params, float(theta), times).tolist()
+    assert (rows[:, 2] == 1.0 - values).all()
+
+
 # ------------------------------------------------------------------ nu
+
+@pytest.mark.parametrize("dm2, theta, lambda_km, loe_range", [
+    ("7.9e-5", "0.55", "5e-5", "0:36000:201"), ("2.5e-3", "0.6", "1e-3", "0:1000:201"),
+    ("1e-4", "0.3", "0", "10:20000:201"), ("2e-4", "1.3", "2e-4", "0:5e4:201"),
+])
+def test_nu_single_point_at_one_gev_prints_the_sweep_row(capsys, dm2, theta, lambda_km,
+                                                         loe_range):
+    # one formula: `nu --L x --E 1` prints the sweep's row at x, bit for bit,
+    # and the sweep stays within an eps of the math formula
+    common = ("nu", "--dm2", dm2, "--theta", theta, "--lambda-km", lambda_km)
+    code, out, err = run_cli(capsys, *common, "--loe-range", loe_range)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()[1:]
+    for line in lines:
+        x = line.split(",")[0]
+        code, single, err = run_cli(capsys, *common, "--L", x, "--E", "1")
+        assert (code, err) == (0, "")
+        assert single.splitlines()[1] == f"{x},1,{line.split(',', 1)[1]}"
+    rows = np.array([[float(cell) for cell in line.split(",")] for line in lines])
+    reference = [reference_survival(float(dm2), float(theta), float(lambda_km), x, 1.0)
+                 for x in rows[:, 0].tolist()]
+    assert np.abs(rows[:, 1] - reference).max() <= np.finfo(float).eps
+
 
 def test_nu_sweep_matches_formula(capsys):
     code, out, _ = run_cli(capsys, "nu", "--dm2", "7.9e-5", "--tan2theta", "0.40",

@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 
 from dqs import neutrino, qubit
 from dqs.neutrino import OscillationParams, Spectrum
-from helpers import reference_coordinate_polish, reference_grid, reference_grid_table
+from helpers import (reference_coordinate_polish, reference_grid, reference_grid_table,
+                     reference_survival, reference_survival_rows)
+
+EPS = np.finfo(float).eps
 
 THETA_04 = math.atan(math.sqrt(0.40))  # tan^2 theta = 0.40
 
@@ -104,6 +107,37 @@ def test_l_over_e_convention():
     assert np.all((values >= 0.0) & (values <= 1.0))
     with pytest.raises(ValueError, match="nonnegative"):
         neutrino.survival_at_l_over_e(params, -1.0)
+
+
+def random_points(seed, count):
+    """Parameters and (L, E) points spread over the reactor-to-accelerator range."""
+    g = np.random.default_rng(seed)
+    params = OscillationParams(g.uniform(1e-5, 3e-3), g.uniform(0.0, math.pi / 2.0),
+                               g.choice([0.0, g.uniform(0.0, 1e-3)]))
+    return params, g.uniform(0.0, 1.5e4, count), 10.0 ** g.uniform(-3.0, 1.0, count)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_single_point_survival_moves_by_at_most_two_eps_of_the_phase(seed):
+    # the phase is (C dm2 / E) L, where the math formula took (C dm2 L) / E:
+    # the two roundings move P by at most 2 eps max(1, phase)
+    params, baselines, energies = random_points(seed, 2000)
+    for L, E in zip(baselines.tolist(), energies.tolist()):
+        value = neutrino.survival_probability(params, L, E)
+        phase = neutrino.PHASE_CONSTANT * params.dm2 * L / E
+        reference = reference_survival(params.dm2, params.theta, params.lambda_km, L, E)
+        assert abs(value - reference) <= 2.0 * EPS * max(1.0, phase)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_survival_on_an_l_over_e_grid_is_the_single_point_value_at_one_gev(seed):
+    # one formula: x on the L/E grid and (L, E) = (x, 1) agree bit for bit,
+    # and the grid keeps the numpy formula's bits
+    params, x, _ = random_points(seed, 2000)
+    values = neutrino.survival_at_l_over_e(params, x)
+    assert values.tolist() == [neutrino.survival_probability(params, v, 1.0) for v in x.tolist()]
+    assert values.tolist() == reference_survival_rows(
+        x, params.dm2, params.theta, params.lambda_km).tolist()
 
 
 def test_octant_degeneracy_of_survival():
@@ -569,7 +603,7 @@ def test_grid_matches_brute_force_exactly(spectrum, options):
         spectrum, options.get("bounds"), options.get("fixed"))
     at = fit.grid_params
     with np.errstate(over="ignore"):
-        r = neutrino._model(x, at.dm2, at.theta, at.lambda_km) - p
+        r = neutrino.survival_at_l_over_e(at, x) - p
         assert fit.grid_sse == float(np.dot(w * r, r))
     _, want_sse = reference_grid(x, p, w, merged, values, free,
                                  options.get("grid_points", 41))
@@ -741,7 +775,7 @@ def test_polish_leaves_the_grid_node_when_every_weight_is_subnormal():
     x, p, w, *_ = _grid_setup(spectrum)
 
     def scaled_sse(at):
-        r = neutrino._model(x, at.dm2, at.theta, at.lambda_km) - p
+        r = neutrino.survival_at_l_over_e(at, x) - p
         return np.dot(w / w.max() * r, r)
 
     assert scaled_sse(fit.params) < scaled_sse(fit.grid_params)
@@ -868,5 +902,6 @@ def test_theta_only_fit_beats_a_fine_theta_scan():
     assert fit.cycles == 0
     assert fit.params.dm2 == truth.dm2 and fit.params.lambda_km == truth.lambda_km
     scan = np.linspace(0.0, math.pi / 2.0, 10001)
-    r = neutrino._model(x, truth.dm2, scan[:, None], truth.lambda_km) - p
+    d = neutrino._damped(x, truth.dm2, truth.lambda_km)
+    r = 1.0 - d * np.sin(2.0 * scan[:, None]) ** 2 - p
     assert fit.sse <= float(((w * r * r).sum(axis=1)).min())

@@ -5,6 +5,9 @@ from hypothesis import strategies as st
 
 from dqs import dynamics, gks, qubit
 from dqs.qubit import DispersiveQubitParams, QubitBloch
+from helpers import reference_transition
+
+EPS = np.finfo(float).eps
 
 
 def params(lam=1.0, delta=5.0):
@@ -148,6 +151,43 @@ def test_transition_probability_bounds(lam, delta, theta, t):
     p = params(lam, delta)
     value = qubit.transition_probability(p, theta, t)
     assert -1e-15 <= value <= 0.5 * np.sin(2 * theta) ** 2 * (1 + np.exp(-lam * t)) + 1e-12
+
+
+# (lam, delta, theta, t_max): slow and fast phases, no to strong damping, and
+# angles at both ends of [0, pi/2] and in between
+FORMULA_CASES = [(0.0, 5.0, np.pi / 8, 20.0), (1.0, 5.0, 0.4, 2.0), (0.3, 0.01, 1.2, 1e3),
+                 (2.0, 40.0, np.pi / 4, 3.0), (1e-3, 1e3, 0.0, 50.0), (0.5, 7.0, np.pi / 2, 1e4),
+                 (5.0, 1e-6, 0.7, 1e6)]
+
+
+@pytest.mark.parametrize("lam, delta, theta, t_max", FORMULA_CASES)
+def test_transition_probability_of_an_array_is_the_scalar_values(lam, delta, theta, t_max):
+    # one formula: the array evaluation gives each time's scalar value bit for bit
+    p = params(lam, delta)
+    times = np.linspace(0.0, t_max, 1001)
+    values = qubit.transition_probability(p, theta, times)
+    assert isinstance(values, np.ndarray) and values.shape == times.shape
+    assert values.tolist() == [qubit.transition_probability(p, theta, t) for t in times.tolist()]
+    assert type(qubit.transition_probability(p, theta, t_max)) is float
+
+
+@pytest.mark.parametrize("lam, delta, theta, t_max", FORMULA_CASES)
+def test_transition_probability_stays_within_an_eps_of_the_math_formula(lam, delta, theta, t_max):
+    # numpy's exp may differ from math's in the last bit, and s * s from pow's
+    # s ** 2: P moves by at most an eps
+    times = np.linspace(0.0, t_max, 1001)
+    values = qubit.transition_probability(params(lam, delta), theta, times)
+    reference = [reference_transition(delta, lam, theta, t) for t in times.tolist()]
+    assert np.abs(values - reference).max() <= EPS
+
+
+def test_transition_probability_names_the_first_bad_time():
+    p = params(1.0, 5.0)
+    for times, bad in (([0.0, -1.0, np.nan], "-1.0"), ([1.0, np.nan], "nan"), (-2.0, "-2.0")):
+        with pytest.raises(ValueError, match=f"^time must be nonnegative, got {bad}$"):
+            qubit.transition_probability(p, 0.4, times)
+    with pytest.raises(ValueError, match="^oscillation phase overflows$"):
+        qubit.transition_probability(p, 0.4, [1.0, 1e308])
 
 
 def test_expectation_constant_for_diagonal_observable():

@@ -3,7 +3,8 @@
 The seed-0 ``trajectory`` and ``nu-fit`` passes of the benchmark are hashed
 with ``scripts/stdout_digest.digest``, the function the script prints.
 ``dqs check`` and ``dqs lindblad`` on the two bundled models, ``dqs basis``
-at dimension 2 and ``dqs nu`` in both modes are compared whole, and
+at dimension 2, ``dqs nu`` in both modes and a six-row ``dqs probabilities``
+grid are compared whole, and
 ``dqs basis`` at dimensions 3 and 5 by the SHA-256 of what it prints.  The
 bench is loaded the way ``tests/test_bench_certify.py`` loads it.
 
@@ -25,7 +26,7 @@ from dqs.models import bundled
 ROOT = Path(__file__).resolve().parents[1]
 
 SEED_0_DIGESTS = {
-    "trajectory": "7a5c4efcf897d52e4edd8bb95b2d179a6a7ded6a33b8c3d18faf538210c5a16c",
+    "trajectory": "207b034da72540aa7c235bd2a0e32fe5133d967b10462a45c7e511f40869e09f",
     "nu-fit": "7fc042f57447aa50c21fdddfbefbdf4d2b770576221bead92dc302803f81e323",
 }
 
@@ -71,6 +72,16 @@ NU_OUTPUTS = {
                      "L_km,E_GeV,P_survival,P_transition\n"
                      "180,0.0040000000000000001,0.33884712675195383,0.66115287324804617\n"),
 }
+
+PROBABILITIES = (["--delta", "5", "--lam", "0.5", "--theta", "0.4",
+                  "--t-max", "2", "--steps", "5"],
+                 "t,P_transition,P_surviving\n"
+                 "0,0,1\n"
+                 "0.40000000000000002,0.34496509225919542,0.65503490774080464\n"
+                 "0.80000000000000004,0.37003593183720468,0.62996406816279538\n"
+                 "1.2,0.12171503285070352,0.87828496714929649\n"
+                 "1.6000000000000001,0.2741214725053438,0.7258785274946562\n"
+                 "2,0.33672247832263186,0.66327752167736809\n")
 
 MOVED = ("stdout changed. If this change means to alter what the CLI prints, "
          "declare it and edit the pinned value in the same change. A new host, "
@@ -127,6 +138,11 @@ def test_basis_stdout_digest_is_pinned(capsys, dimension):
     code, out = run_cli(capsys, "basis", "--dimension", str(dimension))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == BASIS_SHA256[dimension], MOVED
+
+
+def test_probabilities_stdout_is_pinned(capsys):
+    argv, expected = PROBABILITIES
+    assert run_cli(capsys, "probabilities", *argv) == (0, expected), MOVED
 
 
 @pytest.mark.parametrize("mode", sorted(NU_OUTPUTS))
