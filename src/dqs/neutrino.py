@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import islice
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -55,10 +55,6 @@ _MU_MIN = 1e-12
 
 # slack for survival probabilities that graze 0 or 1 through rounding
 _P_SLACK = 1e-9
-
-# spectrum CSV rows parsed at a time, so that the field strings of one block
-# are alive at once rather than those of the whole file
-_PARSE_BLOCK = 256
 
 
 _RANGE_CHECKS = {
@@ -149,14 +145,6 @@ class Spectrum:
         return self.p.size
 
 
-def oscillation_phase(dm2: float, baseline_km: float, energy_gev: float) -> float:
-    """PHASE_CONSTANT * dm2 * L / E, the argument of the oscillating sine."""
-    _check_range("energy", energy_gev)
-    _check_range("baseline", baseline_km)
-    _check_range("dm2", dm2)
-    return PHASE_CONSTANT * dm2 * baseline_km / energy_gev
-
-
 def survival_probability(params: OscillationParams, baseline_km: float,
                          energy_gev: float) -> float:
     """Survival at one (L, E): 1 - ``qubit._transition`` with t = L and half the
@@ -208,19 +196,19 @@ def read_spectrum_csv(path) -> Spectrum:
     Expected header: ``L_over_E_km_per_GeV,P_survival`` with an optional
     trailing ``weight`` column; without it every weight is 1.  Blank lines
     and lines starting with ``#`` are ignored, and so is a UTF-8 byte order
-    mark, which spreadsheet exports often write.  Each field is converted by
-    ``float``.  A malformed row raises ValueError naming the first bad line
-    in file order, whatever its fault: a wrong field count, a field that is
-    not a number, or a point that breaks the rule ``Spectrum`` applies.
-
-    The rows are parsed in one pass and checked as columns; only a file
-    that fails is gone through line by line, to find the line to name.
-    Lines are counted as file iteration counts them: by ``\\n`` after
+    mark, which spreadsheet exports often write.  Each field is read as
+    ``float`` reads it: numpy's C reader parses the data rows in one call,
+    with the correctly rounded routine ``float`` uses, and a file it
+    refuses, or whose points fail, goes through ``_read_lines``.  A
+    malformed row raises ValueError naming the first bad line in file
+    order, whatever its fault: a wrong field count, a field that is not a
+    number, or a point that breaks the rule ``Spectrum`` applies.  Lines
+    are counted as file iteration counts them: by ``\\n`` after
     universal-newline translation, so a form feed or U+2028 inside a line
     does not start a new one.
     """
     with open(path, "r", encoding="utf-8-sig") as fh:
-        lines = fh.read().split("\n")
+        lines = (text := fh.read()).split("\n")
     # the header and the data rows: every line not blank and no comment
     rows = [row for line in lines if (row := line.strip()) and row[0] != "#"]
     if not rows:
@@ -232,19 +220,18 @@ def read_spectrum_csv(path) -> Spectrum:
         raise ValueError(f"line {lineno}: unexpected header {rows[0]!r}")
     ncols = len(fields)
     del rows[0]
-    values = np.empty((len(rows), ncols))
     try:
-        if list(map(str.count, rows, repeat(","))).count(ncols - 1) != len(rows):
+        # loadtxt warns on no rows and, unlike float, skips the separators
+        # \x1c-\x1f; its comments="#" would cut a row at a mid-line '#'
+        if not rows or any(sep in text for sep in "\x1c\x1d\x1e\x1f"):
+            raise ValueError("left to the line pass")
+        values = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+        if values.shape != (len(rows), ncols):
             raise ValueError("wrong field count")
-        for k in range(0, len(rows), _PARSE_BLOCK):
-            block = rows[k:k + _PARSE_BLOCK]
-            values[k:k + len(block)] = np.fromiter(
-                map(float, ",".join(block).split(",")), dtype=float).reshape(-1, ncols)
         weight = values[:, 2] if ncols == 3 else np.ones(len(rows))
         return Spectrum(values[:, 0], values[:, 1], weight)
     except ValueError:
-        _raise_at_first_bad_line(lines, ncols)
-        raise
+        return Spectrum(*_read_lines(lines, ncols))
 
 
 def _content_lines(lines: List[str]) -> Iterator[Tuple[int, str]]:
@@ -255,22 +242,28 @@ def _content_lines(lines: List[str]) -> Iterator[Tuple[int, str]]:
             yield lineno, line
 
 
-def _raise_at_first_bad_line(lines: List[str], ncols: int) -> None:
-    """Raise ValueError naming the first bad data line, the one after the
-    header that breaks the row rule, if any."""
+def _read_lines(lines: List[str], ncols: int) -> np.ndarray:
+    """The columns (L/E, P, weight) of the data lines, read by ``float``; a
+    ValueError names the first line that breaks the row rule.  Fields lose
+    only spaces and tabs, as ``float`` refuses the \\x1c-\\x1f ``str.strip`` takes."""
+    linenos, points, problem = [], [], None
     for lineno, line in islice(_content_lines(lines), 1, None):
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) != ncols:
-            raise ValueError(f"line {lineno}: expected {ncols} fields, got {len(fields)}")
+        fields = [f.strip(" \t") for f in line.split(",")]
         try:
-            values = [float(f) for f in fields]
+            if len(fields) != ncols:
+                raise ValueError(f"expected {ncols} fields, got {len(fields)}")
+            points.append([float(f) for f in fields] + [1.0] * (3 - ncols))
         except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        # a missing weight column is a weight of 1
-        point = (values + [1.0])[:3]
-        fault = _first_fault(*np.array([point]).T)
-        if fault is not None:
-            raise ValueError(f"line {lineno}: {_POINT_RULE[fault[1]]}, got {point[fault[1]]!r}")
+            problem = f"line {lineno}: {exc}"
+            break
+        linenos.append(lineno)
+    columns = np.array(points).reshape(-1, 3).T
+    if (fault := _first_fault(*columns)) is not None:
+        point, col = fault
+        problem = f"line {linenos[point]}: {_POINT_RULE[col]}, got {float(columns[col, point])!r}"
+    if problem is not None:
+        raise ValueError(problem)
+    return columns
 
 
 # ------------------------------------------------------------------ fitting
@@ -301,21 +294,23 @@ class FitResult:
     jtj_cond: Optional[float] = None
 
 
-def _lm_min(f: Callable[[np.ndarray], tuple], start: np.ndarray, at_start: tuple,
-            lo: np.ndarray, hi: np.ndarray, tol: np.ndarray,
-            max_iterations: int) -> Tuple[np.ndarray, tuple, int, bool]:
+def _lm_min(f: Callable[[List[float]], tuple], start: List[float], at_start: tuple,
+            lo: List[float], hi: List[float], tol: List[float],
+            max_iterations: int) -> Tuple[List[float], tuple, int, bool]:
     """Box-projected Levenberg-Marquardt minimiser of a sum of squares in two
-    parameters.
+    parameters, in Python floats.
 
     f(beta) returns a tuple (value, g, m, rss, ...): the value minimised,
     and for a residual r whose sum of squares it is, up to a constant
-    factor and rounding, the gradient g = J^T r, m = J^T J and rss = r^T r;
-    ``at_start`` is f's tuple at ``start``.  Each iteration solves
+    factor and rounding, the gradient g = J^T r, m = J^T J as two rows and
+    rss = r^T r, all Python floats, as are beta, lo, hi and ``tol``: on two
+    coordinates they cost less than numpy calls, and round alike on any
+    BLAS.  ``at_start`` is f's tuple at ``start``.  Each iteration solves
     kappa (J^T J + mu diag(J^T J)) step = -g (Marquardt's scaling, so the
     step does not depend on the units of beta) over the free coordinates:
     one pinned by degenerate bounds (lo == hi), one on a bound whose
-    gradient points out of the box and one along which J vanishes all stay
-    where they are.  The trial point is beta + step clipped to [lo, hi].
+    gradient points out of the box and one along which J vanishes or is
+    not finite stay put.  The trial point is beta + step clipped to [lo, hi].
 
     A trial that lowers rss, and does not raise the value, is taken.  mu
     then follows the gain ratio rho, rss's actual decrease over the
@@ -323,7 +318,8 @@ def _lm_min(f: Callable[[np.ndarray], tuple], start: np.ndarray, at_start: tuple
     multiplied by max(1/3, 1 - (2 rho - 1)^3) (H. B. Nielsen,
     IMM-REP-1999-05), so that a step the model overrates shortens the next
     one.  Any other trial, a non-finite one included, is rejected and mu
-    grows, faster with each rejection in a row.
+    grows, faster with each rejection in a row.  No divisor is 0: a free
+    coordinate has 0 < m_kk < inf, and k^2 - c^2 > 0 since |c| <= 1 < k.
 
     With a large residual, J^T J can overrate the curvature of rss, and
     each Gauss-Newton step then falls short of the minimum by the same
@@ -345,34 +341,37 @@ def _lm_min(f: Callable[[np.ndarray], tuple], start: np.ndarray, at_start: tuple
     while iterations < max_iterations:
         iterations += 1
         value, g, m, rss = best[:4]
-        scale = np.sqrt(np.diag(m))
-        free = ((lo < hi) & (scale > 0.0) & np.isfinite(scale)
-                & ~(((beta <= lo) & (g > 0.0)) | ((beta >= hi) & (g < 0.0))))
+        free = [lo[k] < hi[k] and 0.0 < m[k][k] < math.inf and not (
+            beta[k] <= lo[k] and g[k] > 0.0 or beta[k] >= hi[k] and g[k] < 0.0) for k in (0, 1)]
         # in units of the columns of J, J^T J has unit diagonal and the
         # off-diagonal c; a fixed coordinate has c = 0 and no gradient
-        s = np.where(free, scale, 1.0)
-        gs = np.where(free, g / s, 0.0)
-        c = m[0, 1] / (s[0] * s[1]) if free.all() else 0.0
+        s = [math.sqrt(m[k][k]) if free[k] else 1.0 for k in (0, 1)]
+        gs = [g[k] / s[k] if free[k] else 0.0 for k in (0, 1)]
+        c = m[0][1] / (s[0] * s[1]) if all(free) else 0.0
 
         def solve(k):
             """[[k, c], [c, k]]^-1 gs."""
-            return np.array([k * gs[0] - c * gs[1], k * gs[1] - c * gs[0]]) / (k * k - c * c)
+            det = k * k - c * c
+            return [(k * gs[0] - c * gs[1]) / det, (k * gs[1] - c * gs[0]) / det]
 
-        if gs @ solve(1.0 + _MU_MIN) <= 1e-13 * rss:
+        if sum(a * b for a, b in zip(gs, solve(1.0 + _MU_MIN))) <= 1e-13 * rss:
             return beta, best, iterations, True
-        step = solve(1.0 + mu) / kappa
-        trial = np.clip(beta - step / s, lo, hi)
-        if (np.abs(trial - beta) <= tol).all():
+        step = [v / kappa for v in solve(1.0 + mu)]
+        # min and max keep a NaN, as np.clip does, so that f rejects it
+        trial = [min(max(beta[k] - step[k] / s[k], lo[k]), hi[k]) for k in (0, 1)]
+        if all(abs(trial[k] - beta[k]) <= tol[k] for k in (0, 1)):
             return beta, best, iterations, True
         out = f(trial)
         if out[3] < rss and out[0] <= value:
             # the model promises 2 step.gs - kappa step^T C step, C being the
             # scaled J^T J, which (C + mu) kappa step = gs turns into this sum
-            drop, promised = rss - out[3], step @ gs + kappa * mu * (step @ step)
+            drop = rss - out[3]
+            promised = sum(a * b for a, b in zip(step, gs)) + kappa * mu * sum(v * v for v in step)
             rho = drop / promised if drop < promised else 1.0
-            h = trial - beta
-            met, modelled = h @ (out[1] - g), h @ m @ h
-            one_axis = np.count_nonzero(h) == 1
+            h = [trial[k] - beta[k] for k in (0, 1)]
+            met = sum(h[k] * (out[1][k] - g[k]) for k in (0, 1))
+            modelled = sum((h[0] * m[0][k] + h[1] * m[1][k]) * h[k] for k in (0, 1))
+            one_axis = (h[0] != 0.0) != (h[1] != 0.0)
             kappa = (max(met, 0.1 * modelled) / modelled
                      if one_axis and 0.0 < modelled and met < modelled else 1.0)
             beta, best = trial, out
@@ -382,12 +381,11 @@ def _lm_min(f: Callable[[np.ndarray], tuple], start: np.ndarray, at_start: tuple
     return beta, best, iterations, False
 
 
-def _jtj_condition(m: np.ndarray, widths: np.ndarray) -> float:
+def _jtj_condition(m: List[List[float]], widths: List[float]) -> float:
     """cond(J^T J) of two parameters in coordinates scaled by ``widths``: inf
     when it is singular or out of float range, never NaN."""
-    s = widths / widths.max()
-    a, b, c = (float(v) for v in (m[0, 0] * s[0] * s[0], m[1, 1] * s[1] * s[1],
-                                   m[0, 1] * s[0] * s[1]))
+    s = [v / max(widths) for v in widths]
+    a, b, c = m[0][0] * s[0] * s[0], m[1][1] * s[1] * s[1], m[0][1] * s[0] * s[1]
     det = a * b - c * c
     if not (math.isfinite(a) and math.isfinite(b) and det > 0.0):
         return math.inf
@@ -582,15 +580,16 @@ def fit_parameters(data: Spectrum,
     ws = w / w.max()
     wsq = ws * q
 
-    def profiled(beta: np.ndarray) -> tuple:
+    def profiled(beta: List[float]) -> tuple:
         """The SSE at (dm2, lambda_km) = beta and its best theta, with J^T r,
-        J^T J and r^T r of the profiled residual r weighted by ws."""
+        J^T J and r^T r of the profiled residual r weighted by ws, as floats."""
         with np.errstate(over="ignore", invalid="ignore"):
             d, t, r, jac = _profiled_residual(x, q, ws, wsq, t_range, beta[0], beta[1])
             wr = ws * r
             theta = _theta_for(t, theta_lo, theta_hi)
             res = 1.0 - d * np.sin(2.0 * theta) ** 2 - p
-            return float(np.dot(w * res, res)), jac @ wr, (jac * ws) @ jac.T, np.dot(wr, r), theta
+            return (float(np.dot(w * res, res)), (jac @ wr).tolist(),
+                    ((jac * ws) @ jac.T).tolist(), float(np.dot(wr, r)), theta)
 
     # a pinned parameter has an axis of length 1
     levels = {name: np.linspace(*merged[name], grid_points if name in free else 1)
@@ -605,18 +604,19 @@ def fit_parameters(data: Spectrum,
     values["dm2"] = float(levels["dm2"][i])
     values["lambda_km"] = float(levels["lambda_km"][j])
 
-    lo, hi = (np.array([merged[n][k] for n in ("dm2", "lambda_km")]) for k in (0, 1))
-    beta = np.array([values["dm2"], values["lambda_km"]])
+    lo, hi = ([merged[n][k] for n in ("dm2", "lambda_km")] for k in (0, 1))
+    widths = [b - a for a, b in zip(lo, hi)]
+    beta = [values["dm2"], values["lambda_km"]]
     at_grid = profiled(beta)
     grid_sse, values["theta"] = at_grid[0], at_grid[4]
     grid_params = OscillationParams(**values)
     cur_sse, cycles, converged, jtj_cond = grid_sse, 0, True, None
     if free:
         beta, (cur_sse, _, jtj, _, values["theta"]), cycles, converged = _lm_min(
-            profiled, beta, at_grid, lo, hi, 1e-10 * (hi - lo), max_cycles)
-        values.update(dm2=float(beta[0]), lambda_km=float(beta[1]))
+            profiled, beta, at_grid, lo, hi, [1e-10 * v for v in widths], max_cycles)
+        values.update(dm2=beta[0], lambda_km=beta[1])
         if len(free) == 2:
-            jtj_cond = _jtj_condition(jtj, hi - lo)
+            jtj_cond = _jtj_condition(jtj, widths)
 
     return FitResult(params=OscillationParams(**values), sse=cur_sse,
                      converged=converged, cycles=cycles,

@@ -335,6 +335,60 @@ def reference_coordinate_polish(spectrum, bounds, start, grid_points=41, max_cyc
                               grid_params=grid_params, grid_sse=grid_sse)
 
 
+def reference_lm_min(f, start, at_start, lo, hi, tol, max_iterations):
+    """``neutrino._lm_min`` in the numpy form it once had, as a reference.
+
+    The same box-projected Levenberg-Marquardt iteration on ndarrays: f
+    returns (value, g, m, rss, ...) with g and m as arrays, and beta, lo,
+    hi and ``tol`` are arrays of two.  Its products of two go through
+    numpy's ``@``, so they may round differently from the library's
+    float arithmetic in the last bit.
+    """
+    from dqs.neutrino import _MU_MIN
+
+    beta, best = start, at_start
+    mu, grow, kappa = 1e-3, 2.0, 1.0
+    iterations = 0
+    while iterations < max_iterations:
+        iterations += 1
+        value, g, m, rss = best[:4]
+        scale = np.sqrt(np.diag(m))
+        free = ((lo < hi) & (scale > 0.0) & np.isfinite(scale)
+                & ~(((beta <= lo) & (g > 0.0)) | ((beta >= hi) & (g < 0.0))))
+        # in units of the columns of J, J^T J has unit diagonal and the
+        # off-diagonal c; a fixed coordinate has c = 0 and no gradient
+        s = np.where(free, scale, 1.0)
+        gs = np.where(free, g / s, 0.0)
+        c = m[0, 1] / (s[0] * s[1]) if free.all() else 0.0
+
+        def solve(k):
+            """[[k, c], [c, k]]^-1 gs."""
+            return np.array([k * gs[0] - c * gs[1], k * gs[1] - c * gs[0]]) / (k * k - c * c)
+
+        if gs @ solve(1.0 + _MU_MIN) <= 1e-13 * rss:
+            return beta, best, iterations, True
+        step = solve(1.0 + mu) / kappa
+        trial = np.clip(beta - step / s, lo, hi)
+        if (np.abs(trial - beta) <= tol).all():
+            return beta, best, iterations, True
+        out = f(trial)
+        if out[3] < rss and out[0] <= value:
+            # the model promises 2 step.gs - kappa step^T C step, C being the
+            # scaled J^T J, which (C + mu) kappa step = gs turns into this sum
+            drop, promised = rss - out[3], step @ gs + kappa * mu * (step @ step)
+            rho = drop / promised if drop < promised else 1.0
+            h = trial - beta
+            met, modelled = h @ (out[1] - g), h @ m @ h
+            one_axis = np.count_nonzero(h) == 1
+            kappa = (max(met, 0.1 * modelled) / modelled
+                     if one_axis and 0.0 < modelled and met < modelled else 1.0)
+            beta, best = trial, out
+            mu, grow = max(mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), _MU_MIN), 2.0
+        else:
+            mu, grow = mu * grow, grow * 2.0
+    return beta, best, iterations, False
+
+
 def reference_evolve(liouvillian, rho, times):
     """``dqs evolve``'s output built one row at a time, as (exit code, stdout, stderr).
 

@@ -762,10 +762,13 @@ def test_nu_fit_accepts_a_byte_order_mark(capsys, tmp_path):
 
 def test_nu_fit_header_only_is_an_error(capsys, tmp_path):
     data = tmp_path / "empty.csv"
-    data.write_text("L_over_E_km_per_GeV,P_survival\n")
-    code, _, err = run_cli(capsys, "nu-fit", str(data))
-    assert code == 2
-    assert "no spectrum points" in err
+    # a header alone, and a header among comments and blank lines
+    for text in ("L_over_E_km_per_GeV,P_survival\n",
+                 "# a spectrum\nL_over_E_km_per_GeV,P_survival,weight\n# no points yet\n\n"):
+        data.write_text(text)
+        code, out, err = run_cli(capsys, "nu-fit", str(data))
+        assert (code, out) == (2, "")
+        assert "no spectrum points to fit" in err
 
 
 def test_nu_fit_without_header_names_the_file_once(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from dqs import neutrino, qubit
 from dqs.neutrino import OscillationParams, Spectrum
 from helpers import (reference_coordinate_polish, reference_grid, reference_grid_table,
-                     reference_survival, reference_survival_rows)
+                     reference_lm_min, reference_survival, reference_survival_rows)
 
 EPS = np.finfo(float).eps
 
@@ -29,31 +30,23 @@ def test_phase_constant_against_hbar_c():
     assert neutrino.PHASE_CONSTANT == pytest.approx(1.2669327886587591, abs=0.0)
 
 
-def test_oscillation_phase_scaling():
-    base = neutrino.oscillation_phase(7.9e-5, 180.0, 0.005)
-    assert base == pytest.approx(neutrino.PHASE_CONSTANT * 7.9e-5 * 180.0 / 0.005,
-                                 rel=1e-15)
-    assert neutrino.oscillation_phase(7.9e-5, 360.0, 0.01) == pytest.approx(base)
-    with pytest.raises(ValueError, match="positive"):
-        neutrino.oscillation_phase(7.9e-5, 180.0, 0.0)
-    with pytest.raises(ValueError, match="nonnegative"):
-        neutrino.oscillation_phase(7.9e-5, -1.0, 1.0)
-
-
 @pytest.mark.parametrize("dm2, message", [
     (math.nan, "dm2 must be finite, got nan"),
     (math.inf, "dm2 must be finite, got inf"),
     (-1.0, "dm2 must be positive, got -1.0"),
     (0.0, "dm2 must be positive, got 0.0"),
 ])
-def test_oscillation_phase_checks_dm2(dm2, message):
+def test_params_check_dm2(dm2, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        neutrino.oscillation_phase(dm2, 180.0, 0.005)
-    # the energy and the baseline are checked first
-    with pytest.raises(ValueError, match="^energy must be positive"):
-        neutrino.oscillation_phase(dm2, 180.0, 0.0)
-    with pytest.raises(ValueError, match="^baseline must be nonnegative"):
-        neutrino.oscillation_phase(dm2, -1.0, 0.005)
+        OscillationParams(dm2, 0.5)
+
+
+def test_survival_probability_checks_the_energy_before_the_baseline():
+    params = OscillationParams(7.9e-5, THETA_04)
+    with pytest.raises(ValueError, match="^energy must be positive, got 0.0$"):
+        neutrino.survival_probability(params, -1.0, 0.0)
+    with pytest.raises(ValueError, match="^baseline must be nonnegative, got -1.0$"):
+        neutrino.survival_probability(params, -1.0, 0.005)
 
 
 def test_params_validation():
@@ -304,7 +297,91 @@ def test_read_spectrum_csv_counts_lines_as_file_iteration_does(tmp_path):
         neutrino.read_spectrum_csv(path)
 
 
-_BLOCK = neutrino._PARSE_BLOCK
+def _float_columns(rows):
+    """Each column of rows of field strings, read by float() field by field."""
+    return [np.array([float(f) for f in column]) for column in zip(*rows)]
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("style", ["repr", "%.17g"])
+def test_c_parse_reads_the_bits_float_reads(tmp_path, monkeypatch, style):
+    # numpy's C reader and float() round alike, down to the sign of zero,
+    # on subnormals, values near the ends of the float range, 17-digit
+    # values and probabilities at the edges of the point rule's slack
+    g = np.random.default_rng(7)
+    sizes = ([0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e300,
+              1.7976931348623157e308] + (10.0 ** g.uniform(-300, 300, 40)).tolist()
+             + g.uniform(0.0, 3.6e4, 40).tolist())
+    probabilities = ([0.0, -0.0, 1.0, 5e-324, 1e-300, -1e-9, 1.0 + 1e-9,
+                      np.nextafter(1.0, 0.0), np.nextafter(0.0, 1.0)]
+                     + g.uniform(0.0, 1.0, len(sizes) - 9).tolist())
+    fmt = repr if style == "repr" else (lambda v: "%.17g" % v)
+    rows = [[fmt(float(v)) for v in point]
+            for point in zip(sizes, probabilities, g.permutation(sizes))]
+    path = tmp_path / "bits.csv"
+    path.write_text("L_over_E_km_per_GeV,P_survival,weight\n"
+                    + "".join(",".join(row) + "\n" for row in rows))
+
+    def no_line_pass(lines, ncols):
+        raise AssertionError("the C parse refused a file float() reads")
+
+    monkeypatch.setattr(neutrino, "_read_lines", no_line_pass)
+    spectrum = neutrino.read_spectrum_csv(path)
+    for got, want in zip((spectrum.l_over_e, spectrum.p, spectrum.weight), _float_columns(rows)):
+        assert np.array_equal(got, want) and _same_bits(got, want)
+
+
+@pytest.mark.parametrize("loe, p", [("١٢", "0.5"), ("12", "1_0e-2"), (" 1_2 ", "\u0660.5")],
+                         ids=["arabic-indic-loe", "underscore-p", "both"])
+def test_fields_only_float_reads_go_through_the_line_pass(tmp_path, monkeypatch, loe, p):
+    # numpy's C reader refuses underscores and non-ASCII digits, which
+    # float() reads; the line pass reads them instead
+    line_pass = neutrino._read_lines
+    calls = []
+    monkeypatch.setattr(neutrino, "_read_lines",
+                        lambda lines, ncols: calls.append(ncols) or line_pass(lines, ncols))
+    rows = [["0.0", "1.0"], [loe, p], ["360.0", "0.25"]]
+    path = tmp_path / "float-only.csv"
+    path.write_text("L_over_E_km_per_GeV,P_survival\n"
+                    + "".join(",".join(row) + "\n" for row in rows))
+    spectrum = neutrino.read_spectrum_csv(path)
+    assert calls == [2]
+    for got, want in zip((spectrum.l_over_e, spectrum.p), _float_columns(rows)):
+        assert _same_bits(got, want)
+    assert np.array_equal(spectrum.weight, np.ones(3))
+
+
+@pytest.mark.parametrize("row, field", [("2.0\x1c,0.5", "2.0\x1c"), ("2.0,\x1f0.5", "\x1f0.5")])
+def test_reader_refuses_the_separators_float_refuses(tmp_path, row, field):
+    # numpy's C reader skips the ASCII separators \x1c-\x1f around a field,
+    # as str.strip does, but float() refuses them, and so does the reader;
+    # at either end of a line they are stripped with the line
+    path = tmp_path / "separator.csv"
+    path.write_text(f"L_over_E_km_per_GeV,P_survival\n1.0,0.5\n{row}\n")
+    message = f"^line 3: could not convert string to float: {re.escape(repr(field))}$"
+    with pytest.raises(ValueError, match=message):
+        neutrino.read_spectrum_csv(path)
+
+
+@pytest.mark.parametrize("text", [
+    "L_over_E_km_per_GeV,P_survival\n",
+    "# a spectrum\nL_over_E_km_per_GeV,P_survival,weight\n\n# no points yet\n   \n",
+], ids=["header-only", "header-and-comments"])
+def test_reader_returns_an_empty_spectrum_without_a_warning(tmp_path, text):
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spectrum = neutrino.read_spectrum_csv(path)
+    assert len(spectrum) == 0
+    for column in (spectrum.l_over_e, spectrum.p, spectrum.weight):
+        assert column.shape == (0,) and column.dtype == float
+
+
+_BLOCK = 256
 _THIRD_BLOCK_ROW = 2 * _BLOCK + 18
 _SECOND_BLOCK_ROW = _BLOCK + 44
 
@@ -319,7 +396,8 @@ _SECOND_BLOCK_ROW = _BLOCK + 44
      "expected 3 fields, got 2$"),
 ], ids=["short-third-block", "not-a-number-third-block", "point-third-block", "balanced-block"])
 def test_reader_names_the_first_bad_line_beyond_the_first_block(tmp_path, bad, message):
-    # 2 * _PARSE_BLOCK + 88 rows, parsed in three blocks; line 1 is the header
+    # 2 * _BLOCK + 88 rows, so that the bad lines lie far past the first; line 1
+    # is the header
     rows = [f"{60.0 * k!r},0.5,1.0" for k in range(2 * _BLOCK + 88)]
     for k, text in bad.items():
         rows[k] = text
@@ -762,6 +840,44 @@ def test_polish_converges_within_the_cycle_limit(seed, fixed):
     fit = neutrino.fit_parameters(_random_spectrum(seed), fixed=fixed)
     assert fit.converged
     assert fit.sse <= fit.grid_sse
+
+
+def _as_arrays(out):
+    """f's tuple with g and m as arrays, the form ``reference_lm_min`` reads."""
+    value, g, m, rss, *rest = out
+    return (value, np.array(g), np.array(m), rss, *rest)
+
+
+def _within_4_ulp(a, b):
+    return a == b or abs(a - b) <= 4.0 * math.ulp(max(abs(a), abs(b)))
+
+
+def test_polish_matches_the_numpy_reference(monkeypatch):
+    # the polish in Python floats takes the numpy polish's decisions, and
+    # lands where it does up to the last bits of its products of two
+    library = neutrino._lm_min
+    pairs = []
+
+    def both(f, start, at_start, lo, hi, tol, max_iterations):
+        got = library(f, start, at_start, lo, hi, tol, max_iterations)
+        want = reference_lm_min(lambda beta: _as_arrays(f(beta.tolist())), np.array(start),
+                                _as_arrays(at_start), np.array(lo), np.array(hi),
+                                np.array(tol), max_iterations)
+        pairs.append((got, want))
+        return got
+
+    monkeypatch.setattr(neutrino, "_lm_min", both)
+    for seed in range(300):
+        spectrum = _random_spectrum(seed)
+        for options in _GRID_OPTIONS:
+            neutrino.fit_parameters(spectrum, **options)
+    assert len(pairs) == 300 * len(_GRID_OPTIONS)
+    for (beta, best, cycles, converged), (want_beta, want_best, want_cycles,
+                                          want_converged) in pairs:
+        assert (cycles, converged) == (want_cycles, want_converged)
+        for got, want in zip([*beta, best[0], best[4]],
+                             [*want_beta.tolist(), want_best[0], want_best[4]]):
+            assert _within_4_ulp(got, want)
 
 
 def test_polish_leaves_the_grid_node_when_every_weight_is_subnormal():
