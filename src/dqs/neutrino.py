@@ -56,6 +56,9 @@ _MU_MIN = 1e-12
 # slack for survival probabilities that graze 0 or 1 through rounding
 _P_SLACK = 1e-9
 
+# the whitespace float() strips from a field: str.strip's but \x1c-\x1f
+_FIELD_SPACE = "\t\v\f \x85\xa0\u1680\u2028\u2029\u202f\u205f\u3000" + "".join(map(chr, range(0x2000, 0x200b)))
+
 
 _RANGE_CHECKS = {
     "dm2": (lambda v: v > 0.0, "positive"),
@@ -244,11 +247,10 @@ def _content_lines(lines: List[str]) -> Iterator[Tuple[int, str]]:
 
 def _read_lines(lines: List[str], ncols: int) -> np.ndarray:
     """The columns (L/E, P, weight) of the data lines, read by ``float``; a
-    ValueError names the first line that breaks the row rule.  Fields lose
-    only spaces and tabs, as ``float`` refuses the \\x1c-\\x1f ``str.strip`` takes."""
+    ValueError names the first line that breaks the row rule."""
     linenos, points, problem = [], [], None
     for lineno, line in islice(_content_lines(lines), 1, None):
-        fields = [f.strip(" \t") for f in line.split(",")]
+        fields = [f.strip(_FIELD_SPACE) for f in line.split(",")]
         try:
             if len(fields) != ncols:
                 raise ValueError(f"expected {ncols} fields, got {len(fields)}")
@@ -570,9 +572,7 @@ def fit_parameters(data: Spectrum,
 
     theta_lo, theta_hi = merged["theta"]
     ends = (math.sin(2.0 * theta_lo) ** 2, math.sin(2.0 * theta_hi) ** 2)
-    t_lo = min(ends)
-    t_hi = 1.0 if theta_lo <= math.pi / 4.0 <= theta_hi else max(ends)
-    t_range = (t_lo, t_hi)
+    t_range = (min(ends), 1.0 if theta_lo <= math.pi / 4.0 <= theta_hi else max(ends))
 
     # A/B is computed with the weights scaled to a maximum of 1, so that
     # neither huge nor subnormal weights overflow or underflow

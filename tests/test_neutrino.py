@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -364,6 +365,27 @@ def test_reader_refuses_the_separators_float_refuses(tmp_path, row, field):
     message = f"^line 3: could not convert string to float: {re.escape(repr(field))}$"
     with pytest.raises(ValueError, match=message):
         neutrino.read_spectrum_csv(path)
+
+
+def test_field_space_is_the_whitespace_float_strips():
+    # a line holds no \n or \r; float() refuses \x1c-\x1f, which str.strip takes
+    space = {c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()}
+    assert set(neutrino._FIELD_SPACE) == space - set("\n\r\x1c\x1d\x1e\x1f")
+    for c in neutrino._FIELD_SPACE:
+        assert float(f"{c}2.5{c}") == 2.5
+
+
+@pytest.mark.parametrize("pad", ["\v", "\f", "\x85", "\xa0", " ", "　"])
+def test_reader_names_a_padded_field_without_its_padding(tmp_path, pad):
+    # float() reads a number padded with any whitespace but \x1c-\x1f, and a
+    # field that is no number is named stripped, whichever pass reads it
+    path = tmp_path / "padded.csv"
+    path.write_text(f"L_over_E_km_per_GeV,P_survival\n{pad}2.5{pad},0.5\n")
+    assert neutrino.read_spectrum_csv(path).l_over_e.tolist() == [2.5]
+    for row in (f"{pad}abc{pad},0.5", f"{pad}1_0{pad},{pad}abc{pad}"):
+        path.write_text(f"L_over_E_km_per_GeV,P_survival\n1.0,0.5\n{row}\n")
+        with pytest.raises(ValueError, match="^line 3: could not convert string to float: 'abc'$"):
+            neutrino.read_spectrum_csv(path)
 
 
 @pytest.mark.parametrize("text", [
