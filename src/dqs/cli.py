@@ -148,7 +148,13 @@ def cmd_check(args) -> int:
     linalg.require_tolerance(tol)
     model = load_model(args.model)
     h, a = model.hamiltonian, model.kossakowski
-    w = linalg.hermitian_eigenvalues(linalg.hermitian_part(a))
+    try:
+        liou, error = build_liouvillian(model), None
+    except ValueError as exc:
+        liou, error = None, exc
+    # KossakowskiMatrix has decomposed a valid a; only an invalid one is decomposed here
+    w = (liou.kossakowski.spectrum if liou is not None
+         else linalg.hermitian_eigenvalues(linalg.hermitian_part(a)))
     print(f"dimension={model.dimension}")
     print("basis=gell-mann")
     print(f"hamiltonian_hermiticity_defect={_fmt(linalg.hermiticity_defect(h))}")
@@ -157,11 +163,9 @@ def cmd_check(args) -> int:
     print(f"hamiltonian_trace_re={_fmt(trace_re)}")
     print(f"kossakowski_hermiticity_defect={_fmt(linalg.hermiticity_defect(a))}")
     print(f"kossakowski_min_eigenvalue={_fmt(w[0])}")
-    try:
-        liou = build_liouvillian(model)
-    except ValueError as exc:
+    if error is not None:
         print("valid=false")
-        print(f"error={exc}")
+        print(f"error={error}")
         return 2
     print("valid=true")
     verdict = gks.is_dispersive(liou, tol=tol)

@@ -79,17 +79,18 @@ def _bloch_frame(n: int):
 def propagate_many(liouvillian: gks.GKSLiouvillian, rho, times):
     """The states exp(t L) rho for successive times t, as one (k, N, N) stack.
 
-    Each state takes one ``expm`` of the real Bloch generator
-    (``GKSLiouvillian.bloch``, in the coordinates of ``_bloch_frame``) times
-    the coordinates of rho.  The stack is rebuilt from those coordinates
-    entry by entry, so each state's bits do not depend on how many others
-    share the call: off-diagonal entries are the coordinates themselves,
-    mirrored as exact conjugates, and the diagonal is rho's plus the change
-    of the diagonal coordinates.  So every state is Hermitian and a time
-    whose coordinates did not move (t = 0) gives rho's Hermitian part back
-    bit for bit.  Returns (states, error): states for the longest prefix of
-    times that propagated, and the ValueError of the time after it, or None.
-    A negative, infinite or NaN time is such a failing time.
+    Each state takes one time check and one ``expm`` of the real Bloch
+    generator (``GKSLiouvillian.bloch``, in the coordinates of
+    ``_bloch_frame``), whose product with the coordinates of rho ``np.dot``
+    writes straight into the state's row.  The stack is rebuilt from those
+    coordinates entry by entry, so each state's bits do not depend on how
+    many others share the call: off-diagonal entries are the coordinates
+    themselves, mirrored as exact conjugates, and the diagonal is rho's plus
+    the change of the diagonal coordinates.  So every state is Hermitian and
+    a time whose coordinates did not move (t = 0) gives rho's Hermitian part
+    back bit for bit.  Returns (states, error): states for the longest prefix
+    of times that propagated, and the ValueError of the time after it, or
+    None.  A negative, infinite or NaN time is such a failing time.
     """
     h0 = linalg.hermitian_part(_density(rho).matrix)
     n = liouvillian.dim
@@ -102,13 +103,12 @@ def propagate_many(liouvillian: gks.GKSLiouvillian, rho, times):
     y0 = np.concatenate([h0.real[cols, rows], h0.imag[cols, rows], levels @ p0])
     times = list(times)
     ys, error = np.empty((len(times), n * n)), None
-    for k, t in enumerate(times):
-        try:
+    try:
+        for k, t in enumerate(times):
             _require_time(t, "propagation time")
-            ys[k] = linalg.expm(gen, scale=t) @ y0
-        except ValueError as exc:
-            ys, error = ys[:k], exc
-            break
+            np.dot(linalg.expm(gen, scale=t), y0, out=ys[k])
+    except ValueError as exc:
+        ys, error = ys[:k], exc
     states = np.empty((len(ys), n, n), dtype=complex)
     re, im = ys[:, :pairs], ys[:, pairs:2 * pairs]
     states.real[:, cols, rows] = states.real[:, rows, cols] = re

@@ -133,10 +133,15 @@ def gell_mann_rows(n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class KossakowskiMatrix:
-    """Hermitian PSD coefficient matrix of a dissipator, shape (N^2-1)^2."""
+    """Hermitian PSD coefficient matrix of a dissipator, shape (N^2-1)^2.
+
+    The ascending eigenvalues of its Hermitian part, which decide PSD at
+    construction, are kept as ``spectrum``.  Both arrays are read-only.
+    """
 
     dim: int
     matrix: np.ndarray
+    spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         k = self.dim * self.dim - 1
@@ -149,7 +154,9 @@ class KossakowskiMatrix:
             raise ValueError(f"Kossakowski matrix is not PSD: min eigenvalue {w[0]:.3e}")
         m = m.copy()
         m.flags.writeable = False
+        w.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "spectrum", w)
 
 
 def _hamiltonian(hamiltonian, basis: OperatorBasis) -> np.ndarray:

@@ -154,13 +154,15 @@ def expm(a, scale: float = 1.0) -> np.ndarray:
     The argument is halved until its 1-norm is at most 0.5, the [6/6]
     diagonal Pade approximant is evaluated there, and the result is squared
     back up.  A real matrix gives a float64 result, any other a complex128
-    one.
+    one.  Every product is one ``np.dot`` into a buffer of this call, the
+    cheapest numpy dispatch on the tiny matrices of ``evolve``; the result
+    is a fresh array and shares no memory with any other call's.
     """
     # The entries are scanned only on an error path: the scaled 1-norm below
     # is non-finite whenever an entry is, so a valid matrix is read once.
     m = np.asarray(a)
     m = m.astype(float if m.dtype.kind in "biuf" else complex, copy=False)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or not np.isfinite(scale):
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not abs(scale) < math.inf:
         require_square(as_matrix(m))
         raise ValueError("scale must be finite")
     n = m.shape[0]
@@ -178,22 +180,28 @@ def expm(a, scale: float = 1.0) -> np.ndarray:
         # norm below 0.5
         squarings = max(0, int(math.ceil(min(math.log2(norm / 0.5), 1025.0))))
         b *= 0.5 ** squarings
-    powers = np.empty((3, n, n), dtype=b.dtype)
-    b2 = np.matmul(b, b, out=powers[0])
-    b4 = np.matmul(b2, b2, out=powers[1])
-    np.matmul(b2, b4, out=powers[2])
-    even, inner = (_PADE6_ROWS @ powers.reshape(3, -1)).reshape(2, n, n)
-    odd = b @ inner + _PADE6[1] * b
+    # b^2, b^4, b^6, then the even part and the odd part's factor after b
+    work = np.empty((6, n, n), dtype=b.dtype)
+    b2, b4, b6, even, inner, odd = work
+    np.dot(b, b, out=b2)
+    np.dot(b2, b2, out=b4)
+    np.dot(b2, b4, out=b6)
+    np.dot(_PADE6_ROWS, work[:3].reshape(3, -1), out=work[3:5].reshape(2, -1))
+    np.dot(b, inner, out=odd)
+    odd += _PADE6[1] * b
     den = even - odd
     den.reshape(-1)[::n + 1] += _PADE6[0]
-    r = np.linalg.solve(den, den + (odd + odd))      # (even + odd) / (even - odd)
+    odd += odd
+    odd += den
+    r = np.linalg.solve(den, odd)      # (even + odd) / (even - odd)
+    spare = np.empty_like(r)           # the squarings ping-pong between r and spare
     if norm < _SAFE_NORM:
         for _ in range(squarings):
-            r = r @ r
+            r, spare = np.dot(r, r, out=spare), r
         return r
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(squarings):
-            r = r @ r
+            r, spare = np.dot(r, r, out=spare), r
     if not np.isfinite(r).all():
         raise ValueError("matrix exponential overflowed")
     return r

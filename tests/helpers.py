@@ -422,3 +422,54 @@ def reference_evolve(liouvillian, rho, times):
         cells.append(cli._fmt(np.trace(out @ h).real))
         lines.append(",".join(cells))
     return 0, "\n".join(lines) + "\n", ""
+
+
+def reference_expm(a, scale=1.0):
+    """``linalg.expm`` as it was before its products went through ``np.dot``.
+
+    The same [6/6] Pade approximant with scaling and squaring, checks and
+    messages, written with ``np.matmul`` and ``@`` into fresh arrays and with
+    the numerator formed as den + (odd + odd): the library's result must
+    match it bit for bit, dtype included.
+    """
+    import math
+
+    from dqs.linalg import _PADE6, _PADE6_ROWS, _SAFE_NORM, as_matrix, require_square
+
+    m = np.asarray(a)
+    m = m.astype(float if m.dtype.kind in "biuf" else complex, copy=False)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not np.isfinite(scale):
+        require_square(as_matrix(m))
+        raise ValueError("scale must be finite")
+    n = m.shape[0]
+    if n == 0:
+        return m.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = scale * m
+        norm = float(np.abs(b).sum(axis=0).max())
+    if not math.isfinite(norm):
+        as_matrix(m)
+        raise ValueError("matrix exponential overflowed")
+    squarings = 0
+    if norm > 0.5:
+        squarings = max(0, int(math.ceil(min(math.log2(norm / 0.5), 1025.0))))
+        b *= 0.5 ** squarings
+    powers = np.empty((3, n, n), dtype=b.dtype)
+    b2 = np.matmul(b, b, out=powers[0])
+    b4 = np.matmul(b2, b2, out=powers[1])
+    np.matmul(b2, b4, out=powers[2])
+    even, inner = (_PADE6_ROWS @ powers.reshape(3, -1)).reshape(2, n, n)
+    odd = b @ inner + _PADE6[1] * b
+    den = even - odd
+    den.reshape(-1)[::n + 1] += _PADE6[0]
+    r = np.linalg.solve(den, den + (odd + odd))
+    if norm < _SAFE_NORM:
+        for _ in range(squarings):
+            r = r @ r
+        return r
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(squarings):
+            r = r @ r
+    if not np.isfinite(r).all():
+        raise ValueError("matrix exponential overflowed")
+    return r

@@ -1,9 +1,12 @@
-"""The public API: the names ``dqs`` exports and the parameters of each.
+"""The public API: the names ``dqs`` exports, the parameters of each, and
+the read-only fields a class computes at construction.
 
-Adding, removing or renaming an export or a parameter changes this table,
-so the change shows up as a reviewed one-line diff.
+Adding, removing or renaming an export, a parameter or a computed field
+changes one of these tables, so the change shows up as a reviewed one-line
+diff.
 """
 
+import dataclasses
 import inspect
 
 import dqs
@@ -52,3 +55,16 @@ def test_parameter_names():
     got = {name: tuple(inspect.signature(getattr(dqs, name)).parameters)
            for name in dqs.__all__}
     assert got == SIGNATURES
+
+
+COMPUTED_FIELDS = {
+    "DensityMatrix": ("spectrum",),
+    "GKSLiouvillian": ("bloch",),
+    "KossakowskiMatrix": ("spectrum",),
+}
+
+
+def test_computed_fields():
+    got = {name: tuple(f.name for f in dataclasses.fields(getattr(dqs, name)) if not f.init)
+           for name in dqs.__all__ if dataclasses.is_dataclass(getattr(dqs, name))}
+    assert {name: names for name, names in got.items() if names} == COMPUTED_FIELDS

@@ -91,6 +91,34 @@ def test_check_reports_residuals_for_invalid_model(capsys, tmp_path):
     assert "error" in kv
 
 
+@pytest.mark.parametrize("valid", [True, False])
+def test_check_decomposes_a_valid_kossakowski_matrix_once(capsys, monkeypatch, rng, tmp_path,
+                                                          valid):
+    # the printed minimum eigenvalue is that of a's Hermitian part: on the
+    # valid path it is the spectrum KossakowskiMatrix decided PSD with, and
+    # only an invalid a is decomposed a second time for the printout
+    a = random_psd(rng, 8)
+    a[1, 2] += 1e-13
+    if not valid:
+        a[0, 0] -= 2.0 * np.linalg.eigvalsh(a)[-1]
+    path = tmp_path / "model.model"
+    cli.save_model(path, 3, random_hermitian(rng, 3), a)
+    a = cli.load_model(path).kossakowski
+    decomposed, eigenvalues = [], linalg.hermitian_eigenvalues
+
+    def counting(m):
+        decomposed.append(np.shape(m))
+        return eigenvalues(m)
+
+    monkeypatch.setattr(linalg, "hermitian_eigenvalues", counting)
+    code, out, _ = run_cli(capsys, "check", str(path))
+    kv = parse_kv(out)
+    assert (code == 2, kv["valid"]) == (not valid, "true" if valid else "false")
+    assert decomposed == [(8, 8)] * (1 if valid else 2)
+    w = np.linalg.eigvalsh(linalg.hermitian_part(linalg.hermitian_part(a)))
+    assert kv["kossakowski_min_eigenvalue"] == cli._fmt(w[0])
+
+
 @pytest.mark.parametrize("axis, code, residual", [(0, 1, 2e200 / math.sqrt(2.0)), (2, 0, 0.0)])
 def test_check_hamiltonian_whose_norm_overflows(capsys, tmp_path, axis, code, residual):
     # ||H||_F overflows although every entry is finite; an infinite residual

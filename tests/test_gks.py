@@ -82,6 +82,16 @@ def test_kossakowski_validates():
         KossakowskiMatrix(2, np.eye(4))
 
 
+def test_kossakowski_spectrum_is_the_read_only_one_that_decided_psd(rng):
+    # a Hermitian defect within tolerance: the spectrum is that of the Hermitian part
+    a = random_psd(rng, 8)
+    a[0, 1] += 1e-13
+    koss = KossakowskiMatrix(3, a)
+    assert np.array_equal(koss.spectrum, np.linalg.eigvalsh(linalg.hermitian_part(a)))
+    with pytest.raises(ValueError, match="read-only"):
+        koss.spectrum[0] = 1.0
+
+
 def test_small_indefinite_kossakowski_matrix_is_invalid():
     # an eigenvalue of -0.1 times the largest is no round-off at any scale;
     # the flow of this model at t = 0.01/c is not CP

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dqs import gks, linalg
 from dqs.linalg import DensityMatrix
 
-from helpers import random_complex, random_hermitian, random_psd, unvec, vec
+from helpers import random_complex, random_hermitian, random_psd, reference_expm, unvec, vec
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -214,6 +214,106 @@ def test_expm_squarings_near_the_overflow_threshold_warn_nothing(norm):
     ref = scipy.linalg.expm(a * (norm / 1.5))
     assert np.isfinite(got).all()
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _expm_outcome(expm, a, scale):
+    """(result, None) of one exponential, or (None, message) of its ValueError."""
+    try:
+        return expm(a, scale), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+def _assert_expm_matches_reference(a, scale):
+    got, error = _expm_outcome(linalg.expm, a, scale)
+    ref, ref_error = _expm_outcome(reference_expm, a, scale)
+    assert error == ref_error, (a, scale)
+    if ref is not None:
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), (a, scale)
+
+
+def _with_one_norm(g, n, norm):
+    """A real n x n matrix whose 1-norm is exactly norm, carried by one entry below the diagonal.
+
+    The other columns sum to at most half of it, and to at most 0.01 n, so
+    the exponential stays finite at any norm.
+    """
+    a = min(0.01, 0.5 * norm / n) * g.uniform(-1.0, 1.0, (n, n))
+    a[:, 0] = 0.0
+    a[1, 0] = norm if g.random() < 0.5 else -norm
+    return a
+
+
+@pytest.mark.filterwarnings("error")
+def test_expm_matches_its_reference_bit_for_bit():
+    # every size 0-16, real, complex and integer entries, scales of both signs and 1j
+    g = np.random.default_rng(33)
+    scales = (1.0, -1.0, 0.0, 1e-4, -0.37, 3.0, -25.0, 300.0, np.float64(-0.5), 2, 1j)
+    for n in range(17):
+        for a in (g.standard_normal((n, n)), random_complex(g, (n, n)),
+                  g.integers(-3, 4, (n, n))):
+            for scale in scales:
+                _assert_expm_matches_reference(a, scale)
+
+
+@pytest.mark.filterwarnings("error")
+def test_expm_matches_its_reference_where_the_scaling_rule_turns():
+    # 1-norms exactly at 0.5 2^k and one ulp either side, where the squaring
+    # count steps, and on both sides of _SAFE_NORM, where np.errstate starts
+    g = np.random.default_rng(34)
+    norms = [0.5 * 2.0 ** k for k in range(-3, 12)]
+    norms += [0.5 * linalg._SAFE_NORM, linalg._SAFE_NORM, 705.0, 4 * linalg._SAFE_NORM]
+    for norm in norms:
+        for x in (np.nextafter(norm, 0.0), norm, np.nextafter(norm, math.inf)):
+            for n in (2, 3, 6):
+                a = _with_one_norm(g, n, x)
+                assert np.abs(a).sum(axis=0).max() == x
+                _assert_expm_matches_reference(a, 1.0)
+                _assert_expm_matches_reference(a.astype(complex), 1.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a, scale", [
+    (np.full((3, 3), np.nan), 1.0),
+    (np.where(np.eye(3) > 0, np.inf, 0.0), 0.0),
+    (np.array([[1.0, complex(1.0, np.inf)], [0.0, 1.0]]), 1.0),
+    (np.zeros(3), 1.0),
+    (np.zeros((2, 3)), 1.0),
+    (np.zeros((2, 2, 2)), 1.0),
+    (np.full((2, 3), np.nan), 1.0),
+    (np.eye(2), np.nan),
+    (np.eye(2), np.inf),
+    (np.eye(2), -np.inf),
+    (np.eye(2), complex(0.0, np.inf)),
+    (np.zeros((0, 0)), np.inf),
+    (np.full((2, 2), np.nan), np.inf),
+    (np.full((2, 2), 1e308, dtype=complex), 1.0),
+    (np.eye(2), 1e308),
+    (800.0 * np.eye(2), 1.0),
+    (np.array([[-800.0, 1.0], [0.0, -800.0]]), -1.0),
+], ids=["nan", "inf-at-scale-0", "complex-inf", "1-d", "not-square", "3-d",
+        "not-square-nan", "scale-nan", "scale-inf", "scale-minus-inf", "scale-complex-inf",
+        "empty-scale-inf", "nan-scale-inf", "overflow", "scale-overflow", "overflow-late",
+        "overflow-negative"])
+def test_expm_fails_as_its_reference_does(a, scale):
+    _, error = _expm_outcome(linalg.expm, a, scale)
+    assert error is not None and error == _expm_outcome(reference_expm, a, scale)[1]
+
+
+def test_expm_results_share_no_memory():
+    # the squarings ping-pong between two buffers, so a result ends in either;
+    # from 0 to 4 squarings (safe path) and 11, 12 (past _SAFE_NORM)
+    rotation = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    shear = np.array([[0.0, 1.0], [0.0, 0.0]])
+    results = [linalg.expm(rotation, scale=s) for s in (0.25, 0.75, 1.5, 3.0, 6.0)]
+    results += [linalg.expm(shear, scale=s) for s in (1000.0, 2000.0, 0.25)]
+    kept = [r.copy() for r in results]
+    for i, r in enumerate(results):
+        assert not any(np.shares_memory(r, other) for other in results[i + 1:])
+    for i, r in enumerate(results):
+        r[...] = -7.0
+        assert all(np.array_equal(other, copy)
+                   for other, copy in zip(results[i + 1:], kept[i + 1:]))
 
 
 # ---------------------------------------------------------------- kernel
