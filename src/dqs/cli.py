@@ -152,9 +152,10 @@ def cmd_check(args) -> int:
         liou, error = build_liouvillian(model), None
     except ValueError as exc:
         liou, error = None, exc
-    # KossakowskiMatrix has decomposed a valid a; only an invalid one is decomposed here
+    # KossakowskiMatrix has decomposed a valid a; only an invalid one, which
+    # may fail the Hermiticity rule, has its Hermitian part decomposed here
     w = (liou.kossakowski.spectrum if liou is not None
-         else linalg.hermitian_eigenvalues(linalg.hermitian_part(a)))
+         else np.linalg.eigvalsh(linalg.hermitian_part(a)))
     print(f"dimension={model.dimension}")
     print("basis=gell-mann")
     print(f"hamiltonian_hermiticity_defect={_fmt(linalg.hermiticity_defect(h))}")

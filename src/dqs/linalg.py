@@ -6,8 +6,11 @@ float64.  The matrices of interest are tiny (system dimension N <= 8,
 generators up to 64 x 64).  Decompositions come from numpy's LAPACK
 bindings: Hermitian eigenproblems from ``eigh``, singular values and null
 spaces from ``svd``.  The matrix exponential is an in-house [6/6] diagonal
-Pade approximant with scaling and squaring.  The wrappers here add input
-validation and the package's tolerance conventions.
+Pade approximant with scaling and squaring; its one linear solve calls
+LAPACK's gesv through numpy's gufunc ``_umath_linalg.solve``, the one
+``np.linalg.solve`` wraps, because the wrapper's checks cost more than the
+solve on these sizes and its denominator can never be singular.  The
+wrappers here add input validation and the package's tolerance conventions.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 #: The one Hermiticity rule, no caller sets another: max |m - m^dagger| <= HERMITICITY_TOL max |m|.
 HERMITICITY_TOL = 1e-10
@@ -155,8 +159,11 @@ def expm(a, scale: float = 1.0) -> np.ndarray:
     diagonal Pade approximant is evaluated there, and the result is squared
     back up.  A real matrix gives a float64 result, any other a complex128
     one.  Every product is one ``np.dot`` into a buffer of this call, the
-    cheapest numpy dispatch on the tiny matrices of ``evolve``; the result
-    is a fresh array and shares no memory with any other call's.
+    cheapest numpy dispatch on the tiny matrices of ``evolve``, and the one
+    linear solve calls the LAPACK gufunc behind ``np.linalg.solve``
+    directly: its denominator is never singular, so the wrapper's checks
+    could never fire.  The result is a fresh array and shares no memory with
+    any other call's.
     """
     # The entries are scanned only on an error path: the scaled 1-norm below
     # is non-finite whenever an entry is, so a valid matrix is read once.
@@ -170,7 +177,7 @@ def expm(a, scale: float = 1.0) -> np.ndarray:
         return m.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         b = scale * m
-        norm = float(np.abs(b).sum(axis=0).max())
+        norm = float(np.maximum.reduce(np.add.reduce(np.abs(b), axis=0)))
     if not math.isfinite(norm):
         as_matrix(m)  # raises first when an entry is non-finite
         raise ValueError("matrix exponential overflowed")
@@ -180,20 +187,28 @@ def expm(a, scale: float = 1.0) -> np.ndarray:
         # norm below 0.5
         squarings = max(0, int(math.ceil(min(math.log2(norm / 0.5), 1025.0))))
         b *= 0.5 ** squarings
-    # b^2, b^4, b^6, then the even part and the odd part's factor after b
-    work = np.empty((6, n, n), dtype=b.dtype)
-    b2, b4, b6, even, inner, odd = work
+    # b^2, b^4, b^6, then the even part and the odd part's factor after b,
+    # as rows of one flat work array; den then takes b^6's slot
+    flat = np.empty((6, n * n), dtype=b.dtype)
+    b2, b4, b6, even, inner, odd = flat.reshape(6, n, n)
     np.dot(b, b, out=b2)
     np.dot(b2, b2, out=b4)
     np.dot(b2, b4, out=b6)
-    np.dot(_PADE6_ROWS, work[:3].reshape(3, -1), out=work[3:5].reshape(2, -1))
+    np.dot(_PADE6_ROWS, flat[:3], out=flat[3:5])
     np.dot(b, inner, out=odd)
     odd += _PADE6[1] * b
-    den = even - odd
-    den.reshape(-1)[::n + 1] += _PADE6[0]
+    den = np.subtract(even, odd, out=b6)
+    flat[2, ::n + 1] += _PADE6[0]
     odd += odd
     odd += den
-    r = np.linalg.solve(den, odd)      # (even + odd) / (even - odd)
+    # ||b||_1 <= 1/2 keeps ||den - I||_1 below 0.29 < 1, so den is
+    # nonsingular and np.linalg.solve's singular-matrix handler, with the
+    # errstate it sets for it, could never fire.  casting="no" rejects with
+    # a TypeError the dtypes the wrapper rejects (from a longdouble scale).
+    r = _umath_linalg.solve(den, odd, signature="DD->D" if b.dtype.kind == "c" else "dd->d",
+                            casting="no")      # (even + odd) / (even - odd)
+    if not squarings:
+        return r
     spare = np.empty_like(r)           # the squarings ping-pong between r and spare
     if norm < _SAFE_NORM:
         for _ in range(squarings):

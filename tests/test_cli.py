@@ -104,19 +104,37 @@ def test_check_decomposes_a_valid_kossakowski_matrix_once(capsys, monkeypatch, r
     path = tmp_path / "model.model"
     cli.save_model(path, 3, random_hermitian(rng, 3), a)
     a = cli.load_model(path).kossakowski
-    decomposed, eigenvalues = [], linalg.hermitian_eigenvalues
+    decomposed, eigvalsh = [], np.linalg.eigvalsh
 
     def counting(m):
         decomposed.append(np.shape(m))
-        return eigenvalues(m)
+        return eigvalsh(m)
 
-    monkeypatch.setattr(linalg, "hermitian_eigenvalues", counting)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     code, out, _ = run_cli(capsys, "check", str(path))
     kv = parse_kv(out)
     assert (code == 2, kv["valid"]) == (not valid, "true" if valid else "false")
     assert decomposed == [(8, 8)] * (1 if valid else 2)
-    w = np.linalg.eigvalsh(linalg.hermitian_part(linalg.hermitian_part(a)))
+    w = eigvalsh(linalg.hermitian_part(a))
     assert kv["kossakowski_min_eigenvalue"] == cli._fmt(w[0])
+
+
+@pytest.mark.parametrize("diagonal, skew_h", [(0.0, 0.0), (1.0, 1.0)],
+                         ids=["a-not-hermitian", "h-not-hermitian"])
+def test_check_halves_an_invalid_models_kossakowski_matrix_once(capsys, tmp_path, diagonal,
+                                                               skew_h):
+    # a[1, 2] and a[2, 1] of 2 and 4 units of the smallest subnormal average
+    # to 3 units, whose half rounds: halving a second time would print -4 units
+    unit = 5e-324
+    a = np.zeros((3, 3))
+    a[0, 0], a[1, 2], a[2, 1] = diagonal, 2 * unit, 4 * unit
+    h = np.array([[1.0, skew_h], [0.0, -1.0]])
+    path = tmp_path / "subnormal.model"
+    cli.save_model(path, 2, h, a)
+    code, out, _ = run_cli(capsys, "check", str(path))
+    kv = parse_kv(out)
+    assert (code, kv["valid"]) == (2, "false")
+    assert kv["kossakowski_min_eigenvalue"] == cli._fmt(-3 * unit)
 
 
 @pytest.mark.parametrize("axis, code, residual", [(0, 1, 2e200 / math.sqrt(2.0)), (2, 0, 0.0)])

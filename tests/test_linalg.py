@@ -316,6 +316,64 @@ def test_expm_results_share_no_memory():
                    for other, copy in zip(results[i + 1:], kept[i + 1:]))
 
 
+@pytest.mark.filterwarnings("error")
+def test_expms_solve_gufunc_is_the_one_np_linalg_solve_calls():
+    # expm calls numpy's private LAPACK gufunc itself: a numpy that moves it
+    # or changes what it computes must fail here, not shift expm's bits
+    g = np.random.default_rng(35)
+    for n in range(1, 17):
+        for draw, signature in ((g.standard_normal, "dd->d"),
+                                (lambda shape: random_complex(g, shape), "DD->D")):
+            # I plus a perturbation of 1-norm 0.3, well-conditioned as expm's den
+            e = draw((n, n))
+            den = np.eye(n) + 0.3 / np.abs(e).sum(axis=0).max() * e
+            rhs = draw((n, n))
+            got = linalg._umath_linalg.solve(den, rhs, signature=signature, casting="no")
+            ref = np.linalg.solve(den, rhs)
+            assert got.dtype == ref.dtype == rhs.dtype and np.array_equal(got, ref), (n, signature)
+
+
+def test_expm_under_the_callers_errstate_acts_as_its_reference_does():
+    # np.linalg.solve sets its own errstate and the bare gufunc does not:
+    # under all="raise" expm must still give the reference's bits or raise
+    # the reference's exception, over the sizes and scales of the bit-for-bit
+    # sweep, scales far enough out that products underflow, and the 1-norms
+    # where the scaling rule turns
+    kinds = (FloatingPointError, TypeError, ValueError)
+
+    def outcome(expm, a, scale):
+        """(result, None), or (None, the kind of exception raised): the
+        wrapper's TypeError and the gufunc's UFuncTypeError are one kind."""
+        try:
+            with np.errstate(all="raise"):
+                return expm(a, scale), None
+        except kinds as exc:
+            return None, next(kind for kind in kinds if isinstance(exc, kind))
+
+    g = np.random.default_rng(36)
+    # the wrapper rejects the extended precision a longdouble scale gives b
+    scales = (1.0, -1.0, 0.0, 1e-4, -0.37, 3.0, -25.0, 300.0, np.float64(-0.5), 2, 1j,
+              1e-310, 1e-160, 1e-300j, 1e100, -1e300, np.longdouble(0.5), np.clongdouble(0.5j))
+    cases = [(a, scale) for n in range(17)
+             for a in (g.standard_normal((n, n)), random_complex(g, (n, n)),
+                       g.integers(-3, 4, (n, n)))
+             for scale in scales]
+    norms = [0.5 * 2.0 ** k for k in range(-3, 12)] + [linalg._SAFE_NORM, 705.0]
+    cases += [(_with_one_norm(g, n, norm).astype(dtype), 1.0)
+              for norm in norms for n in (2, 3, 6) for dtype in (float, complex)]
+    errors = []
+    for a, scale in cases:
+        got, error = outcome(linalg.expm, a, scale)
+        ref, ref_error = outcome(reference_expm, a, scale)
+        assert error == ref_error, (a, scale)
+        errors.append(error)
+        if ref is not None:
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), (a, scale)
+    # results, underflows and overflows all occur, so no branch is vacuous; a
+    # longdouble wider than float64 adds the rejected dtypes
+    assert {None, FloatingPointError, ValueError} <= set(errors)
+
+
 # ---------------------------------------------------------------- kernel
 
 def test_kernel_of_zero_map_is_everything():
