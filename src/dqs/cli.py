@@ -279,6 +279,8 @@ def _with_complement(xs: List[float], p: np.ndarray) -> np.ndarray:
 
 
 def cmd_probabilities(args) -> int:
+    if not (0.0 < args.delta < math.inf):
+        raise CliError(f"--delta must be finite and positive, got {args.delta!r}")
     params = qubit.DispersiveQubitParams(-0.5 * args.delta, 0.5 * args.delta, args.lam)
     qubit.check_angle(args.theta)
     times = _time_grid(args.t_max, args.steps)

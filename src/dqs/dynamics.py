@@ -20,7 +20,6 @@ R^T from one real SVD of R, applied to the maximally mixed state.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -34,12 +33,6 @@ from .linalg import KERNEL_TOL, DensityMatrix
 ENTROPY_CUTOFF = 1e-14
 
 
-def _require_time(t: float, what: str) -> None:
-    """Reject a time that is not finite and nonnegative, NaN included."""
-    if not (0.0 <= t < math.inf):
-        raise ValueError(f"{what} must be finite and nonnegative, got {t!r}")
-
-
 def channel_matrix(liouvillian: gks.GKSLiouvillian, t: float) -> np.ndarray:
     """exp(t L) = V^T exp(t R) conj(V), any sign of t; t < 0 probes backward."""
     v = gks.gell_mann_rows(liouvillian.dim)
@@ -48,7 +41,7 @@ def channel_matrix(liouvillian: gks.GKSLiouvillian, t: float) -> np.ndarray:
 
 def propagator(liouvillian: gks.GKSLiouvillian, t: float) -> np.ndarray:
     """The channel exp(t L), t >= 0, as its (N^2, N^2) matrix on column-stacked states."""
-    _require_time(t, "propagation time")
+    linalg.require_nonnegative(t, "propagation time")
     return channel_matrix(liouvillian, t)
 
 
@@ -57,31 +50,12 @@ def _density(rho) -> DensityMatrix:
     return rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
 
 
-@functools.lru_cache(maxsize=None)
-def _bloch_frame(n: int):
-    """Index and coefficient tables of the coordinates propagate_many works in.
-
-    They are the Gell-Mann coordinates x of a Hermitian matrix with each
-    off-diagonal one divided by sqrt(2), so that the pair (j < k) reads
-    exactly Re and Im of the entry [k, j]; the diagonal and trace
-    coordinates are x itself.  Returns the scale ratio u_i / u_j turning the
-    Gell-Mann generator into the generator of these coordinates, the
-    upper-triangle indices (rows, cols), and the diagonal values of the
-    diagonal Gell-Mann elements and of I/sqrt(N), one row each.
-    """
-    rows, cols = np.triu_indices(n, 1)
-    u = np.ones(n * n)
-    u[:2 * len(rows)] = 1.0 / math.sqrt(2.0)
-    levels = np.stack(gks.gell_mann_basis(n).elements[2 * len(rows):]).real
-    return u[:, None] / u[None, :], rows, cols, np.diagonal(levels, axis1=1, axis2=2)
-
-
 def propagate_many(liouvillian: gks.GKSLiouvillian, rho, times):
     """The states exp(t L) rho for successive times t, as one (k, N, N) stack.
 
     Each state takes one time check and one ``expm`` of the real Bloch
     generator (``GKSLiouvillian.bloch``, in the coordinates of
-    ``_bloch_frame``), whose product with the coordinates of rho ``np.dot``
+    ``gks.bloch_frame``), whose product with the coordinates of rho ``np.dot``
     writes straight into the state's row.  The stack is rebuilt from those
     coordinates entry by entry, so each state's bits do not depend on how
     many others share the call: off-diagonal entries are the coordinates
@@ -96,7 +70,7 @@ def propagate_many(liouvillian: gks.GKSLiouvillian, rho, times):
     n = liouvillian.dim
     if h0.shape != (n, n):
         raise ValueError(f"state has shape {h0.shape}, expected square of dim {n}")
-    ratio, rows, cols, levels = _bloch_frame(n)
+    ratio, rows, cols, levels = gks.bloch_frame(n)
     gen = liouvillian.bloch * ratio
     pairs = len(rows)
     p0 = h0.real.diagonal()
@@ -105,7 +79,7 @@ def propagate_many(liouvillian: gks.GKSLiouvillian, rho, times):
     ys, error = np.empty((len(times), n * n)), None
     try:
         for k, t in enumerate(times):
-            _require_time(t, "propagation time")
+            linalg.require_nonnegative(t, "propagation time")
             np.dot(linalg.expm(gen, scale=t), y0, out=ys[k])
     except ValueError as exc:
         ys, error = ys[:k], exc
@@ -134,8 +108,8 @@ def propagate(liouvillian: gks.GKSLiouvillian, rho, t: float) -> DensityMatrix:
 def semigroup_residual(liouvillian: gks.GKSLiouvillian, t1: float, t2: float) -> float:
     """|| exp((t1+t2) L) - exp(t2 L) exp(t1 L) ||_F, taken of R."""
     for t in (t1, t2):
-        _require_time(t, "semigroup times")
-    _require_time(t1 + t2, "semigroup total time")
+        linalg.require_nonnegative(t, "semigroup times")
+    linalg.require_nonnegative(t1 + t2, "semigroup total time")
     m = liouvillian.bloch
     whole = linalg.expm(m, scale=t1 + t2)
     stepped = linalg.expm(m, scale=t2) @ linalg.expm(m, scale=t1)
@@ -275,7 +249,7 @@ def time_reversal_witness(liouvillian: gks.GKSLiouvillian,
     worst: Optional[TimeReversalWitness] = None
     for t in t_grid:
         t = float(t)
-        _require_time(t, "probe times")
+        linalg.require_nonnegative(t, "probe times")
         low = _min_eigenvalue(_choi_of_matrix(channel_matrix(liouvillian, -t), n))
         if low < -1e-9 and (worst is None or low < worst.choi_min_eigenvalue):
             worst = TimeReversalWitness(t, low)

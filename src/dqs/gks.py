@@ -50,12 +50,13 @@ from .linalg import KERNEL_TOL
 class OperatorBasis:
     """Trace-orthonormal operator basis with the scaled identity last.
 
-    Elements need not be Hermitian; any unitary mixing of the traceless part
-    of the canonical basis is accepted.
+    Given any sequence of N^2 matrices, it keeps them as one read-only
+    (N^2, N, N) complex array, ``elements``.  Elements need not be Hermitian;
+    any unitary mixing of the traceless part of the canonical basis is accepted.
     """
 
     dim: int
-    elements: tuple
+    elements: np.ndarray
 
     def __post_init__(self):
         n = self.dim
@@ -63,28 +64,27 @@ class OperatorBasis:
             raise ValueError("basis needs dimension >= 2")
         if len(self.elements) != n * n:
             raise ValueError(f"expected {n * n} basis elements, got {len(self.elements)}")
-        mats = []
+        f = np.empty((n * n, n, n), dtype=complex)
         for k, e in enumerate(self.elements):
             m = linalg.as_matrix(e)
             if m.shape != (n, n):
                 raise ValueError(f"basis element {k} has shape {m.shape}, expected {(n, n)}")
-            m = m.copy()
-            m.flags.writeable = False
-            mats.append(m)
+            f[k] = m
         for k in range(n * n - 1):
-            if abs(mats[k].trace()) > 1e-12:
+            if abs(f[k].trace()) > 1e-12:
                 raise ValueError(f"basis element {k} is not traceless")
-        if np.abs(mats[-1] - np.eye(n) / math.sqrt(n)).max() > 1e-12:
+        if np.abs(f[-1] - np.eye(n) / math.sqrt(n)).max() > 1e-12:
             raise ValueError("last basis element must be I/sqrt(N)")
-        f = np.stack(mats).reshape(n * n, n * n)
-        gram = f.conj() @ f.T  # gram[x, y] = tr(F_x^+ F_y)
+        flat = f.reshape(n * n, n * n)
+        gram = flat.conj() @ flat.T  # gram[x, y] = tr(F_x^+ F_y)
         if np.abs(gram - np.eye(n * n)).max() > 1e-12:
             raise ValueError("basis is not orthonormal under the trace inner product")
-        object.__setattr__(self, "elements", tuple(mats))
+        f.flags.writeable = False
+        object.__setattr__(self, "elements", f)
 
     @property
-    def traceless(self) -> tuple:
-        """The N^2 - 1 elements spanning the traceless subspace."""
+    def traceless(self) -> np.ndarray:
+        """The N^2 - 1 elements spanning the traceless subspace, a view of ``elements``."""
         return self.elements[:-1]
 
 
@@ -100,35 +100,47 @@ def gell_mann_basis(dim: int) -> OperatorBasis:
     if dim < 2:
         raise ValueError("dimension must be >= 2")
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    elems = []
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            m = np.zeros((dim, dim), dtype=complex)
-            m[j, k] = m[k, j] = inv_sqrt2
-            elems.append(m)
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            m = np.zeros((dim, dim), dtype=complex)
-            m[j, k] = -1j * inv_sqrt2
-            m[k, j] = 1j * inv_sqrt2
-            elems.append(m)
+    j, k = np.triu_indices(dim, 1)
+    pairs = len(j)
+    sym, anti = np.arange(pairs), np.arange(pairs, 2 * pairs)
+    f = np.zeros((dim * dim, dim, dim), dtype=complex)
+    f[sym, j, k] = f[sym, k, j] = inv_sqrt2
+    f[anti, j, k] = -1j * inv_sqrt2
+    f[anti, k, j] = 1j * inv_sqrt2
     for level in range(1, dim):
-        m = np.zeros((dim, dim), dtype=complex)
         norm = 1.0 / math.sqrt(level * (level + 1))
-        for i in range(level):
-            m[i, i] = norm
+        m = f[2 * pairs + level - 1]
+        m[range(level), range(level)] = norm
         m[level, level] = -level * norm
-        elems.append(m)
-    elems.append(np.eye(dim, dtype=complex) / math.sqrt(dim))
-    return OperatorBasis(dim, tuple(elems))
+    f[-1] = np.eye(dim, dtype=complex) / math.sqrt(dim)
+    return OperatorBasis(dim, f)
 
 
 @lru_cache(maxsize=None)
 def gell_mann_rows(n: int) -> np.ndarray:
     """The unitary V whose row j is vec(G_j): R = conj(V) L V^T, L = V^T R conj(V)."""
-    v = np.stack(gell_mann_basis(n).elements).swapaxes(1, 2).reshape(n * n, n * n)
+    v = gell_mann_basis(n).elements.swapaxes(1, 2).reshape(n * n, n * n)
     v.flags.writeable = False
     return v
+
+
+@lru_cache(maxsize=None)
+def bloch_frame(n: int):
+    """Index and coefficient tables of the coordinates ``dynamics.propagate_many`` works in.
+
+    They are the Gell-Mann coordinates x of a Hermitian matrix with each
+    off-diagonal one divided by sqrt(2), so that the pair (j < k) reads
+    exactly Re and Im of the entry [k, j]; the diagonal and trace
+    coordinates are x itself.  Returns the scale ratio u_i / u_j turning the
+    Gell-Mann generator into the generator of these coordinates, the
+    upper-triangle indices (rows, cols), and the diagonal values of the
+    diagonal Gell-Mann elements and of I/sqrt(N), one row each.
+    """
+    rows, cols = np.triu_indices(n, 1)
+    u = np.ones(n * n)
+    u[:2 * len(rows)] = 1.0 / math.sqrt(2.0)
+    levels = gell_mann_basis(n).elements[2 * len(rows):].real
+    return u[:, None] / u[None, :], rows, cols, np.diagonal(levels, axis1=1, axis2=2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,7 +196,7 @@ def _dissipator_superop(a: np.ndarray, basis: OperatorBasis) -> np.ndarray:
     """
     n = basis.dim
     k = n * n - 1
-    f = np.stack(basis.traceless)
+    f = basis.traceless
     g = np.einsum("ij,ikm->jkm", a, f)          # G_j = sum_i a_ij F_i
     p = np.einsum("jlk,jlm->km", f.conj(), g)   # sum_ij a_ij F_j^+ F_i
     eye = np.eye(n)
@@ -254,7 +266,7 @@ def dissipation_from_parts(a, basis: OperatorBasis, hamiltonian) -> np.ndarray:
     arr = _kossakowski_array(a, basis)
     linalg.require_hermitian(arr)
     h = _hamiltonian(hamiltonian, basis)
-    f = np.stack(basis.traceless)
+    f = basis.traceless
     with np.errstate(over="ignore", invalid="ignore"):
         g = (arr.T @ f.reshape(len(f), -1)).reshape(f.shape)
         d = _h_terms(h, f.conj().swapaxes(1, 2), g).sum(axis=0)
@@ -402,7 +414,7 @@ def dispersive_kossakowski_kernel(hamiltonian, basis: OperatorBasis,
     n = basis.dim
     k = n * n - 1
     # D_H(a) = sum_ij a_ij M[i, j] with M[i, j] = F_j^+ H F_i - {F_j^+ F_i, H}/2
-    f = np.stack(basis.traceless)[:, None]     # [i, 0] = F_i
+    f = basis.traceless[:, None]  # [i, 0] = F_i
     with np.errstate(over="ignore", invalid="ignore"):
         m = _h_terms(h, f.conj().transpose(1, 0, 3, 2), f)  # [0, j] = F_j^+
         # column c is D_H of unit direction c: M_ii, or (M_rs + M_sr) and
@@ -435,22 +447,17 @@ def lindblad_operators(a, basis: OperatorBasis) -> list:
     """Jump operators V_k with dissipator sum_k (V_k . V_k^+ - {V_k^+ V_k, .}/2).
 
     Diagonalizes the coefficient matrix, keeps the eigenvalues above PSD_TOL
-    times the largest and absorbs each into the operator scale, so no
-    prefactor remains in front of the sum.
+    times the largest, largest first, and absorbs each into the operator
+    scale, so no prefactor remains in front of the sum.
     """
     arr = _kossakowski_array(a, basis)
     w, u = linalg.hermitian_eigen(arr)
     threshold = linalg.psd_bound(w)
     if w[0] < -threshold:
         raise ValueError(f"coefficient matrix is not PSD: min eigenvalue {w[0]:.3e}")
-    f = np.stack(basis.traceless)
-    ops = []
-    for k in range(w.size - 1, -1, -1):
-        if w[k] <= threshold:
-            break
-        v = math.sqrt(w[k]) * np.einsum("i,ikl->kl", u[:, k], f)
-        ops.append(v)
-    return ops
+    keep = np.flatnonzero(w > threshold)[::-1]  # w ascends: the largest first
+    return list(np.sqrt(w[keep])[:, None, None]
+                * np.einsum("ik,ilm->klm", u[:, keep], basis.traceless))
 
 
 def qubit_liouvillian(e0: float, e1: float, lam: float, axis: int = 3) -> GKSLiouvillian:
@@ -461,8 +468,7 @@ def qubit_liouvillian(e0: float, e1: float, lam: float, axis: int = 3) -> GKSLio
     dispersive model.  axis=1 or 2 moves the damping onto another Pauli
     direction, which trades energy with the environment.
     """
-    if not 0.0 <= lam < math.inf:
-        raise ValueError(f"damping rate must be finite and nonnegative, got {lam!r}")
+    linalg.require_nonnegative(lam, "damping rate")
     if isinstance(axis, bool) or not isinstance(axis, (int, np.integer)) or axis not in (1, 2, 3):
         raise ValueError(f"axis must be the integer 1, 2 or 3, got {axis!r}")
     basis = gell_mann_basis(2)

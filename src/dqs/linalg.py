@@ -90,6 +90,12 @@ def require_tolerance(tol: float) -> None:
         raise ValueError(f"tolerance must be a positive number, got {tol!r}")
 
 
+def require_nonnegative(value: float, what: str) -> None:
+    """Reject a value that is not finite and nonnegative, NaN included."""
+    if not (0.0 <= value < math.inf):
+        raise ValueError(f"{what} must be finite and nonnegative, got {value!r}")
+
+
 def require_hermitian(m: np.ndarray) -> None:
     """Reject m unless its defect max |m - m^dagger| is within HERMITICITY_TOL max |m|, no floor."""
     require_square(m)

@@ -172,11 +172,11 @@ def survival_at_l_over_e(params: OscillationParams, l_over_e):
     return 1.0 - qubit._transition(PHASE_CONSTANT * params.dm2, params.lambda_km, params.theta, x)
 
 
-def _damped(x, dm2, lambda_km, slopes=False):
+def _damped(x, dm2, lambda_km):
     """D = 1/2 - exp(-lambda_km x) (1/2 - sin^2 phase), so that P = 1 - D sin^2(2 theta).
 
-    With ``slopes`` the triple (D, dD/d dm2, dD/d lambda_km) is returned,
-    from the same sine and exponential: with E = exp(-lambda_km x),
+    Returns the triple (D, dD/d dm2, dD/d lambda_km), the slopes from the
+    same sine and exponential: with E = exp(-lambda_km x),
     dD/d dm2 = PHASE_CONSTANT x E sin(2 phase) and
     dD/d lambda_km = x E (1/2 - sin^2 phase).
     """
@@ -185,8 +185,6 @@ def _damped(x, dm2, lambda_km, slopes=False):
     h = 0.5 - s ** 2
     e = np.exp(-lambda_km * x)
     d = 0.5 - e * h
-    if not slopes:
-        return d
     xe = x * e
     return d, (2.0 * PHASE_CONSTANT) * xe * s * np.cos(phase), xe * h
 
@@ -426,7 +424,7 @@ def _profiled_residual(x: np.ndarray, q: np.ndarray, ws: np.ndarray, wsq: np.nda
     dT*_k = (<dD_k, ws q> - 2 T* <dD_k, ws D>) / B, or 0 where T* is
     clipped.  D and both dD_k come from one ``_damped`` call.
     """
-    d, *slopes = _damped(x, dm2, lambda_km, True)
+    d, *slopes = _damped(x, dm2, lambda_km)
     dd = np.array(slopes)
     t, b = _best_t(d, ws, wsq, t_range)
     jac = dd * t

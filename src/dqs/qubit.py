@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import DensityMatrix
+from .linalg import DensityMatrix, require_nonnegative
 
 
 @dataclass(frozen=True)
@@ -129,8 +129,7 @@ def positivity_horizon(state: QubitBloch, lam: float) -> Optional[float]:
     Returns None when the backward flow stays a state forever (diagonal
     states, pure populations, or lam = 0).
     """
-    if not (0.0 <= lam < math.inf):
-        raise ValueError(f"dephasing rate must be finite and nonnegative, got {lam!r}")
+    require_nonnegative(lam, "dephasing rate")
     det = state.a * (1.0 - state.a)
     b2 = abs(state.b) ** 2
     if b2 == 0.0 or det == 0.0 or lam == 0.0:

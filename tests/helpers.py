@@ -147,6 +147,51 @@ def reference_superop(h, a, basis):
     return np.array(cols).T
 
 
+# The Gell-Mann basis and the jump operators built one matrix at a time, as
+# bit-for-bit references for the array forms in ``gks``.
+
+def reference_gell_mann_elements(dim):
+    """The generalized Gell-Mann matrices in ``gks.gell_mann_basis``'s order, one by one."""
+    import math
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    elems = []
+    for j in range(dim):
+        for k in range(j + 1, dim):
+            m = np.zeros((dim, dim), dtype=complex)
+            m[j, k] = m[k, j] = inv_sqrt2
+            elems.append(m)
+    for j in range(dim):
+        for k in range(j + 1, dim):
+            m = np.zeros((dim, dim), dtype=complex)
+            m[j, k] = -1j * inv_sqrt2
+            m[k, j] = 1j * inv_sqrt2
+            elems.append(m)
+    for level in range(1, dim):
+        m = np.zeros((dim, dim), dtype=complex)
+        norm = 1.0 / math.sqrt(level * (level + 1))
+        for i in range(level):
+            m[i, i] = norm
+        m[level, level] = -level * norm
+        elems.append(m)
+    elems.append(np.eye(dim, dtype=complex) / math.sqrt(dim))
+    return tuple(elems)
+
+
+def reference_lindblad_operators(a, basis):
+    """sqrt(w_k) sum_i u_ik F_i for each eigenvalue w_k of a above the PSD bound, largest first."""
+    import math
+    from dqs import linalg
+    w, u = linalg.hermitian_eigen(a)
+    threshold = linalg.psd_bound(w)
+    f = np.stack(basis.traceless)
+    ops = []
+    for k in range(w.size - 1, -1, -1):
+        if w[k] <= threshold:
+            break
+        ops.append(math.sqrt(w[k]) * np.einsum("i,ikl->kl", u[:, k], f))
+    return ops
+
+
 # The two-level formula P = [1/2 - exp(-lam t)(1/2 - sin^2(Delta t/2))] sin^2(2 theta)
 # written out three times, in the evaluation orders ``qubit`` and ``neutrino``
 # once used, as references that share no code with the library.
@@ -295,7 +340,7 @@ def reference_coordinate_polish(spectrum, bounds, start, grid_points=41, max_cyc
 
     def profile(at):
         with np.errstate(over="ignore", invalid="ignore"):
-            d = neutrino._damped(x, at["dm2"], at["lambda_km"])
+            d = neutrino._damped(x, at["dm2"], at["lambda_km"])[0]
             if theta_lo == theta_hi:
                 theta = theta_lo
             else:

@@ -581,6 +581,15 @@ def test_probabilities_rejects_bad_angle(capsys):
         assert err == "error: mixing angle must lie in [0, pi/2]\n"
 
 
+@pytest.mark.parametrize("delta, shown", [("-1", "-1.0"), ("0", "0.0"), ("nan", "nan")])
+def test_probabilities_rejects_a_splitting_that_is_not_positive_by_its_flag(capsys, delta,
+                                                                            shown):
+    # the flag is named, not the levels e0 = -delta/2 and e1 = delta/2 it makes
+    code, out, err = run_cli(capsys, "probabilities", "--delta", delta)
+    assert (code, out) == (2, "")
+    assert err == f"error: --delta must be finite and positive, got {shown}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("--t-max", "1e308", "--steps", "3"),
     ("--delta", "1e308", "--t-max", "10", "--steps", "2"),

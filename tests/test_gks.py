@@ -12,7 +12,8 @@ from dqs.gks import GKSLiouvillian, KossakowskiMatrix, OperatorBasis
 
 from helpers import (random_complex, random_density, random_hermitian, random_liouvillian,
                      random_psd, random_unitary, reference_dissipation_operator,
-                     reference_dissipator, reference_superop, superop_of, unvec, vec)
+                     reference_dissipator, reference_gell_mann_elements,
+                     reference_lindblad_operators, reference_superop, superop_of, unvec, vec)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -68,6 +69,59 @@ def test_basis_rejects_bad_families():
         OperatorBasis(2, (s * eye, s * SY, s * SZ, s * eye))
     with pytest.raises(ValueError, match="last"):
         OperatorBasis(2, (s * SX, s * SY, s * SZ, s * SZ))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_gell_mann_basis_is_the_one_by_one_construction_bit_for_bit(n):
+    b = gks.gell_mann_basis(n)
+    want = np.stack(reference_gell_mann_elements(n))
+    assert type(b.elements) is np.ndarray and b.elements.dtype == want.dtype == np.complex128
+    assert b.elements.shape == (n * n, n, n)
+    # the bytes, so that the sign of every zero is the reference's too
+    assert np.array_equal(b.elements, want) and b.elements.tobytes() == want.tobytes()
+    assert np.shares_memory(b.traceless, b.elements) and len(b.traceless) == n * n - 1
+    for view in (b.elements, b.traceless):
+        with pytest.raises(ValueError, match="read-only"):
+            view[0, 0, 0] = 1.0
+
+
+def test_basis_keeps_any_sequence_of_matrices_as_its_own_array():
+    s = 1.0 / np.sqrt(2)
+    given = [s * SX, s * SY, (s * SZ).real.tolist(), s * np.eye(2)]
+    b = OperatorBasis(2, given)
+    assert b.elements.dtype == np.complex128 and b.elements.shape == (4, 2, 2)
+    assert b.elements.tobytes() == gks.gell_mann_basis(2).elements.tobytes()
+    given[0][0, 1] = 5.0
+    assert b.elements[0, 0, 1] == s
+
+
+def _basis_error(n, elements):
+    with pytest.raises(ValueError) as info:
+        OperatorBasis(n, elements)
+    return str(info.value)
+
+
+def test_basis_reports_the_first_fault_in_the_order_it_checks():
+    s = 1.0 / np.sqrt(2)
+    good = [s * SX, s * SY, s * SZ, s * np.eye(2)]
+    nan = np.full((2, 2), np.nan)
+    assert _basis_error(1, []) == "basis needs dimension >= 2"
+    assert _basis_error(2, good + [nan]) == "expected 4 basis elements, got 5"
+    # element by element, the shape and the entries of each before the next
+    assert (_basis_error(2, [np.eye(3), nan] + good[2:])
+            == "basis element 0 has shape (3, 3), expected (2, 2)")
+    assert _basis_error(2, [nan, np.eye(3)] + good[2:]) == "matrix has non-finite entries"
+    assert _basis_error(2, [SX[0]] + good[1:]) == "expected a 2-d matrix, got shape (2,)"
+    # then traces, the first traced element named, before I/sqrt(N) and orthonormality
+    f = gks.gell_mann_basis(3).elements.copy()
+    f[5] += np.eye(3)
+    f[7] += np.eye(3)
+    f[8] *= 2.0
+    assert _basis_error(3, f) == "basis element 5 is not traceless"
+    f[5] = f[7] = gks.gell_mann_basis(3).elements[0]
+    assert _basis_error(3, f) == "last basis element must be I/sqrt(N)"
+    f[8] /= 2.0
+    assert _basis_error(3, f) == "basis is not orthonormal under the trace inner product"
 
 
 # ---------------------------------------------------------------- kossakowski
@@ -697,6 +751,22 @@ def test_lindblad_operators_diagonal_coefficients():
 
 def test_lindblad_operators_empty_for_zero():
     assert gks.lindblad_operators(np.zeros((3, 3)), gks.gell_mann_basis(2)) == []
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_lindblad_operators_are_the_eigenvalue_loop_bit_for_bit(rng, n):
+    basis = gks.gell_mann_basis(n)
+    k = n * n - 1
+    for rank in sorted({0, 1, 2, n, k // 2, k}):
+        x = random_complex(rng, (k, rank)) * rng.uniform(0.01, 100.0)
+        a = x @ x.conj().T
+        got = gks.lindblad_operators(a, basis)
+        want = reference_lindblad_operators(a, basis)
+        assert type(got) is list and len(got) == len(want) >= min(rank, 1)
+        for v, ref in zip(got, want):
+            assert v.dtype == ref.dtype and v.shape == (n, n)
+            assert v.tobytes() == ref.tobytes()
+    assert gks.lindblad_operators(np.zeros((k, k)), basis) == []
 
 
 def test_small_coefficient_matrix_keeps_its_jump_operators():

@@ -944,7 +944,7 @@ def test_profiled_jacobian_matches_central_differences(seed):
                 scale = np.abs(jac[k]).max()
                 assert np.abs(jac[k] - want).max() <= 1e-6 * scale
             if clipped:
-                _, *slopes = neutrino._damped(x, *at, True)
+                _, *slopes = neutrino._damped(x, *at)
                 assert np.array_equal(jac, np.array(slopes) * t)  # dT* = 0
     assert seen == {False, True}
 
@@ -1040,6 +1040,6 @@ def test_theta_only_fit_beats_a_fine_theta_scan():
     assert fit.cycles == 0
     assert fit.params.dm2 == truth.dm2 and fit.params.lambda_km == truth.lambda_km
     scan = np.linspace(0.0, math.pi / 2.0, 10001)
-    d = neutrino._damped(x, truth.dm2, truth.lambda_km)
+    d = neutrino._damped(x, truth.dm2, truth.lambda_km)[0]
     r = 1.0 - d * np.sin(2.0 * scan[:, None]) ** 2 - p
     assert fit.sse <= float(((w * r * r).sum(axis=1)).min())
